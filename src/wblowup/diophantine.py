@@ -85,7 +85,8 @@ def continued_fraction(alpha) -> ContinuedFraction:
         convergents.append((h, k))
         hm2, hm1 = hm1, h
         km2, km1 = km1, k
-    assert Fraction(convergents[-1][0], convergents[-1][1]) == alpha
+    if convergents[-1] != (alpha.numerator, alpha.denominator):
+        raise AssertionError(f"last convergent {convergents[-1]} does not reproduce {alpha}")
     return ContinuedFraction(alpha, tuple(quotients), tuple(convergents))
 
 

@@ -33,6 +33,7 @@ from .exact_lattice import (
 from .oracle import enumerate_lattice_points, mld_bruteforce, verify_interior_psi_equivalence
 from .toric_mld import WeightVector, is_eps_lc, mld_at_fixed_point, mld_global, psi_value
 from .witness import (
+    CERTIFY_METHODS,
     VERDICT_EPS_LC,
     Certificate,
     build_polytope,
@@ -75,18 +76,15 @@ def default_budget() -> int:
     return value
 
 
-SWEEP_METHODS = ("auto", "construction", "enumeration")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Parameters of one sweep over coprime sorted weight tuples.
 
     tail_caps[k] bounds coordinate k+2 by a1 + tail_caps[k]; the tuple must
-    have n-1 entries. method "auto" runs the full certify dispatcher;
-    "construction" tries only the dimension-specific construction (rows
-    read certificate or no-witness, useful for success-rate studies);
-    "enumeration" skips the construction entirely.
+    have n-1 entries. method is passed to certify_not_eps_lc: "auto" runs
+    the full dispatcher; "construction" tries only the dimension-specific
+    construction (rows read certificate or no-witness, useful for
+    success-rate studies); "enumeration" skips the construction entirely.
     """
 
     n: int
@@ -113,8 +111,8 @@ class SweepSpec:
             raise ValueError("tail caps must be nonnegative")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
-        if self.method not in SWEEP_METHODS:
-            raise ValueError(f"method must be one of {SWEEP_METHODS}, got {self.method!r}")
+        if self.method not in CERTIFY_METHODS:
+            raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -159,42 +157,11 @@ def iter_weight_tuples(spec: SweepSpec):
         yield from rec((a1,))
 
 
-def _certify_construction_only(a, eps, theta):
-    from .witness import witness_general_theta, witness_n2, witness_n3
-
-    if a.n == 2:
-        cert = witness_n2(a, eps)
-    elif a.n == 3:
-        cert = witness_n3(a, eps, theta)
-    else:
-        cert = witness_general_theta(a, eps, theta)
-    return cert if cert is not None else "no-witness"
-
-
-def _certify_enumeration_only(a, eps, cap):
-    from .witness import METHOD_ENUMERATION, VERDICT_INCONCLUSIVE
-
-    try:
-        ok, refuter = is_eps_lc(a, eps, cap)
-    except BudgetExceeded:
-        return VERDICT_INCONCLUSIVE
-    if ok:
-        return VERDICT_EPS_LC
-    return Certificate(
-        a, eps, refuter, psi_value(a, refuter), METHOD_ENUMERATION, {"source": "refutation-scan"}
-    )
-
-
 def _sweep_task(args):
     entries, eps, theta, cap, include_timing, method = args
     a = WeightVector(entries)
     started = time.perf_counter_ns()
-    if method == "construction":
-        result = _certify_construction_only(a, eps, theta)
-    elif method == "enumeration":
-        result = _certify_enumeration_only(a, eps, cap)
-    else:
-        result = certify_not_eps_lc(a, eps, theta, cap)
+    result = certify_not_eps_lc(a, eps, theta, cap, method)
     micros = (time.perf_counter_ns() - started) // 1000
     if isinstance(result, Certificate):
         verdict = "certificate"
@@ -509,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, help="worker processes (default 1)")
     p_sweep.add_argument(
         "--method",
-        choices=SWEEP_METHODS,
+        choices=CERTIFY_METHODS,
         help="certification route: full dispatcher, construction only, or scans only",
     )
     p_sweep.add_argument("--format", choices=("csv", "json"), help="output format")

@@ -88,8 +88,10 @@ def psi_bruteforce(a: WeightVector, v) -> Fraction:
         lams = [Fraction(v[j]) - a.entries[j] * lam0 for j in range(a.n) if j != i]
         if lam0 >= 0 and all(l >= 0 for l in lams):
             values.append(lam0 + sum(lams))
-    assert values, "every nonnegative vector lies in some cone"
-    assert all(val == values[0] for val in values[1:]), "cone values must agree on walls"
+    if not values:
+        raise AssertionError("every nonnegative vector lies in some cone")
+    if any(val != values[0] for val in values[1:]):
+        raise AssertionError("cone values must agree on walls")
     return values[0]
 
 

@@ -266,9 +266,14 @@ def is_smooth_cone(a: WeightVector, cone: int) -> bool:
 
 
 def estimate_region_points(a: WeightVector, scale) -> int:
-    """Cheap conservative estimate of the lattice points of {psi <= scale}.
+    """Cheap estimate of the lattice points of {psi <= scale}.
 
-    Volume term scale^n * sum(a) / n! plus a surface correction.
+    Volume term scale^n * sum(a) / n! plus a surface correction. It is not
+    an upper bound: it overcounts small low-dimensional regions but can
+    undercount badly as n and the scale grow (actual/estimate is 1.2 for
+    (4, 4, 8, 8, 12, 13) at scale 1 and 5.0 for eight 1s at scale 2).
+    Budgets compare against it to refuse large regions early; it does not
+    bound the points a scan visits.
     """
     s = Fraction(scale)
     n = a.n
@@ -301,7 +306,8 @@ def _normalized(rows):
         if not any(c):
             # the region contains the origin, so eliminations cannot produce
             # an infeasible constant row
-            assert b >= 0
+            if b < 0:
+                raise AssertionError(f"infeasible constant row {b} >= 0 from a region holding 0")
             continue
         g = gcd(*(abs(x) for x in c), abs(b))
         out.add((tuple(x // g for x in c), b // g))
@@ -496,7 +502,8 @@ def mld_at_fixed_point(a: WeightVector, cone: int, enumeration_cap: int = DEFAUL
         num = ent[i] * sum(v) - vi * T1
         if best_num is None or num * best_den < best_num * ent[i]:
             best_num, best_den = num, ent[i]
-    assert best_num is not None  # the witness point above is always scanned
+    if best_num is None:  # the witness point above is always scanned
+        raise AssertionError(f"no lattice point interior to cone {cone} in {{psi <= {n}}}")
     return Fraction(best_num, best_den)
 
 

@@ -6,11 +6,25 @@ hyperplanes, each spanned by all eps-scaled ray generators but one basis
 vector. A lattice point interior to C(a, eps) has psi strictly below eps
 and therefore certifies that the blowup is not eps-lc.
 
+The polytope is held in one integer form. With eps = en/ed, T = sum(a)
+and K = (T - 1) * ed, the tilted facet omitting axis i, scaled by
+a_i * ed > 0, is the row
+
+    x_i * K + a_i * (en - ed * sum(x)) >= 0,
+
+and x is interior exactly when every coordinate and every row is strictly
+positive. Membership is therefore O(n) integer work and building C is
+O(1); the rational facets and vertices are only a view derived from the
+rows on access.
+
 The constructions pick a rational line through the origin whose direction,
 chosen by Dirichlet approximation, is so close to the ray through a that
 the line exits the polytope beyond its first lattice point. For n = 3
 there is an additional route that solves the problem in the plane
-projection and then lifts along the third coordinate.
+projection and then lifts along the third coordinate. When no
+construction succeeds, certify_not_eps_lc scans the lattice points of
+{psi <= eps} once: the first interior point is the certificate, and a
+completed scan with no hit proves eps-lc.
 """
 
 from __future__ import annotations
@@ -22,7 +36,6 @@ from fractions import Fraction
 from .diophantine import DirichletWitness, dirichlet_1d, dirichlet_simultaneous
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
-    BudgetExceeded,
     format_rational,
     integer_nth_root,
     pow_cmp,
@@ -33,7 +46,6 @@ from .toric_mld import (
     argmin_cones,
     barycentric,
     estimate_region_points,
-    is_eps_lc,
     iter_region_points,
     psi_value,
 )
@@ -46,13 +58,16 @@ METHOD_ENUMERATION = "enumeration"
 
 VERDICT_EPS_LC = "eps-lc"
 VERDICT_INCONCLUSIVE = "inconclusive"
+VERDICT_NO_WITNESS = "no-witness"
+
+CERTIFY_METHODS = ("auto", "construction", "enumeration")
 
 
 @dataclass(frozen=True)
 class FacetHyperplane:
-    """Affine form of one tilted facet, positive on the interior side.
+    """Rational view of one tilted facet row, positive on the interior side.
 
-    The facet omitting axis i has the form
+    The row omitting axis i, divided by a_i * ed, reads
         ((sum_{j != i} a_j - 1) / a_i) * x_i - sum_{j != i} x_j + eps,
     which vanishes on its n defining vertices and equals eps at the origin.
     """
@@ -70,14 +85,45 @@ class FacetHyperplane:
 
 @dataclass(frozen=True)
 class CEpsPolytope:
+    """C(a, eps) in integer facet form: eps = en/ed and K = (T - 1) * ed.
+
+    The tilted facet omitting axis i is the row
+    x_i * K + a_i * (en - ed * sum(x)) >= 0, i.e. a_i * ed times its
+    rational form. facets and vertices are derived from these rows on
+    access, for inspection and tests; membership never builds them.
+    """
+
     a: WeightVector
     eps: Fraction
-    vertices: tuple[tuple[Fraction, ...], ...]
-    facets: tuple[FacetHyperplane, ...]
+    en: int
+    ed: int
+    K: int
 
     @property
     def n(self) -> int:
         return self.a.n
+
+    @property
+    def facets(self) -> tuple[FacetHyperplane, ...]:
+        n = self.n
+        out = []
+        for i, ai in enumerate(self.a.entries):
+            scale = ai * self.ed
+            coeffs = [Fraction(-1)] * n
+            coeffs[i] = Fraction(self.K - scale, scale)
+            out.append(FacetHyperplane(i + 1, tuple(coeffs), Fraction(ai * self.en, scale)))
+        return tuple(out)
+
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        n = self.n
+        eps = self.eps
+        zero = (Fraction(0),) * n
+        basis = tuple(
+            tuple(eps if j == i else Fraction(0) for j in range(n)) for i in range(n)
+        )
+        apex = tuple(eps * ai for ai in self.a.entries)
+        return (zero, *basis, apex)
 
 
 @dataclass(frozen=True)
@@ -115,8 +161,9 @@ def _jsonify(obj):
 
 
 def _check_eps(eps) -> Fraction:
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
+    if not isinstance(eps, Fraction):
+        eps = Fraction(eps)
+    if not 0 < eps.numerator <= eps.denominator:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     return eps
 
@@ -134,49 +181,30 @@ def _check_theta(theta, n: int) -> Fraction:
 
 
 def build_polytope(a: WeightVector, eps) -> CEpsPolytope:
-    """Construct C(a, eps) with vertex-facet incidence verified."""
+    """Construct C(a, eps) in integer facet form."""
     eps = _check_eps(eps)
-    n = a.n
-    T = a.total
-    facets = []
-    for i in range(n):
-        coeffs = [Fraction(-1)] * n
-        coeffs[i] = Fraction(T - a.entries[i] - 1, a.entries[i])
-        facets.append(FacetHyperplane(i + 1, tuple(coeffs), eps))
-    zero = tuple(Fraction(0) for _ in range(n))
-    basis = []
-    for i in range(n):
-        v = [Fraction(0)] * n
-        v[i] = eps
-        basis.append(tuple(v))
-    apex = tuple(eps * ai for ai in a.entries)
-    poly = CEpsPolytope(a, eps, (zero, *basis, apex), tuple(facets))
-    _validate_incidence(poly)
-    return poly
+    ed = eps.denominator
+    return CEpsPolytope(a, eps, eps.numerator, ed, (a.total - 1) * ed)
 
 
-def _validate_incidence(C: CEpsPolytope) -> None:
-    zero, *basis, apex = C.vertices
-    for f in C.facets:
-        if f.evaluate(zero) != C.eps:
-            raise AssertionError("facet form must have slack eps at the origin")
-        if f.evaluate(apex) != 0:
-            raise AssertionError("facet form must vanish at the apex vertex")
-        for j, vert in enumerate(basis, start=1):
-            val = f.evaluate(vert)
-            if j == f.omitted:
-                if val <= 0:
-                    raise AssertionError("facet must be strictly positive at its omitted vertex")
-            elif val != 0:
-                raise AssertionError("facet form must vanish on its defining vertices")
+def _inside(K: int, en: int, ed: int, ent, v) -> bool:
+    # strictly positive coordinates and facet rows x_i*K + a_i*(en - ed*sum(x));
+    # on lattice points this is psi(v) < en/ed, as psi is the maximum of the
+    # linear forms of the maximal cones
+    for x in v:
+        if x <= 0:
+            return False
+    u = en - ed * sum(v)
+    for x, ai in zip(v, ent):
+        if x * K + ai * u <= 0:
+            return False
+    return True
 
 
 def contains_interior(C: CEpsPolytope, v) -> bool:
     """Strict membership: all n coordinate and all n facet inequalities hold strictly."""
     require_same_dimension(C.n, v)
-    if any(x <= 0 for x in v):
-        return False
-    return all(f.evaluate(v) > 0 for f in C.facets)
+    return _inside(C.K, C.en, C.ed, C.a.entries, v)
 
 
 def interior_by_subsimplex(C: CEpsPolytope, v) -> bool:
@@ -232,19 +260,20 @@ def witness_n2(a: WeightVector, eps) -> Certificate | None:
     a1, a2 = a.entries
     if a1 == 1:
         return None  # lower tilted facet is vertical; handled by enumeration
+    C = build_polytope(a, eps)
     Z = integer_nth_root(a1, 2)
     alpha = Fraction(a2, a1)
     approx = dirichlet_1d(alpha, Z)
     p, q = approx.p, approx.q
-    slope = Fraction(p, q)
-    if slope <= alpha:
+    # the line leaves C(a, eps) at abscissa x0 = eps * num / den
+    if p * a1 <= a2 * q:
         method = METHOD_N2_CASE1
-        upper = Fraction(a2, a1 - 1)
-        x0 = eps * upper / (upper - slope)
+        num, den = a2 * q, a2 * q - p * (a1 - 1)
     else:
         method = METHOD_N2_CASE2
-        x0 = eps / (slope - Fraction(a2 - 1, a1))
-    C = build_polytope(a, eps)
+        num, den = a1 * q, p * a1 - q * (a2 - 1)
+    num *= C.en
+    den *= C.ed
     trace = {
         "Z": Z,
         "p": p,
@@ -252,9 +281,9 @@ def witness_n2(a: WeightVector, eps) -> Certificate | None:
         "alpha": alpha,
         "residual": approx.residual,
         "case": 1 if method == METHOD_N2_CASE1 else 2,
-        "x0": x0,
+        "x0": Fraction(num, den),
     }
-    for k in range(1, int(x0 / q) + 1):
+    for k in range(1, num // (den * q) + 1):
         pt = (k * q, k * p)
         if contains_interior(C, pt):
             return _verified(
@@ -330,18 +359,6 @@ def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | Non
     return None
 
 
-def _projected_interior(a1: int, a2: int, eps: Fraction, x: int, y: int) -> bool:
-    # interior of the plane projection of the polytope, which is C((a1, a2), eps)
-    # even when a1, a2 share a factor
-    if x <= 0 or y <= 0:
-        return False
-    if eps + Fraction(a2 - 1, a1) * x - y <= 0:
-        return False
-    if eps + Fraction(a1 - 1, a2) * y - x <= 0:
-        return False
-    return True
-
-
 def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
     """Three-dimensional construction.
 
@@ -362,7 +379,10 @@ def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
     M2 = integer_nth_root(a1, 2)
     approx = dirichlet_1d(Fraction(a2, a1), M2)
     p, q = approx.p, approx.q
-    if not _projected_interior(a1, a2, eps, q, p):
+    # (q, p) must be interior to the plane projection, which is C((a1, a2), eps)
+    # even when a1, a2 share a factor
+    en, ed = eps.numerator, eps.denominator
+    if not _inside((a1 + a2 - 1) * ed, en, ed, (a1, a2), (q, p)):
         return None
     x3_lo = (q + p - eps) * Fraction(a3, a1 + a2 - 1)
     x3_hi = min(
@@ -395,52 +415,44 @@ def certify_not_eps_lc(
     eps,
     theta=None,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+    method: str = "auto",
 ) -> Certificate | str:
-    """Dispatcher: construction first, then bounded enumeration.
+    """Dispatcher: the construction for the dimension, then one bounded scan.
 
-    Returns a verified Certificate, the verdict "eps-lc", or
-    "inconclusive" when every budget is exhausted. A wrong verdict is never
-    returned: certificates are re-checked exactly and "eps-lc" only comes
-    from a completed refutation scan.
+    method "auto" tries the construction and, if it fails, scans the
+    lattice points of {psi <= eps} once in lexicographic order, testing
+    each against the integer facet rows of C(a, eps). The first interior
+    point is the certificate; a scan that completes with no hit returns
+    "eps-lc". When the estimated region size exceeds enumeration_cap no
+    scan runs and the verdict is "inconclusive". method "construction"
+    stops after the construction, returning "no-witness" if it fails;
+    "enumeration" runs only the scan.
+
+    A wrong verdict is never returned: every certificate is re-checked
+    exactly by _verified, and "eps-lc" only comes from a completed scan.
     """
     eps = _check_eps(eps)
-    if a.n == 2:
-        cert = witness_n2(a, eps)
-    elif a.n == 3:
-        cert = witness_n3(a, eps, theta)
-    else:
-        cert = witness_general_theta(a, eps, theta)
-    C = build_polytope(a, eps)
-    if cert is not None:
-        return _verified(C, cert)
-    try:
-        est = estimate_region_points(a, eps)
-        if est > enumeration_cap:
-            raise BudgetExceeded(est, enumeration_cap, "interior-point enumeration")
-        # for lattice points, interior membership is equivalent to psi < eps
-        # (checked again facet-wise by _verified on the winning point)
-        en, ed = eps.numerator, eps.denominator
-        ent = a.entries
-        T1 = a.total - 1
-        for v in iter_region_points(a, eps):
-            bi = 0
-            for j in range(1, a.n):
-                if v[j] * ent[bi] < v[bi] * ent[j]:
-                    bi = j
-            if (ent[bi] * sum(v) - v[bi] * T1) * ed < en * ent[bi]:
-                cert = Certificate(
-                    a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"}
-                )
-                return _verified(C, cert)
-    except BudgetExceeded:
-        pass
-    try:
-        ok, refuter = is_eps_lc(a, eps, enumeration_cap)
-    except BudgetExceeded:
+    if method not in CERTIFY_METHODS:
+        raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {method!r}")
+    if method != "enumeration":
+        if a.n == 2:
+            cert = witness_n2(a, eps)
+        elif a.n == 3:
+            cert = witness_n3(a, eps, theta)
+        else:
+            cert = witness_general_theta(a, eps, theta)
+        if cert is not None:
+            return cert
+        if method == "construction":
+            return VERDICT_NO_WITNESS
+    if estimate_region_points(a, eps) > enumeration_cap:
         return VERDICT_INCONCLUSIVE
-    if ok:
-        return VERDICT_EPS_LC
-    cert = Certificate(
-        a, eps, refuter, psi_value(a, refuter), METHOD_ENUMERATION, {"source": "refutation-scan"}
-    )
-    return _verified(C, cert)
+    C = build_polytope(a, eps)
+    K, en, ed, ent = C.K, C.en, C.ed, a.entries
+    for v in iter_region_points(a, eps):
+        if _inside(K, en, ed, ent, v):
+            cert = Certificate(
+                a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"}
+            )
+            return _verified(C, cert)
+    return VERDICT_EPS_LC

@@ -1,0 +1,52 @@
+"""Byte-for-byte pins on small sweeps.
+
+Each digest is the SHA-256 of the --no-timing CSV of one sweep, recorded
+from the Fraction-based certify pipeline that preceded the integer facet
+form. A changed digest means a changed verdict, point, psi, method or row
+order somewhere in the sweep.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from wblowup.harness import cli_dispatch
+
+GOLDEN = [
+    (
+        "--n 2 --eps 1/2 --a1-min 1 --a1-max 40 --tail-cap 40",
+        "2d4657e80b9cd7c34fcb3ff8959ce3f68829db7fa52005fa90b14408a8dec26e",
+    ),
+    (
+        "--n 3 --eps 1/2 --a1-min 1 --a1-max 8 --tail-cap 8",
+        "35c9d87c7d32d986e5f0690671b5f263c4b65eb2a33ac6ca33ad43c025da9c71",
+    ),
+    (
+        "--n 4 --eps 1 --a1-min 1 --a1-max 5 --tail-cap 4",
+        "08ee9ff86d98db664d12392d4e72ef5bec1a71304e91ac97aa94b21ecaf06486",
+    ),
+    (
+        # the cap turns 34 rows inconclusive
+        "--n 3 --eps 1 --a1-min 1 --a1-max 8 --tail-cap 8 --cap 30",
+        "4e47cb02ee7165b0bcad514834db3be4bd9e2f965fef523975c987a8590c2deb",
+    ),
+    (
+        "--n 2 --eps 1/2 --a1-min 1 --a1-max 40 --tail-cap 40 --method construction",
+        "66e9fe6a8743b7caf5c71a735e289c6a7b5c652dd0dcfde6b5e56bd68eafa3d0",
+    ),
+    (
+        "--n 2 --eps 1/2 --a1-min 1 --a1-max 40 --tail-cap 40 --method enumeration",
+        "e9d488c9696466793a0041890288fc7108931df45901ab25d4be12d9efde0acb",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN, ids=[args for args, _ in GOLDEN])
+def test_sweep_csv_matches_golden_digest(tmp_path, args, digest):
+    out = tmp_path / "sweep.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_dispatch(["sweep", "--no-timing", "--out", str(out)] + args.split())
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import coprime_sorted_tuples, random_weight_vector
-from wblowup.exact_lattice import BudgetExceeded, integer_nth_root
-from wblowup.toric_mld import WeightVector, psi_value
+from wblowup.exact_lattice import gcd_all
+from wblowup.toric_mld import WeightVector, is_eps_lc, psi_value
 from wblowup.witness import (
     METHOD_ENUMERATION,
     METHOD_GENERAL_THETA,
@@ -15,6 +17,7 @@ from wblowup.witness import (
     METHOD_N3_PROJECTION,
     VERDICT_EPS_LC,
     VERDICT_INCONCLUSIVE,
+    VERDICT_NO_WITNESS,
     Certificate,
     certificate_threshold,
     build_polytope,
@@ -106,6 +109,47 @@ def test_interior_equals_psi_below_eps_for_lattice_points():
             if not any(v):
                 continue
             assert contains_interior(C, v) == (psi_value(a, v) < eps)
+
+
+@st.composite
+def _huge_weights_eps_point(draw):
+    # weights up to 10^18, from near-equal to widely spread; a lattice point
+    # near the ray through a; eps with denominator up to 10^6, often the
+    # nearest such rational on either side of psi(v) or psi(v) itself
+    n = draw(st.integers(2, 4))
+    e = draw(st.sampled_from(range(1, 19)))
+    spread = 10 ** draw(st.integers(0, e - 1))
+    entries = [draw(st.integers(10 ** (e - 1), 10**e // 2))]
+    for _ in range(n - 1):
+        entries.append(entries[-1] + draw(st.integers(0, spread)))
+    assume(gcd_all(entries) == 1)
+    a = WeightVector(tuple(entries))
+    c = draw(st.integers(1, 60))
+    shift = draw(st.integers(-2, 2))
+    jitter = st.integers(-1, 1) if draw(st.booleans()) else st.just(0)
+    v = tuple(max(0, ai * c // entries[0] + shift + draw(jitter)) for ai in entries)
+    assume(any(v))
+    psi = psi_value(a, v)
+    ed = draw(st.integers(1, 10**6))
+    choice = draw(st.sampled_from(["random", "below", "above", "exact"]))
+    if choice == "exact" and psi <= 1 and psi.denominator <= 10**6:
+        eps = psi
+    elif choice in ("below", "above") and psi <= 1:
+        en = math.floor(psi * ed) + (choice == "above")
+        eps = Fraction(min(max(en, 1), ed), ed)
+    else:
+        eps = Fraction(draw(st.integers(1, ed)), ed)
+    return a, eps, v
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_huge_weights_eps_point())
+def test_integer_rows_agree_with_rational_facets_and_psi(case):
+    a, eps, v = case
+    C = build_polytope(a, eps)
+    inside = contains_interior(C, v)
+    assert inside == (all(x > 0 for x in v) and all(f.evaluate(v) > 0 for f in C.facets))
+    assert inside == (psi_value(a, v) < eps)
 
 
 def test_hrep_matches_subsimplex_on_rational_points():
@@ -308,9 +352,54 @@ def test_certify_enumeration_path_when_construction_fails():
 
 
 def test_certify_inconclusive_on_tiny_budget():
-    # a1 = 1 skips the construction, and the budget blocks both scans
+    # a1 = 1 skips the construction, and the budget blocks the scan
     res = certify_not_eps_lc(WeightVector((1, 10**9)), 1, enumeration_cap=10)
     assert res == VERDICT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "entries,eps",
+    [((1, 9), Fraction(1, 2)), ((1, 1, 1), 1), ((1, 2, 3), Fraction(1, 2)), ((2, 3, 5, 7), Fraction(1, 2))],
+)
+def test_certify_scans_eps_lc_tuples_once(monkeypatch, entries, eps):
+    import wblowup.toric_mld as toric_mld
+    import wblowup.witness as witness
+
+    calls = []
+    original = toric_mld.iter_region_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(toric_mld, "iter_region_points", counting)
+    monkeypatch.setattr(witness, "iter_region_points", counting)
+    assert certify_not_eps_lc(WeightVector(entries), eps) == VERDICT_EPS_LC
+    assert len(calls) <= 1
+
+
+def test_certify_method_selects_the_route():
+    a = WeightVector((1, 12))  # a1 = 1: the plane construction never applies
+    assert certify_not_eps_lc(a, 1, method="construction") == VERDICT_NO_WITNESS
+    assert certify_not_eps_lc(a, 1, method="enumeration") == VERDICT_EPS_LC
+    cert = certify_not_eps_lc(WeightVector((26, 27)), Fraction(1, 2), method="enumeration")
+    assert cert.method == METHOD_ENUMERATION and cert.point == (1, 1)
+    with pytest.raises(ValueError):
+        certify_not_eps_lc(a, 1, method="telepathy")
+
+
+@pytest.mark.parametrize("n,max_entry", [(2, 12), (3, 8)])
+def test_enumeration_route_returns_the_first_refuter(n, max_entry):
+    # the interior scan and the refutation scan of is_eps_lc agree point for point
+    for entries in coprime_sorted_tuples(n, max_entry):
+        a = WeightVector(entries)
+        for eps in (Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            ok, refuter = is_eps_lc(a, eps)
+            res = certify_not_eps_lc(a, eps, method="enumeration")
+            if ok:
+                assert res == VERDICT_EPS_LC, (entries, eps)
+            else:
+                assert res.point == refuter, (entries, eps)
 
 
 @pytest.mark.parametrize("n,max_entry", [(2, 12), (3, 10)])
