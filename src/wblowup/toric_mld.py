@@ -17,6 +17,20 @@ Conventions used throughout the package:
   The minimal log discrepancy of the blowup is the minimum of psi over
   nonzero lattice points, and the sublevel set {psi <= s} is the convex
   hull of 0, the points s*e_j and s*a.
+* Cone i is simplicial of index a_i and psi = 1 on its generators, so every
+  lattice point of cone i is a box point (coefficients in [0, 1)) plus a
+  nonnegative integer combination of the generators, and psi adds along
+  that sum. The nonzero box points of cone i are k/a_i * a plus the
+  fractional parts of -k*a_j/a_i on the other axes, 1 <= k < a_i; their psi
+  is the Reid-Tai age (k + sum_{j != i} (-k*a_j mod a_i)) / a_i. Hence
+  {psi <= 1} holds only 0, the n + 1 fan-ray generators and the box points
+  of age <= 1, none of which lies on a ray of the fan.
+* For n = 2 the ages of one cone are (k + r) / p over the lattice
+  {(k, r) : r = -k*q mod p}, and their minimum sits on a vertex of the
+  Klein sail of that lattice, which the Hirzebruch-Jung continued fraction
+  walks in O(log p) steps (Fulton, Introduction to Toric Varieties, 2.6).
+  The n = 2 mld routines use that walk and Pick's theorem instead of
+  enumerating; n >= 3 enumerates {psi <= 1} or {psi <= n}.
 """
 
 from __future__ import annotations
@@ -42,7 +56,6 @@ POSITION_WALL = "cone-wall"
 CLASS_TERMINAL = "terminal"
 CLASS_CANONICAL = "canonical"
 CLASS_KLT = "klt-with-mld"
-CLASS_NOT_LC = "not-lc-flag"  # reserved: psi > 0 on the orthant, so never emitted
 
 
 @dataclass(frozen=True)
@@ -162,8 +175,8 @@ class ConeLocation:
 class MldReport:
     """Result of a global mld search.
 
-    classification is one of "terminal", "canonical", "klt-with-mld"
-    (CLASS_NOT_LC is reserved and never produced for these fans).
+    classification is one of "terminal", "canonical", "klt-with-mld"; the
+    box-point argument in the module docstring shows these are exhaustive.
     """
 
     weights: WeightVector
@@ -435,17 +448,62 @@ def _is_fan_ray_point(v, ent) -> bool:
     return all(v[j] * ent[j0] == v[j0] * ent[j] for j in nonzero[1:])
 
 
-def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> MldReport:
-    """Minimum of psi over all nonzero lattice points of the first orthant.
+def _sail_min(p: int, q: int) -> tuple[int, int]:
+    # smallest k + r over (k, r), 1 <= k < p, r = -k*q mod p, with the
+    # smallest such k; p >= 2 and gcd(p, q) = 1. Walks the boundary of the
+    # Klein sail of {(k, r) : r = -k*q mod p} from (0, p) to (p, 0) one edge
+    # per step: an edge leaving (x, y) in direction (dx, dy) holds
+    # y // -dy lattice steps, and the Hirzebruch-Jung step c = ceil(y_prev / y)
+    # turns onto the next edge. k + r is linear on an edge and convex along
+    # the sail, so its minimum over the box points is at (1, r_1), a vertex
+    # or (p - 1, r_{p-1}), and the last of these is a vertex whenever it
+    # beats the others; the first strict minimum in walk order has the
+    # smallest k.
+    r1 = -q % p
+    best = (1 + r1, 1)
+    x, y = 0, p
+    dx, dy = 1, r1 - p
+    while True:
+        t = y // -dy
+        x += t * dx
+        y += t * dy
+        if y == 0:
+            return best
+        if x + y < best[0]:
+            best = (x + y, x)
+        c = ceil_div(y - dy, y)
+        dx += (c - 2) * x
+        dy += (c - 2) * y
 
-    Since psi(e_1) = 1 the search is confined to {psi <= 1}. The achieving
-    vector is the lexicographically smallest minimiser.
-    """
-    if enumeration_cap < 1:
-        raise ValueError("enumeration cap must be positive")
-    est = estimate_region_points(a, 1)
-    if est > enumeration_cap:
-        raise BudgetExceeded(est, enumeration_cap, "mld enumeration")
+
+def _mld_n2(a: WeightVector) -> MldReport:
+    # below 1 the minimisers are the box points of least age: cone 1 has
+    # (k, ceil(k*a2/a1)), cone 2 has (ceil(k*a1/a2), k), both lex-increasing
+    # in k; at 1 the lex-first minimiser is e_2
+    a1, a2 = a.entries
+    best = (Fraction(1), (0, 1))
+    if a1 > 1:
+        s, k = _sail_min(a1, a2)
+        best = min(best, (Fraction(s, a1), (k, ceil_div(k * a2, a1))))
+    if a2 > 1:
+        s, k = _sail_min(a2, a1)
+        best = min(best, (Fraction(s, a2), (ceil_div(k * a1, a2), k)))
+    value, at = best
+    # nonzero lattice points of {psi <= 1} = hull(0, e1, a, e2): area
+    # (a1 + a2) / 2 and boundary 2 + gcd(a1 - 1, a2) + gcd(a1, a2 - 1) points
+    # in Pick's theorem give all points = area + boundary / 2 + 1
+    scanned = (a1 + a2 + gcd(a1 - 1, a2) + gcd(a1, a2 - 1)) // 2 + 1
+    if value < 1:
+        classification = CLASS_KLT
+    elif scanned > 3:  # a box point of age 1 besides e_1, e_2 and a
+        classification = CLASS_CANONICAL
+    else:
+        classification = CLASS_TERMINAL
+    return MldReport(a, value, at, argmin_cones(a, at)[0], classification, scanned)
+
+
+def _mld_scan(a: WeightVector) -> MldReport:
+    # every lattice point of {psi <= 1}, keeping the lex-first minimiser
     ent = a.entries
     n = a.n
     T1 = a.total - 1
@@ -476,18 +534,32 @@ def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) 
     return MldReport(a, value, best_v, cone, classification, scanned)
 
 
-def mld_at_fixed_point(a: WeightVector, cone: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
-    """Infimum of psi over lattice points interior to the given maximal cone.
+def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> MldReport:
+    """Minimum of psi over all nonzero lattice points of the first orthant.
 
-    This is the mld at the torus-fixed point of that cone. The point
-    a + sum of the cone's basis generators is interior with psi = n, so the
-    infimum is attained inside {psi <= n} and the search there is complete.
+    Since psi(e_1) = 1 the search is confined to {psi <= 1}. The achieving
+    vector is the lexicographically smallest minimiser, and points_scanned
+    counts the nonzero lattice points of {psi <= 1}.
+
+    For n = 2 nothing is enumerated: by the box-point argument in the module
+    docstring the value is min(1, least box-point age), found by the Klein
+    sail walk, the count comes from Pick's theorem, and the class is
+    terminal exactly when {psi <= 1} holds only e_1, e_2 and a. That costs
+    O(log a_2) integer steps. The budget check on the enumeration estimate
+    still applies to every n, so n = 2 refuses exactly where a scan would.
     """
-    if not 1 <= cone <= a.n:
-        raise ValueError(f"cone index out of range: {cone}")
-    est = estimate_region_points(a, a.n)
+    if enumeration_cap < 1:
+        raise ValueError("enumeration cap must be positive")
+    est = estimate_region_points(a, 1)
     if est > enumeration_cap:
-        raise BudgetExceeded(est, enumeration_cap, "fixed-point mld enumeration")
+        raise BudgetExceeded(est, enumeration_cap, "mld enumeration")
+    if a.n == 2:
+        return _mld_n2(a)
+    return _mld_scan(a)
+
+
+def _fixed_point_scan(a: WeightVector, cone: int) -> Fraction:
+    # least psi over the lattice points of {psi <= n} interior to the cone
     ent = a.entries
     n = a.n
     T1 = a.total - 1
@@ -502,9 +574,32 @@ def mld_at_fixed_point(a: WeightVector, cone: int, enumeration_cap: int = DEFAUL
         num = ent[i] * sum(v) - vi * T1
         if best_num is None or num * best_den < best_num * ent[i]:
             best_num, best_den = num, ent[i]
-    if best_num is None:  # the witness point above is always scanned
+    if best_num is None:  # the witness point a + sum of basis generators is always scanned
         raise AssertionError(f"no lattice point interior to cone {cone} in {{psi <= {n}}}")
     return Fraction(best_num, best_den)
+
+
+def mld_at_fixed_point(a: WeightVector, cone: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
+    """Infimum of psi over lattice points interior to the given maximal cone.
+
+    This is the mld at the torus-fixed point of that cone. The point
+    a + sum of the cone's basis generators is interior with psi = n, so the
+    infimum is attained inside {psi <= n} and the search there is complete.
+    For n = 2 the interior points are the box points plus combinations of
+    the generators, so the value is min(2, least box-point age of the cone)
+    from the Klein sail walk, in O(log a_2) steps after the same budget check.
+    """
+    if not 1 <= cone <= a.n:
+        raise ValueError(f"cone index out of range: {cone}")
+    est = estimate_region_points(a, a.n)
+    if est > enumeration_cap:
+        raise BudgetExceeded(est, enumeration_cap, "fixed-point mld enumeration")
+    if a.n == 2:
+        p, q = a.entries[cone - 1], a.entries[2 - cone]
+        # a smooth cone has no box point; otherwise ages k and p - k sum to
+        # 2, so the least is at most 1
+        return Fraction(_sail_min(p, q)[0], p) if p > 1 else Fraction(2)
+    return _fixed_point_scan(a, cone)
 
 
 def _refuting_point_n2(a1, a2, en, ed):
