@@ -10,14 +10,7 @@ from .diophantine import (
 )
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
-    EQUAL,
-    GREATER,
-    LESS,
     BudgetExceeded,
-    Rational,
-    as_lattice_vector,
-    as_rational_vector,
-    cmp_exact,
     format_rational,
     gcd_all,
     integer_nth_root,
@@ -33,15 +26,10 @@ from .oracle import (
 )
 from .toric_mld import (
     BarycentricCoords,
-    ConeLocation,
-    MaxCone,
     MldReport,
     WeightVector,
     barycentric,
     is_eps_lc,
-    is_smooth_cone,
-    locate_cone,
-    max_cones,
     mld_at_fixed_point,
     mld_global,
     psi_value,

@@ -1,4 +1,4 @@
-"""Shared exact-arithmetic primitives: rationals, integer roots, vectors.
+"""Shared exact-arithmetic primitives: rationals, integer roots, budgets.
 
 Every comparison in this package is exact. Nothing here or downstream
 touches floating point; rationals are `fractions.Fraction`, which already
@@ -10,12 +10,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-
-Rational = Fraction
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -62,15 +56,6 @@ def gcd_all(values) -> int:
     return math.gcd(*vals)
 
 
-def cmp_exact(x, y) -> int:
-    """Three-way rational comparison by cross multiplication: -1, 0 or 1."""
-    x = Fraction(x)
-    y = Fraction(y)
-    left = x.numerator * y.denominator
-    right = y.numerator * x.denominator
-    return (left > right) - (left < right)
-
-
 def pow_cmp(x, d: int, y) -> int:
     """Compare x**d against y exactly, without extracting any roots.
 
@@ -113,25 +98,6 @@ def integer_nth_root(x: int, n: int) -> int:
 def ceil_div(num: int, den: int) -> int:
     """Ceiling of num/den for a positive denominator."""
     return -((-num) // den)
-
-
-def as_lattice_vector(coords) -> tuple[int, ...]:
-    """Validate and freeze integer coordinates."""
-    v = tuple(coords)
-    if not v:
-        raise ValueError("vectors must have dimension >= 1")
-    for c in v:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"lattice coordinates must be integers, got {c!r}")
-    return v
-
-
-def as_rational_vector(coords) -> tuple[Fraction, ...]:
-    """Validate and freeze rational coordinates."""
-    v = tuple(Fraction(c) for c in coords)
-    if not v:
-        raise ValueError("vectors must have dimension >= 1")
-    return v
 
 
 def require_same_dimension(n: int, v) -> None:

@@ -189,8 +189,7 @@ def _sweep_task(args):
 def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     """Run certify over every tuple of the spec, streaming CSV rows.
 
-    Row order is lexicographic by weights regardless of worker count; a
-    budget error mid-sweep flushes a trailer row before propagating.
+    Row order is lexicographic by weights regardless of worker count.
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -199,21 +198,17 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
         for entries in iter_weight_tuples(spec)
     ]
     counts: dict[int, list[int]] = {}
-    try:
-        if spec.workers == 1 or len(tasks) < 2:
-            rows = map(_sweep_task, tasks)
-            for row in rows:
+    if spec.workers == 1 or len(tasks) < 2:
+        rows = map(_sweep_task, tasks)
+        for row in rows:
+            writer.writerow(row)
+            _tally(counts, row)
+    else:
+        chunk = max(1, len(tasks) // (spec.workers * 8))
+        with Pool(spec.workers) as pool:
+            for row in pool.imap(_sweep_task, tasks, chunksize=chunk):
                 writer.writerow(row)
                 _tally(counts, row)
-        else:
-            chunk = max(1, len(tasks) // (spec.workers * 8))
-            with Pool(spec.workers) as pool:
-                for row in pool.imap(_sweep_task, tasks, chunksize=chunk):
-                    writer.writerow(row)
-                    _tally(counts, row)
-    except BudgetExceeded as exc:
-        writer.writerow(["#budget-exhausted", str(exc)] + [""] * (len(CSV_COLUMNS) - 2))
-        raise
     per_a1 = tuple(sorted((a1, c[0], c[1]) for a1, c in counts.items()))
     empirical = None
     for a1, certified, total in reversed(per_a1):

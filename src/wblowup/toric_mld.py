@@ -31,6 +31,11 @@ Conventions used throughout the package:
   walks in O(log p) steps (Fulton, Introduction to Toric Varieties, 2.6).
   The n = 2 mld routines use that walk and Pick's theorem instead of
   enumerating; n >= 3 enumerates {psi <= 1} or {psi <= n}.
+* The shadow of {psi <= s} on the first k coordinates is the hull of the
+  projected vertices, which is {psi <= s} for the prefix weights
+  (a_1, ..., a_k). The enumerator reads its slice bounds from those
+  closed-form rows, so every prefix it visits extends to a point of the
+  polytope at every n.
 """
 
 from __future__ import annotations
@@ -47,11 +52,6 @@ from .exact_lattice import (
     gcd_all,
     require_same_dimension,
 )
-
-POSITION_INTERIOR = "relative-interior"
-POSITION_RAY = "ray"
-POSITION_FACE = "coordinate-face"
-POSITION_WALL = "cone-wall"
 
 CLASS_TERMINAL = "terminal"
 CLASS_CANONICAL = "canonical"
@@ -96,52 +96,6 @@ class WeightVector:
 
 
 @dataclass(frozen=True)
-class MaxCone:
-    """Maximal cone of the fan, named by the basis vector it omits (1-based)."""
-
-    weights: WeightVector
-    omitted_axis: int
-
-    def __post_init__(self):
-        if not 1 <= self.omitted_axis <= self.weights.n:
-            raise ValueError(f"cone index out of range: {self.omitted_axis}")
-
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """The weight ray followed by every basis vector except the omitted one."""
-        n = self.weights.n
-        gens = [self.weights.entries]
-        for j in range(n):
-            if j != self.omitted_axis - 1:
-                gens.append(tuple(1 if k == j else 0 for k in range(n)))
-        return tuple(gens)
-
-    def contains(self, v) -> bool:
-        """Whether v lies in the closed cone: v_j * a_i >= a_j * v_i for all j != i."""
-        require_same_dimension(self.weights.n, v)
-        ent = self.weights.entries
-        i = self.omitted_axis - 1
-        return all(v[j] * ent[i] >= ent[j] * v[i] for j in range(self.weights.n) if j != i)
-
-    def contains_relative_interior(self, v) -> bool:
-        require_same_dimension(self.weights.n, v)
-        ent = self.weights.entries
-        i = self.omitted_axis - 1
-        if v[i] <= 0:
-            return False
-        return all(v[j] * ent[i] > ent[j] * v[i] for j in range(self.weights.n) if j != i)
-
-    @property
-    def smooth(self) -> bool:
-        """Generators form a lattice basis; their determinant is +-a_i."""
-        return self.weights.entries[self.omitted_axis - 1] == 1
-
-
-def max_cones(a: WeightVector) -> tuple[MaxCone, ...]:
-    """The n maximal cones subdividing the first orthant."""
-    return tuple(MaxCone(a, i) for i in range(1, a.n + 1))
-
-
-@dataclass(frozen=True)
 class BarycentricCoords:
     """Coordinates of a vector in one maximal cone: v = ray_coeff * a + sum(axis_coeffs[j] * e_j).
 
@@ -163,12 +117,6 @@ class BarycentricCoords:
 
     def reconstruct(self, a: WeightVector) -> tuple[Fraction, ...]:
         return tuple(self.ray_coeff * aj + cj for aj, cj in zip(a.entries, self.axis_coeffs))
-
-
-@dataclass(frozen=True)
-class ConeLocation:
-    cones: tuple[int, ...]
-    position: str
 
 
 @dataclass(frozen=True)
@@ -241,41 +189,21 @@ def barycentric(a: WeightVector, v, cone: int) -> BarycentricCoords:
     return BarycentricCoords(cone, lam0, tuple(axis))
 
 
-def locate_cone(a: WeightVector, v) -> ConeLocation:
-    """Containing cones of v plus a position classification.
-
-    Positions: "relative-interior" of a single maximal cone, "ray" (v is a
-    positive multiple of a), "coordinate-face" (some coordinate vanishes),
-    or "cone-wall" (on a wall between maximal cones, possible for n >= 3).
-    """
-    _check_vector(a, v)
-    cones = argmin_cones(a, v)
-    if len(cones) == a.n:
-        position = POSITION_RAY
-    elif any(c == 0 for c in v):
-        position = POSITION_FACE
-    elif len(cones) == 1:
-        position = POSITION_INTERIOR
-    else:
-        position = POSITION_WALL
-    return ConeLocation(cones, position)
+def _psi(ent, T1, v) -> tuple[int, int]:
+    # psi(v) as (numerator, denominator) on the first cone i minimising
+    # v_i / a_i, with T1 = sum(a) - 1; the scans call this directly and
+    # skip psi_value's input checks
+    bi = 0
+    for j in range(1, len(ent)):
+        if v[j] * ent[bi] < v[bi] * ent[j]:
+            bi = j
+    return ent[bi] * sum(v) - v[bi] * T1, ent[bi]
 
 
 def psi_value(a: WeightVector, v) -> Fraction:
     """Exact value of the log-discrepancy function at a nonnegative nonzero v."""
     _check_vector(a, v)
-    ent = a.entries
-    bi = 0
-    for j in range(1, len(ent)):
-        if v[j] * ent[bi] < v[bi] * ent[j]:
-            bi = j
-    total = sum(v)
-    return Fraction(ent[bi] * total - v[bi] * (a.total - 1), ent[bi])
-
-
-def is_smooth_cone(a: WeightVector, cone: int) -> bool:
-    """Whether cone i is generated by a lattice basis, i.e. a_i = 1."""
-    return MaxCone(a, cone).smooth
+    return Fraction(*_psi(a.entries, a.total - 1, v))
 
 
 def estimate_region_points(a: WeightVector, scale) -> int:
@@ -296,145 +224,52 @@ def estimate_region_points(a: WeightVector, scale) -> int:
     return int(vol + surf) + n + 2
 
 
-def _facet_rows(a: WeightVector, sn: int, sd: int):
-    # integer rows (c, b) standing for c.x + b >= 0: the n scaled facet forms
-    # a_i*sd*F_i plus the coordinate bounds x_j >= 0
-    n = a.n
-    T = a.total
-    rows = []
-    for i in range(n):
-        c = [-a.entries[i] * sd] * n
-        c[i] = (T - a.entries[i] - 1) * sd
-        rows.append((tuple(c), a.entries[i] * sn))
-    for j in range(n):
-        c = [0] * n
-        c[j] = 1
-        rows.append((tuple(c), 0))
-    return rows
-
-
-def _normalized(rows):
-    out = set()
-    for c, b in rows:
-        if not any(c):
-            # the region contains the origin, so eliminations cannot produce
-            # an infeasible constant row
-            if b < 0:
-                raise AssertionError(f"infeasible constant row {b} >= 0 from a region holding 0")
-            continue
-        g = gcd(*(abs(x) for x in c), abs(b))
-        out.add((tuple(x // g for x in c), b // g))
-    return sorted(out)
-
-
-def _eliminate_last(rows, m):
-    # Fourier-Motzkin step: project away variable m exactly
-    lowers, uppers, keep = [], [], []
-    for row in rows:
-        cm = row[0][m]
-        if cm > 0:
-            lowers.append(row)
-        elif cm < 0:
-            uppers.append(row)
-        else:
-            keep.append(row)
-    new = list(keep)
-    for lc, lb in lowers:
-        for uc, ub in uppers:
-            sl, su = -uc[m], lc[m]
-            new.append(
-                (tuple(lj * sl + uj * su for lj, uj in zip(lc, uc)), lb * sl + ub * su)
-            )
-    return new
-
-
-# Fourier-Motzkin can blow up doubly exponentially; past this many rows a
-# level falls back to valid but looser truncated bounds (n >= 6 territory)
-_FM_ROW_CAP = 4000
-
-
-def _truncated_level(a: WeightVector, sn: int, sd: int, k: int, base):
-    # valid bounds for x_0..x_k: rows whose dropped tail coefficients are all
-    # nonpositive (so dropping them weakens the row), plus the hull bound
-    n = a.n
-    rows = []
-    for c, b in base:
-        if all(cj <= 0 for cj in c[k + 1 :]):
-            rows.append((c[: k + 1] + (0,) * (n - k - 1), b))
-    hull = [0] * n
-    hull[k] = -sd
-    rows.append((tuple(hull), sn * a.entries[k]))
-    return _normalized(rows)
-
-
-def _projection_tower(a: WeightVector, sn: int, sd: int):
-    # systems[k] constrains x_0..x_k; bounds for x_k given a fixed prefix are
-    # read off the rows with nonzero k-th coefficient
-    n = a.n
-    base = _normalized(_facet_rows(a, sn, sd))
-    systems = [None] * n
-    systems[n - 1] = base
-    exact = True
-    for m in range(n - 1, 0, -1):
-        if exact:
-            rows = systems[m]
-            lowers = sum(1 for c, _ in rows if c[m] > 0)
-            uppers = sum(1 for c, _ in rows if c[m] < 0)
-            if len(rows) + lowers * uppers <= _FM_ROW_CAP:
-                systems[m - 1] = _normalized(_eliminate_last(rows, m))
-                continue
-            exact = False
-        systems[m - 1] = _truncated_level(a, sn, sd, m - 1, base)
-    split = []
-    for k in range(n):
-        level = [(c[k], c[:k], b) for c, b in systems[k] if c[k] != 0]
-        split.append(level)
-    return split
-
-
 def iter_region_points(a: WeightVector, scale, *, include_origin: bool = False):
     """Yield every lattice point of {psi <= scale} in lexicographic order.
 
-    Slices along the first coordinate; the bounds at every level come from
-    the exact Fourier-Motzkin projections of the sublevel polytope, so the
-    recursion only ever visits prefixes that extend to a member and every
-    yielded point is a member. The caller is responsible for budget checks.
+    Slices along the first coordinate. The shadow of {psi <= s} =
+    hull(0, s*e_j, s*a) on x_1..x_k is the hull of the projected vertices,
+    i.e. the same polytope for the prefix weights (a_1, ..., a_k). So with
+    T_k = a_1 + ... + a_k and S = x_1 + ... + x_k, the bounds on x_k given
+    x_1..x_{k-1} are exactly the rows
+
+        x_i * (T_k - 1) + a_i * (s - S) >= 0,  i <= k,   and x_k >= 0,
+
+    and every visited prefix extends to a point of the polytope at every n.
+    The caller is responsible for budget checks.
     """
     s = Fraction(scale)
     if s <= 0:
         raise ValueError("scale must be positive")
-    levels = _projection_tower(a, s.numerator, s.denominator)
+    sn, sd = s.numerator, s.denominator
+    ent = a.entries
     n = a.n
+    # the rows times sd, 0-based: at level k, x_i * tilt[k] + a_i * (r - sd * x_k)
+    # >= 0 with tilt[k] = (a_0 + ... + a_k - 1) * sd and r = sd * (s - sum(prefix))
+    tilt = [(sum(ent[: k + 1]) - 1) * sd for k in range(n)]
+    scaled = [aj * sd for aj in ent]
 
-    def bounds(prefix, k):
-        lo, hi = 0, None
-        for ck, head, b in levels[k]:
-            val = b
-            for cj, pj in zip(head, prefix):
-                val += cj * pj
-            if ck > 0:
-                bound = ceil_div(-val, ck)
-                if bound > lo:
-                    lo = bound
-            else:
-                bound = val // -ck
-                if hi is None or bound < hi:
-                    hi = bound
-        return lo, hi
-
-    def rec(prefix):
+    def rec(prefix, r):
         k = len(prefix)
-        lo, hi = bounds(prefix, k)
-        if hi is None or lo > hi:
+        if k == 0:
+            lo, hi = 0, ent[0] * r // sd
+        else:
+            # the rows i < k bound x_k above; row k is x_k * tilt[k - 1] +
+            # a_k * r >= 0, a lower bound unless tilt[k - 1] = 0
+            ck = tilt[k - 1]
+            lo = max(0, ceil_div(-ent[k] * r, ck)) if ck else 0
+            tk = tilt[k]
+            hi = min((xi * tk + ai * r) // di for xi, ai, di in zip(prefix, ent, scaled))
+        if lo > hi:
             return
         if k == n - 1:
             for y in range(lo, hi + 1):
                 yield prefix + (y,)
             return
         for t in range(lo, hi + 1):
-            yield from rec(prefix + (t,))
+            yield from rec(prefix + (t,), r - sd * t)
 
-    for v in rec(()):
+    for v in rec((), sn):
         if include_origin or any(v):
             yield v
 
@@ -505,7 +340,6 @@ def _mld_n2(a: WeightVector) -> MldReport:
 def _mld_scan(a: WeightVector) -> MldReport:
     # every lattice point of {psi <= 1}, keeping the lex-first minimiser
     ent = a.entries
-    n = a.n
     T1 = a.total - 1
     best_num = best_den = None
     best_v = None
@@ -513,12 +347,7 @@ def _mld_scan(a: WeightVector) -> MldReport:
     scanned = 0
     for v in iter_region_points(a, 1):
         scanned += 1
-        bi = 0
-        for j in range(1, n):
-            if v[j] * ent[bi] < v[bi] * ent[j]:
-                bi = j
-        num = ent[bi] * sum(v) - v[bi] * T1
-        den = ent[bi]
+        num, den = _psi(ent, T1, v)
         if best_num is None or num * best_den < best_num * den:
             best_num, best_den, best_v = num, den, v
         if not off_ray and not _is_fan_ray_point(v, ent):
@@ -658,13 +487,9 @@ def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_C
         refuter = _refuting_point_n2(a.entries[0], a.entries[1], en, ed)
         return (refuter is None, refuter)
     ent = a.entries
-    n = a.n
     T1 = a.total - 1
     for v in iter_region_points(a, eps):
-        bi = 0
-        for j in range(1, n):
-            if v[j] * ent[bi] < v[bi] * ent[j]:
-                bi = j
-        if (ent[bi] * sum(v) - v[bi] * T1) * ed < en * ent[bi]:
+        num, den = _psi(ent, T1, v)
+        if num * ed < en * den:
             return (False, v)
     return (True, None)

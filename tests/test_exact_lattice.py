@@ -6,10 +6,7 @@ from hypothesis import given, strategies as st
 
 from wblowup.exact_lattice import (
     BudgetExceeded,
-    as_lattice_vector,
-    as_rational_vector,
     ceil_div,
-    cmp_exact,
     format_rational,
     gcd_all,
     integer_nth_root,
@@ -39,19 +36,6 @@ def test_gcd_all_rejects_bad_input():
         gcd_all((Fraction(4), 6))
 
 
-def test_cmp_exact_examples():
-    assert cmp_exact(Fraction(1, 3), Fraction(2, 6)) == 0
-    assert cmp_exact(Fraction(27, 26), 1) == 1
-    assert cmp_exact(Fraction(2, 27), Fraction(1, 2)) == -1
-
-
-@given(rationals, rationals)
-def test_cmp_exact_matches_cross_multiplication(x, y):
-    lhs = x.numerator * y.denominator
-    rhs = y.numerator * x.denominator
-    assert cmp_exact(x, y) == (lhs > rhs) - (lhs < rhs)
-
-
 def test_pow_cmp_examples():
     assert pow_cmp(Fraction(1, 2), 2, Fraction(1, 4)) == 0
     assert pow_cmp(Fraction(1, 3), 2, Fraction(1, 8)) == -1
@@ -64,7 +48,7 @@ def test_pow_cmp_matches_repeated_multiplication(x, d, y):
     power = Fraction(1)
     for _ in range(d):
         power *= x
-    assert pow_cmp(x, d, y) == cmp_exact(power, y)
+    assert pow_cmp(x, d, y) == (power > y) - (power < y)
 
 
 def test_pow_cmp_rejects_negative_and_bad_exponent():
@@ -103,7 +87,7 @@ def test_arithmetic_survives_huge_operands():
     big = 10**2500
     x = Fraction(big + 1, big)
     y = Fraction(big, big - 1)
-    assert cmp_exact(x, y) == -1
+    assert x < y
     assert pow_cmp(x, 3, x * x * x) == 0
 
 
@@ -132,12 +116,7 @@ def test_ceil_div():
 
 
 def test_vector_helpers_validate():
-    assert as_lattice_vector((1, 2)) == (1, 2)
-    assert as_rational_vector((1, Fraction(1, 2))) == (Fraction(1), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        as_lattice_vector(())
-    with pytest.raises(ValueError):
-        as_lattice_vector((1, Fraction(1, 2)))
+    require_same_dimension(2, (1, 2))
     with pytest.raises(ValueError):
         require_same_dimension(2, (1, 2, 3))
 

@@ -218,23 +218,6 @@ def test_sweep_rejects_unknown_method():
         make_spec(method="telepathy")
 
 
-def test_sweep_budget_trailer_row(monkeypatch):
-    import io
-
-    import wblowup.harness as harness
-    from wblowup.exact_lattice import BudgetExceeded
-
-    def explode(args):
-        raise BudgetExceeded(999, 1, "forced")
-
-    monkeypatch.setattr(harness, "_sweep_task", explode)
-    buf = io.StringIO()
-    with pytest.raises(BudgetExceeded):
-        run_sweep(make_spec(a1_min=2, a1_max=2, tail_caps=(1,)), buf)
-    last = buf.getvalue().splitlines()[-1]
-    assert last.startswith("#budget-exhausted")
-
-
 def test_sweep_cli_no_timing_blank_column(capsys):
     code, out, _ = run_cli(
         capsys,

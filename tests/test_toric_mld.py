@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,24 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_weight_vector
 from wblowup.exact_lattice import BudgetExceeded
+from wblowup.oracle import psi_bruteforce
 from wblowup.toric_mld import (
     CLASS_CANONICAL,
     CLASS_KLT,
     CLASS_TERMINAL,
-    POSITION_FACE,
-    POSITION_INTERIOR,
-    POSITION_RAY,
-    POSITION_WALL,
-    MaxCone,
     WeightVector,
     argmin_cones,
     barycentric,
     estimate_region_points,
     is_eps_lc,
-    is_smooth_cone,
     iter_region_points,
-    locate_cone,
-    max_cones,
     mld_at_fixed_point,
     mld_global,
     psi_value,
@@ -129,51 +123,19 @@ def test_barycentric_reconstruction_any_cone():
 # cones
 
 
-def test_locate_cone_examples():
-    a = WeightVector((2, 3))
-    loc = locate_cone(a, (1, 1))
-    assert loc.cones == (2,) and loc.position == POSITION_INTERIOR
-    assert locate_cone(a, (2, 3)).position == POSITION_RAY
-    assert locate_cone(WeightVector((1, 1)), (1, 1)).position == POSITION_RAY
-    assert locate_cone(a, (0, 1)).position == POSITION_FACE
-    wall = locate_cone(WeightVector((1, 2, 3)), (1, 2, 4))
-    assert wall.cones == (1, 2) and wall.position == POSITION_WALL
-
-
-def test_is_smooth_cone():
-    a = WeightVector((1, 5))
-    assert is_smooth_cone(a, 1) is True
-    assert is_smooth_cone(a, 2) is False
-    for i in (1, 2, 3):
-        assert is_smooth_cone(WeightVector((1, 1, 1)), i)
-    with pytest.raises(ValueError):
-        is_smooth_cone(a, 3)
-
-
 def test_max_cones_cover_orthant_and_match_argmin():
+    # v lies in closed cone i exactly when v_j * a_i >= a_j * v_i for all j
     rng = random.Random(15)
     for _ in range(80):
         a = small_weights(rng, max_n=4, max_entry=20)
-        cones = max_cones(a)
-        assert [c.omitted_axis for c in cones] == list(range(1, a.n + 1))
         v = tuple(rng.randint(0, 25) for _ in range(a.n))
         if not any(v):
             continue
-        containing = tuple(c.omitted_axis for c in cones if c.contains(v))
+        ent = a.entries
+        containing = tuple(
+            i + 1 for i in range(a.n) if all(v[j] * ent[i] >= ent[j] * v[i] for j in range(a.n))
+        )
         assert containing == argmin_cones(a, v)
-        loc = locate_cone(a, v)
-        inner = [c.omitted_axis for c in cones if c.contains_relative_interior(v)]
-        if loc.position == POSITION_INTERIOR:
-            assert inner == list(loc.cones)
-        else:
-            assert inner == []
-
-
-def test_max_cone_generators():
-    cone = MaxCone(WeightVector((2, 3, 5)), 2)
-    assert cone.generators() == ((2, 3, 5), (1, 0, 0), (0, 0, 1))
-    assert not cone.smooth
-    assert MaxCone(WeightVector((1, 5)), 1).generators() == ((1, 5), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +178,8 @@ def test_iter_region_handles_needle_shaped_regions_quickly():
 
 
 def test_iter_region_fallback_above_projection_cap():
-    # at n = 6 the exact projection tower would blow up; the capped fallback
-    # must stay correct (checked against the psi filter) and cheap to build
+    # n = 6 with spread weights: the closed-form prefix bounds must stay
+    # correct (checked against the psi filter) and cheap to set up
     import itertools
     import time
 
@@ -237,6 +199,38 @@ def test_iter_region_fallback_above_projection_cap():
             if any(v) and psi_value(a, v) <= scale
         }
         assert got == want
+
+
+def _box_filter(a, scale):
+    # sorted brute-force reference: every box point with psi_bruteforce <= s;
+    # psi is unchanged by permuting coordinates of equal weight, so the oracle
+    # runs once per orbit
+    memo = {}
+    out = []
+    for v in itertools.product(*(range(int(scale * ai) + 1) for ai in a.entries)):
+        if not any(v):
+            continue
+        key = tuple(sorted(zip(a.entries, v)))
+        if key not in memo:
+            memo[key] = psi_bruteforce(a, v) <= scale
+        if memo[key]:
+            out.append(v)
+    return out
+
+
+def test_iter_region_points_equals_sorted_box_filter():
+    # the whole yield order, at n = 5..7 and for many ones at scale 2
+    cases = [(WeightVector((1,) * 8), Fraction(2)), (WeightVector((1,) * 9), Fraction(2))]
+    rng = random.Random(0)
+    for n, count, scales in (
+        (5, 4, (Fraction(2, 3), Fraction(1), Fraction(4, 3), Fraction(3, 2))),
+        (6, 3, (Fraction(2, 3), Fraction(1), Fraction(4, 3))),
+        (7, 2, (Fraction(2, 3), Fraction(1))),
+    ):
+        for _ in range(count):
+            cases.append((random_weight_vector(rng, n, 5), rng.choice(scales)))
+    for a, scale in cases:
+        assert list(iter_region_points(a, scale)) == _box_filter(a, scale)
 
 
 def test_estimate_is_conservative_on_small_instances():
