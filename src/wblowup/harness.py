@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -193,22 +192,27 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    return _sweep(spec, writer.writerow)
+
+
+def _sweep(spec: SweepSpec, emit) -> FrontierReport:
+    # certify every tuple of the spec, passing each row to emit in order
     tasks = [
         (entries, spec.eps, spec.theta, spec.enumeration_cap, spec.include_timing, spec.method)
         for entries in iter_weight_tuples(spec)
     ]
     counts: dict[int, list[int]] = {}
     if spec.workers == 1 or len(tasks) < 2:
-        rows = map(_sweep_task, tasks)
-        for row in rows:
-            writer.writerow(row)
-            _tally(counts, row)
+        for task in tasks:
+            row = _sweep_task(task)
+            emit(row)
+            _tally(counts, task[0][0], row)
     else:
         chunk = max(1, len(tasks) // (spec.workers * 8))
         with Pool(spec.workers) as pool:
-            for row in pool.imap(_sweep_task, tasks, chunksize=chunk):
-                writer.writerow(row)
-                _tally(counts, row)
+            for task, row in zip(tasks, pool.imap(_sweep_task, tasks, chunksize=chunk)):
+                emit(row)
+                _tally(counts, task[0][0], row)
     per_a1 = tuple(sorted((a1, c[0], c[1]) for a1, c in counts.items()))
     empirical = None
     for a1, certified, total in reversed(per_a1):
@@ -218,8 +222,7 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     return FrontierReport(spec.eps, per_a1, empirical)
 
 
-def _tally(counts, row):
-    a1 = int(row[1].split(";")[0])
+def _tally(counts, a1, row):
     entry = counts.setdefault(a1, [0, 0])
     entry[1] += 1
     if row[3] == "certificate":
@@ -348,11 +351,8 @@ def _handle_sweep(ns, config) -> int:
         method=method,
     )
     if fmt == "json":
-        buffer = io.StringIO()
-        report = run_sweep(spec, buffer)
-        reader = csv.reader(io.StringIO(buffer.getvalue()))
-        header = next(reader)
-        rows = [dict(zip(header, row)) for row in reader]
+        rows = []
+        report = _sweep(spec, lambda row: rows.append(dict(zip(CSV_COLUMNS, row))))
         _emit({"rows": rows, "frontier": report.to_json_dict()}, ns.out)
         return 0
     if ns.out:

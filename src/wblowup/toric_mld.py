@@ -25,12 +25,16 @@ Conventions used throughout the package:
   is the Reid-Tai age (k + sum_{j != i} (-k*a_j mod a_i)) / a_i. Hence
   {psi <= 1} holds only 0, the n + 1 fan-ray generators and the box points
   of age <= 1, none of which lies on a ray of the fan.
-* For n = 2 the ages of one cone are (k + r) / p over the lattice
+* The mld at a torus-fixed point therefore reads the box-point ages of
+  its cone, one pass over k = 1..a_i - 1, and enumerates no region. For
+  n = 2 the ages of one cone are (k + r) / p over the lattice
   {(k, r) : r = -k*q mod p}, and their minimum sits on a vertex of the
   Klein sail of that lattice, which the Hirzebruch-Jung continued fraction
-  walks in O(log p) steps (Fulton, Introduction to Toric Varieties, 2.6).
-  The n = 2 mld routines use that walk and Pick's theorem instead of
-  enumerating; n >= 3 enumerates {psi <= 1} or {psi <= n}.
+  walks in O(log p) steps (Fulton, Introduction to Toric Varieties, 2.6);
+  with Pick's theorem it gives the global mld of n = 2 without enumerating.
+  For n >= 3 the global mld enumerates {psi <= 1}: a pass over every box
+  point costs O(n * sum(a)) whatever that region holds, and skewed weights
+  such as (1, 1, N) have only the n + 1 generators in it.
 * The shadow of {psi <= s} on the first k coordinates is the hull of the
   projected vertices, which is {psi <= s} for the prefix weights
   (a_1, ..., a_k). The enumerator reads its slice bounds from those
@@ -42,7 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from math import factorial, gcd
+from operator import mod
 
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
@@ -224,8 +230,8 @@ def estimate_region_points(a: WeightVector, scale) -> int:
     return int(vol + surf) + n + 2
 
 
-def iter_region_points(a: WeightVector, scale, *, include_origin: bool = False):
-    """Yield every lattice point of {psi <= scale} in lexicographic order.
+def iter_region_points(a: WeightVector, scale):
+    """Yield every nonzero lattice point of {psi <= scale} in lexicographic order.
 
     Slices along the first coordinate. The shadow of {psi <= s} =
     hull(0, s*e_j, s*a) on x_1..x_k is the hull of the projected vertices,
@@ -269,18 +275,8 @@ def iter_region_points(a: WeightVector, scale, *, include_origin: bool = False):
         for t in range(lo, hi + 1):
             yield from rec(prefix + (t,), r - sd * t)
 
-    for v in rec((), sn):
-        if include_origin or any(v):
-            yield v
-
-
-def _is_fan_ray_point(v, ent) -> bool:
-    # on a 1-dimensional cone of the fan: a coordinate axis or the ray through a
-    nonzero = [j for j, c in enumerate(v) if c]
-    if len(nonzero) == 1:
-        return True
-    j0 = nonzero[0]
-    return all(v[j] * ent[j0] == v[j0] * ent[j] for j in nonzero[1:])
+    # the origin is the lexicographically first point
+    yield from islice(rec((), sn), 1, None)
 
 
 def _sail_min(p: int, q: int) -> tuple[int, int]:
@@ -311,10 +307,13 @@ def _sail_min(p: int, q: int) -> tuple[int, int]:
         dy += (c - 2) * y
 
 
-def _mld_n2(a: WeightVector) -> MldReport:
+def _mld_n2(a: WeightVector) -> tuple[Fraction, tuple[int, ...], int]:
     # below 1 the minimisers are the box points of least age: cone 1 has
     # (k, ceil(k*a2/a1)), cone 2 has (ceil(k*a1/a2), k), both lex-increasing
-    # in k; at 1 the lex-first minimiser is e_2
+    # in k; at 1 the lex-first minimiser is e_2. The nonzero lattice points
+    # of {psi <= 1} = hull(0, e1, a, e2) number area + boundary / 2 + 1 by
+    # Pick's theorem, with area (a1 + a2) / 2 and 2 + gcd(a1 - 1, a2) +
+    # gcd(a1, a2 - 1) boundary points
     a1, a2 = a.entries
     best = (Fraction(1), (0, 1))
     if a1 > 1:
@@ -323,44 +322,38 @@ def _mld_n2(a: WeightVector) -> MldReport:
     if a2 > 1:
         s, k = _sail_min(a2, a1)
         best = min(best, (Fraction(s, a2), (ceil_div(k * a1, a2), k)))
-    value, at = best
-    # nonzero lattice points of {psi <= 1} = hull(0, e1, a, e2): area
-    # (a1 + a2) / 2 and boundary 2 + gcd(a1 - 1, a2) + gcd(a1, a2 - 1) points
-    # in Pick's theorem give all points = area + boundary / 2 + 1
-    scanned = (a1 + a2 + gcd(a1 - 1, a2) + gcd(a1, a2 - 1)) // 2 + 1
-    if value < 1:
-        classification = CLASS_KLT
-    elif scanned > 3:  # a box point of age 1 besides e_1, e_2 and a
-        classification = CLASS_CANONICAL
-    else:
-        classification = CLASS_TERMINAL
-    return MldReport(a, value, at, argmin_cones(a, at)[0], classification, scanned)
+    return (*best, (a1 + a2 + gcd(a1 - 1, a2) + gcd(a1, a2 - 1)) // 2 + 1)
 
 
-def _mld_scan(a: WeightVector) -> MldReport:
-    # every lattice point of {psi <= 1}, keeping the lex-first minimiser
+def _mld_scan(a: WeightVector) -> tuple[Fraction, tuple[int, ...], int]:
+    # every nonzero lattice point of {psi <= 1}; the first is e_n with psi 1,
+    # and the first strict minimum after it is the lex-first minimiser
     ent = a.entries
     T1 = a.total - 1
-    best_num = best_den = None
-    best_v = None
-    off_ray = False
-    scanned = 0
-    for v in iter_region_points(a, 1):
+    points = iter_region_points(a, 1)
+    best_v = next(points)
+    best_num = best_den = scanned = 1
+    for v in points:
         scanned += 1
         num, den = _psi(ent, T1, v)
-        if best_num is None or num * best_den < best_num * den:
+        if num * best_den < best_num * den:
             best_num, best_den, best_v = num, den, v
-        if not off_ray and not _is_fan_ray_point(v, ent):
-            off_ray = True
-    value = Fraction(best_num, best_den)
-    if value < 1:
-        classification = CLASS_KLT
-    elif off_ray:
-        classification = CLASS_CANONICAL
-    else:
-        classification = CLASS_TERMINAL
-    cone = argmin_cones(a, best_v)[0]
-    return MldReport(a, value, best_v, cone, classification, scanned)
+    return Fraction(best_num, best_den), best_v, scanned
+
+
+def _least_interior(ent, i) -> int:
+    # least numerator, over p = a_i, of psi on the lattice points interior
+    # to cone i (0-based): one pass over the box points k = 1..p-1 with
+    # remainders r_j = -k*a_j mod p read off ranges stepped by -a_j, each
+    # zero r_j adding p. The origin's lift n*p is beaten by every box point
+    # and stands only for a smooth cone. For n = 2 no r_j vanishes and the
+    # Klein sail gives the least age in O(log p).
+    p = ent[i]
+    n = len(ent)
+    if n == 2 and p > 1:
+        return _sail_min(p, ent[1 - i])[0]
+    remainders = [map(mod, range(-aj, -aj * p, -aj), repeat(p)) for j, aj in enumerate(ent) if j != i]
+    return min((sum(t) + p * t.count(0) for t in zip(range(1, p), *remainders)), default=n * p)
 
 
 def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> MldReport:
@@ -368,67 +361,53 @@ def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) 
 
     Since psi(e_1) = 1 the search is confined to {psi <= 1}. The achieving
     vector is the lexicographically smallest minimiser, and points_scanned
-    counts the nonzero lattice points of {psi <= 1}.
+    counts the nonzero lattice points of {psi <= 1}. By the box-point
+    argument in the module docstring those are the n + 1 fan-ray generators
+    plus the box points of age <= 1, so the class is terminal exactly when
+    there are no more than n + 1 of them.
 
-    For n = 2 nothing is enumerated: by the box-point argument in the module
-    docstring the value is min(1, least box-point age), found by the Klein
-    sail walk, the count comes from Pick's theorem, and the class is
-    terminal exactly when {psi <= 1} holds only e_1, e_2 and a. That costs
-    O(log a_2) integer steps. The budget check on the enumeration estimate
-    still applies to every n, so n = 2 refuses exactly where a scan would.
+    For n = 2 nothing is enumerated: the value is min(1, least box-point
+    age), found by the Klein sail walk, and the count comes from Pick's
+    theorem, in O(log a_2) steps. For n >= 3 the points of {psi <= 1} are
+    enumerated, which costs their number rather than sum(a). The budget
+    check on the enumeration estimate applies to every n, so n = 2 refuses
+    exactly where a scan would.
     """
     if enumeration_cap < 1:
         raise ValueError("enumeration cap must be positive")
     est = estimate_region_points(a, 1)
     if est > enumeration_cap:
         raise BudgetExceeded(est, enumeration_cap, "mld enumeration")
-    if a.n == 2:
-        return _mld_n2(a)
-    return _mld_scan(a)
-
-
-def _fixed_point_scan(a: WeightVector, cone: int) -> Fraction:
-    # least psi over the lattice points of {psi <= n} interior to the cone
-    ent = a.entries
-    n = a.n
-    T1 = a.total - 1
-    i = cone - 1
-    best_num = best_den = None
-    for v in iter_region_points(a, n):
-        vi = v[i]
-        if vi == 0:
-            continue
-        if any(j != i and v[j] * ent[i] <= ent[j] * vi for j in range(n)):
-            continue
-        num = ent[i] * sum(v) - vi * T1
-        if best_num is None or num * best_den < best_num * ent[i]:
-            best_num, best_den = num, ent[i]
-    if best_num is None:  # the witness point a + sum of basis generators is always scanned
-        raise AssertionError(f"no lattice point interior to cone {cone} in {{psi <= {n}}}")
-    return Fraction(best_num, best_den)
+    value, at, scanned = (_mld_n2 if a.n == 2 else _mld_scan)(a)
+    if value < 1:
+        classification = CLASS_KLT
+    elif scanned > a.n + 1:
+        classification = CLASS_CANONICAL
+    else:
+        classification = CLASS_TERMINAL
+    return MldReport(a, value, at, argmin_cones(a, at)[0], classification, scanned)
 
 
 def mld_at_fixed_point(a: WeightVector, cone: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
     """Infimum of psi over lattice points interior to the given maximal cone.
 
-    This is the mld at the torus-fixed point of that cone. The point
-    a + sum of the cone's basis generators is interior with psi = n, so the
-    infimum is attained inside {psi <= n} and the search there is complete.
-    For n = 2 the interior points are the box points plus combinations of
-    the generators, so the value is min(2, least box-point age of the cone)
-    from the Klein sail walk, in O(log a_2) steps after the same budget check.
+    This is the mld at the torus-fixed point of that cone. An interior
+    lattice point is a box point plus a combination of the generators with
+    a positive coefficient wherever the box point has none, so the value is
+    the least box-point age plus 1 per vanishing remainder, with the origin
+    contributing n (the interior point a + sum of the cone's basis
+    generators). Nothing is enumerated: the box points of the cone are
+    read in O(n * a_i) steps, or by the Klein sail walk in O(log a_i) for
+    n = 2, where the value is the least age, or 2 for a smooth cone. The
+    budget check on {psi <= n} is kept, so it refuses exactly where a scan
+    of that region would.
     """
     if not 1 <= cone <= a.n:
         raise ValueError(f"cone index out of range: {cone}")
     est = estimate_region_points(a, a.n)
     if est > enumeration_cap:
         raise BudgetExceeded(est, enumeration_cap, "fixed-point mld enumeration")
-    if a.n == 2:
-        p, q = a.entries[cone - 1], a.entries[2 - cone]
-        # a smooth cone has no box point; otherwise ages k and p - k sum to
-        # 2, so the least is at most 1
-        return Fraction(_sail_min(p, q)[0], p) if p > 1 else Fraction(2)
-    return _fixed_point_scan(a, cone)
+    return Fraction(_least_interior(a.entries, cone - 1), a.entries[cone - 1])
 
 
 def _refuting_point_n2(a1, a2, en, ed):
@@ -466,6 +445,21 @@ def _refuting_point_n2(a1, a2, en, ed):
     return None
 
 
+def _first_refuter(a: WeightVector, eps: Fraction):
+    # the lexicographically first lattice point with psi < eps, or None; the
+    # callers check the budget
+    en, ed = eps.numerator, eps.denominator
+    if a.n == 2:
+        return _refuting_point_n2(a.entries[0], a.entries[1], en, ed)
+    ent = a.entries
+    T1 = a.total - 1
+    for v in iter_region_points(a, eps):
+        num, den = _psi(ent, T1, v)
+        if num * ed < en * den:
+            return v
+    return None
+
+
 def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
     """Decide whether every nonzero lattice point has psi >= eps.
 
@@ -482,14 +476,5 @@ def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_C
     est = estimate_region_points(a, eps)
     if est > enumeration_cap:
         raise BudgetExceeded(est, enumeration_cap, "eps-lc refutation scan")
-    en, ed = eps.numerator, eps.denominator
-    if a.n == 2:
-        refuter = _refuting_point_n2(a.entries[0], a.entries[1], en, ed)
-        return (refuter is None, refuter)
-    ent = a.entries
-    T1 = a.total - 1
-    for v in iter_region_points(a, eps):
-        num, den = _psi(ent, T1, v)
-        if num * ed < en * den:
-            return (False, v)
-    return (True, None)
+    refuter = _first_refuter(a, eps)
+    return (refuter is None, refuter)

@@ -22,9 +22,10 @@ chosen by Dirichlet approximation, is so close to the ray through a that
 the line exits the polytope beyond its first lattice point. For n = 3
 there is an additional route that solves the problem in the plane
 projection and then lifts along the third coordinate. When no
-construction succeeds, certify_not_eps_lc scans the lattice points of
-{psi <= eps} once: the first interior point is the certificate, and a
-completed scan with no hit proves eps-lc.
+construction succeeds, certify_not_eps_lc runs the lexicographic
+refutation search of is_eps_lc once. On lattice points psi < eps is
+exactly interiority, so its first point is the certificate, and a search
+that finds none proves eps-lc.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .exact_lattice import (
 )
 from .toric_mld import (
     WeightVector,
+    _first_refuter,
     argmin_cones,
     barycentric,
     estimate_region_points,
-    iter_region_points,
     psi_value,
 )
 
@@ -419,14 +420,14 @@ def certify_not_eps_lc(
 ) -> Certificate | str:
     """Dispatcher: the construction for the dimension, then one bounded scan.
 
-    method "auto" tries the construction and, if it fails, scans the
-    lattice points of {psi <= eps} once in lexicographic order, testing
-    each against the integer facet rows of C(a, eps). The first interior
-    point is the certificate; a scan that completes with no hit returns
-    "eps-lc". When the estimated region size exceeds enumeration_cap no
-    scan runs and the verdict is "inconclusive". method "construction"
-    stops after the construction, returning "no-witness" if it fails;
-    "enumeration" runs only the scan.
+    method "auto" tries the construction and, if it fails, runs the
+    refutation search of is_eps_lc once: the lexicographically first
+    lattice point with psi < eps, which is interior to C(a, eps), is the
+    certificate; a search that finds none returns "eps-lc". When the
+    estimated size of {psi <= eps} exceeds enumeration_cap no search runs
+    and the verdict is "inconclusive". method "construction" stops after
+    the construction, returning "no-witness" if it fails; "enumeration"
+    runs only the search.
 
     A wrong verdict is never returned: every certificate is re-checked
     exactly by _verified, and "eps-lc" only comes from a completed scan.
@@ -447,12 +448,8 @@ def certify_not_eps_lc(
             return VERDICT_NO_WITNESS
     if estimate_region_points(a, eps) > enumeration_cap:
         return VERDICT_INCONCLUSIVE
-    C = build_polytope(a, eps)
-    K, en, ed, ent = C.K, C.en, C.ed, a.entries
-    for v in iter_region_points(a, eps):
-        if _inside(K, en, ed, ent, v):
-            cert = Certificate(
-                a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"}
-            )
-            return _verified(C, cert)
-    return VERDICT_EPS_LC
+    v = _first_refuter(a, eps)
+    if v is None:
+        return VERDICT_EPS_LC
+    cert = Certificate(a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"})
+    return _verified(build_polytope(a, eps), cert)

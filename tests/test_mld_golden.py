@@ -1,19 +1,23 @@
 """Byte-for-byte pins on `mld` and `verify-example` output.
 
-Every digest is the SHA-256 of the stdout of one CLI call, recorded from the
-enumerating mld routines that preceded the n = 2 Klein sail walk. A changed
-digest means a changed mld value, achieving vector, cone, point count or
-classification.
+Every digest is the SHA-256 of the stdout of one CLI call, or a running
+digest over many, recorded from the enumerating mld routines that preceded
+the box-point ages. A changed digest means a changed mld value, achieving
+vector, cone, point count, classification or fixed-point mld.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 from math import gcd
 
 import pytest
 
+from conftest import coprime_sorted_tuples
+from wblowup.exact_lattice import format_rational
 from wblowup.harness import cli_dispatch
+from wblowup.toric_mld import WeightVector, mld_at_fixed_point, mld_global
 
 
 def run(argv):
@@ -68,7 +72,7 @@ GOLDEN = [
     ("1,1", "5179f34c3f096a54c1dc6c342103eded7f9fef92705fb17d64c721becd570701"),
     ("1000,1001", "6bea0974c998de74dbbc2f515e57fdf0594698f31610a3cbe1dbfc44bf7f1404"),
     ("99991,99999", "3661cd4977d76537387556f624b870170f5d407fd90eb4eba144db67d29ac828"),
-    # n = 3 still enumerates
+    # n = 3
     ("1,1,1", "6d310c8ad1019fd4707b2dc4ba2e774c8d4604a11b924795831a07355276afdd"),
     ("2,3,5", "07cfae989f3bbc48d95772669ce58adaf3f743ca5fb85bed4f2b099a4e2e4eac"),
     ("5,7,11", "b0e0b0d18ebd89ca270cdc9ba65f84448cc60e07783fdeabeca198976cbe6961"),
@@ -82,6 +86,49 @@ def test_mld_json_matches_golden_digest(weights, digest):
     code, out, err = run(["mld", "--weights", weights])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+ALL_SMALL = [
+    # (n, largest entry, tuples, running digest of the `mld` stdout of every
+    # coprime sorted tuple, in lexicographic order)
+    (3, 20, 1252, "8c870f184083cb3d68d64d894d536d41e880d03071a919a6f5825b9aa343dbca"),
+    (4, 10, 626, "54854f7e5c26bc82162ae9954a1afe5b91761c43bdfe1cd8a020480d44b450a3"),
+    (5, 6, 225, "3015b5881157e8dc45193014dfc59477c3dda4bbc6528df49f3e6d67b8755d98"),
+]
+
+
+@pytest.mark.parametrize("n,max_entry,calls,digest", ALL_SMALL, ids=[f"n{n}" for n, *_ in ALL_SMALL])
+def test_every_small_tuple_matches_golden_digest(n, max_entry, calls, digest):
+    # the JSON `mld` prints, built in-process to skip the per-call parser set-up
+    running = hashlib.sha256()
+    count = 0
+    for entries in coprime_sorted_tuples(n, max_entry):
+        payload = mld_global(WeightVector(entries)).to_json_dict()
+        running.update((json.dumps(payload, indent=2) + "\n").encode())
+        count += 1
+    assert count == calls
+    assert running.hexdigest() == digest
+
+
+FIXED_POINTS = [
+    # (n, largest entry, cones, running digest of "entries cone value" lines)
+    (3, 12, 861, "fe46bf3f23120e9dd64c9e9c9a497a403e37786dba851b2cdbb9fbb353c436bc"),
+    (4, 8, 1156, "f58fc1fc668c91717063064c9bfdd853428d22b2a88b018e6c7bd199e2f795ac"),
+]
+
+
+@pytest.mark.parametrize("n,max_entry,cones,digest", FIXED_POINTS, ids=[f"n{n}" for n, *_ in FIXED_POINTS])
+def test_fixed_point_mld_on_every_cone_matches_golden_digest(n, max_entry, cones, digest):
+    running = hashlib.sha256()
+    count = 0
+    for entries in coprime_sorted_tuples(n, max_entry):
+        a = WeightVector(entries)
+        for cone in range(1, n + 1):
+            value = format_rational(mld_at_fixed_point(a, cone))
+            running.update(f"{entries} {cone} {value}\n".encode())
+            count += 1
+    assert count == cones
+    assert running.hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
-"""The n = 2 mld routines: Klein sail walk and Pick count against the scans.
+"""The mld routines against brute force, and the n = 2 sail walk.
 
-mld_global and mld_at_fixed_point compute n = 2 without enumerating. The
-generic scans they keep for n >= 3 are the reference here, called on n = 2
-through their private helpers; a Reid-Tai age sum written out below is the
-reference past the sizes a scan can reach.
+mld_at_fixed_point reads box-point ages at every n, and mld_global does for
+n = 2, where the Klein sail walk and Pick count take over; neither
+enumerates a region there. The oracle's box scan is the reference on small
+weights, the generic scan of {psi <= 1} that mld_global keeps for n >= 3 is
+the reference for n = 2 pairs, and a Reid-Tai age sum written out below is
+the reference past the sizes a scan can reach.
 """
 
+import itertools
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -13,20 +17,23 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import coprime_sorted_tuples
+from conftest import coprime_sorted_tuples, random_weight_vector
 from wblowup import toric_mld
 from wblowup.exact_lattice import ceil_div
+from wblowup.oracle import enumerate_lattice_points, psi_bruteforce
 from wblowup.toric_mld import (
     CLASS_CANONICAL,
     CLASS_KLT,
+    CLASS_TERMINAL,
+    MldReport,
     WeightVector,
-    _fixed_point_scan,
     _mld_scan,
     estimate_region_points,
     mld_at_fixed_point,
     mld_global,
     psi_value,
 )
+from wblowup.witness import build_polytope
 
 
 def pick_count(a1, a2):
@@ -50,15 +57,65 @@ def cone_age_minimum(p, q):
     return min((Fraction(k + (-k * q) % p, p) for k in range(1, p)), default=Fraction(2))
 
 
+def oracle_report(a):
+    # every MldReport field from the oracle's box scan of {psi <= 1}
+    ent = a.entries
+    points = [v for v in enumerate_lattice_points(build_polytope(a, 1), "closed") if any(v)]
+    psis = [psi_bruteforce(a, v) for v in points]
+    value = min(psis)
+    at = points[psis.index(value)]  # the scan is in lexicographic order
+    cone = min(range(a.n), key=lambda i: Fraction(at[i], ent[i])) + 1
+
+    def on_fan_ray(v):
+        return sum(1 for c in v if c) == 1 or all(x * ent[0] == v[0] * aj for x, aj in zip(v, ent))
+
+    if value < 1:
+        classification = CLASS_KLT
+    elif all(on_fan_ray(v) for v in points):
+        classification = CLASS_TERMINAL
+    else:
+        classification = CLASS_CANONICAL
+    return MldReport(a, value, at, cone, classification, len(points))
+
+
+def oracle_fixed_point(a, cone):
+    # least psi over the lattice points interior to the cone in the box
+    # [0, n*a_j], which holds {psi <= n} and so the point a + sum of generators
+    ent = a.entries
+    i = cone - 1
+    return min(
+        psi_bruteforce(a, v)
+        for v in itertools.product(*(range(a.n * aj + 1) for aj in ent))
+        if v[i] > 0 and all(v[j] * ent[i] > ent[j] * v[i] for j in range(a.n) if j != i)
+    )
+
+
+def test_mld_report_matches_oracle_brute_force():
+    rng = random.Random(5)
+    cases = [WeightVector(e) for e in coprime_sorted_tuples(2, 60)]
+    cases += [WeightVector(e) for e in coprime_sorted_tuples(3, 12)]
+    cases += [random_weight_vector(rng, 4, 12) for _ in range(30)]
+    cases += [random_weight_vector(rng, 5, 8) for _ in range(10)]
+    cases += [random_weight_vector(rng, 6, 6) for _ in range(4)]
+    cases += [WeightVector((1,) * 5), WeightVector((2, 2, 2, 3, 3, 3))]
+    for a in cases:
+        assert mld_global(a) == oracle_report(a), a.entries
+    for entries in list(coprime_sorted_tuples(2, 12)) + list(coprime_sorted_tuples(3, 5)):
+        a = WeightVector(entries)
+        for cone in range(1, a.n + 1):
+            assert mld_at_fixed_point(a, cone) == oracle_fixed_point(a, cone), (entries, cone)
+
+
 def test_n2_branch_matches_generic_scan():
     for entries in coprime_sorted_tuples(2, 150):
         a = WeightVector(entries)
-        assert mld_global(a) == _mld_scan(a), entries
-    # the scale-2 region the fixed-point scan walks grows as a2^2
+        rep = mld_global(a)
+        assert (rep.value, rep.achieved_at, rep.points_scanned) == _mld_scan(a), entries
     for entries in coprime_sorted_tuples(2, 80):
         a = WeightVector(entries)
         for cone in (1, 2):
-            assert mld_at_fixed_point(a, cone) == _fixed_point_scan(a, cone), (entries, cone)
+            p, q = entries[cone - 1], entries[2 - cone]
+            assert mld_at_fixed_point(a, cone) == cone_age_minimum(p, q), (entries, cone)
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,3 +178,25 @@ def test_n2_never_enumerates(monkeypatch):
         mld_global(a)
         mld_at_fixed_point(a, 1)
         mld_at_fixed_point(a, 2)
+
+
+def test_fixed_point_never_enumerates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fixed-point mld enumerated a region")
+
+    monkeypatch.setattr(toric_mld, "iter_region_points", refuse)
+    for entries in [(1, 1, 1), (2, 3, 5), (1052, 1204, 1239), (2, 3, 5, 7), (1, 1, 2, 3, 5)]:
+        a = WeightVector(entries)
+        for cone in range(1, a.n + 1):
+            mld_at_fixed_point(a, cone)
+
+
+@pytest.mark.parametrize("entries", [(1, 1, 5_000_000), (1,) * 7 + (10**7,)], ids=["1,1,5e6", "1^7,1e7"])
+def test_skewed_mld_costs_the_region_not_the_weights(entries):
+    # {psi <= 1} holds only the n + 1 fan-ray generators here, while a pass
+    # over every box point would take sum(a) steps
+    a = WeightVector(entries)
+    started = time.perf_counter()
+    rep = mld_global(a)
+    assert time.perf_counter() - started < 1.0
+    assert (rep.value, rep.points_scanned, rep.classification) == (1, a.n + 1, CLASS_TERMINAL)

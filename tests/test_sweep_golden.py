@@ -1,9 +1,10 @@
 """Byte-for-byte pins on small sweeps.
 
-Each digest is the SHA-256 of the --no-timing CSV of one sweep, recorded
+Each CSV digest is the SHA-256 of the --no-timing CSV of one sweep, recorded
 from the Fraction-based certify pipeline that preceded the integer facet
-form. A changed digest means a changed verdict, point, psi, method or row
-order somewhere in the sweep.
+form; the JSON digest was recorded from the sweep that built its rows by
+parsing that CSV back. A changed digest means a changed verdict, point,
+psi, method or row order somewhere in the sweep.
 """
 
 import contextlib
@@ -50,3 +51,14 @@ def test_sweep_csv_matches_golden_digest(tmp_path, args, digest):
         code = cli_dispatch(["sweep", "--no-timing", "--out", str(out)] + args.split())
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sweep_json_matches_golden_digest():
+    # rows of every verdict (certificate, eps-lc, inconclusive) plus the frontier
+    out = io.StringIO()
+    args = "--n 3 --eps 1 --a1-min 1 --a1-max 8 --tail-cap 8 --cap 30 --format json"
+    with contextlib.redirect_stdout(out):
+        code = cli_dispatch(["sweep", "--no-timing"] + args.split())
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "50f58a043c7141e1a615160218d93359136ad663571993da44364977d088935e"

@@ -363,7 +363,6 @@ def test_certify_inconclusive_on_tiny_budget():
 )
 def test_certify_scans_eps_lc_tuples_once(monkeypatch, entries, eps):
     import wblowup.toric_mld as toric_mld
-    import wblowup.witness as witness
 
     calls = []
     original = toric_mld.iter_region_points
@@ -373,7 +372,6 @@ def test_certify_scans_eps_lc_tuples_once(monkeypatch, entries, eps):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(toric_mld, "iter_region_points", counting)
-    monkeypatch.setattr(witness, "iter_region_points", counting)
     assert certify_not_eps_lc(WeightVector(entries), eps) == VERDICT_EPS_LC
     assert len(calls) <= 1
 
