@@ -20,7 +20,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
@@ -193,6 +192,14 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     return _sweep(spec, writer.writerow)
+
+
+def Pool(processes: int):
+    """A multiprocessing pool, imported on first use: queries never need one,
+    and the module costs about 1 MiB. bench/tracing.py swaps this name."""
+    from multiprocessing import Pool as pool
+
+    return pool(processes)
 
 
 def _sweep(spec: SweepSpec, emit) -> FrontierReport:

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wblowup.diophantine import (
+    DirichletWitness,
     continued_fraction,
     dirichlet_1d,
     dirichlet_simultaneous,
@@ -63,7 +65,6 @@ def test_dirichlet_1d_examples():
     w = dirichlet_1d(Fraction(27, 26), 5)
     assert (w.p, w.q) == (1, 1)
     assert w.residual == Fraction(1, 26)
-    assert w.strict
 
     w = dirichlet_1d(Fraction(3, 7), 2)
     assert (w.p, w.q) == (1, 2)
@@ -81,7 +82,6 @@ def test_dirichlet_1d_contract(alpha, Z):
     assert 1 <= w.q <= Z
     assert w.residual == w.q * alpha - w.p
     assert abs(w.residual) * Z < 1
-    assert w.strict
 
 
 def test_dirichlet_simultaneous_integer_targets():
@@ -145,3 +145,68 @@ def test_witness_shape_and_serialisation():
     assert payload["q"] == 1 and payload["Z"] == 4
     assert payload["satisfied"] is True
     assert payload["residuals"] == ["1/2", "-1/3"]
+
+
+def reference_scan(alphas, Z):
+    # every q = 1..Z in turn: nearest integers with half-integral ties to even,
+    # bound err**d * Z <= den**d, else the first q with the least worst residual
+    d = len(alphas)
+    best = None
+    for q in range(1, Z + 1):
+        ps, errs = [], []
+        for a in alphas:
+            t, v = q * a.numerator, a.denominator
+            p, rem = divmod(t, v)
+            if 2 * rem > v or (2 * rem == v and p % 2 == 1):
+                p += 1
+            ps.append(p)
+            errs.append(Fraction(abs(t - p * v), v))
+        residuals = tuple(Fraction(p, q) - a for p, a in zip(ps, alphas))
+        if all(e.numerator**d * Z <= e.denominator**d for e in errs):
+            return DirichletWitness(q, tuple(ps), Z, residuals, True)
+        if best is None or max(errs) < best[0]:
+            best = (max(errs), DirichletWitness(q, tuple(ps), Z, residuals, False))
+    return best[1]
+
+
+@st.composite
+def simultaneous_inputs(draw):
+    # denominators up to 2 and 6 force half-integral ties and D**d < Z (R = 0)
+    # at large Z; near 10**2 and 10**4 errors land on the radius R itself;
+    # tiny Z gives 2R >= D, where q = 1 meets the bound; Z and q fall on
+    # both sides of the 2*4**d denominators scanned before the lattice search
+    d = draw(st.integers(1, 4))
+    prefix = 2 * 4**d
+    Z = draw(st.sampled_from([1, 2, 3, prefix, prefix + 1]) | st.integers(1, 10**5) | st.integers(10**4, 10**5))
+    scale = draw(st.sampled_from([10**9, 10**6, 10**4, 10**2, 6, 2]))
+    low = 1 if scale < 10 else scale // 10
+    alphas = tuple(Fraction(draw(st.integers(low, 10 * scale)), draw(st.integers(low, scale))) for _ in range(d))
+    return alphas, Z
+
+
+@settings(max_examples=200, deadline=None)
+@given(simultaneous_inputs())
+@example(((Fraction(3, 2), Fraction(7, 3)), 4))  # a tie at q = 1
+@example(((Fraction(5, 97),), 10**5))  # R = 0 above the scanned prefix: q = D = 97
+@example(((Fraction(123456789, 987654321), Fraction(5, 7)), 99991))  # lattice search
+# lattice answers whose worst error is exactly R
+@example(((Fraction(7685, 989),), 496))  # q = 61, R = 1
+@example(((Fraction(287, 10), Fraction(361, 37)), 1147))  # q = 70, R = 10
+@example(((Fraction(829, 45), Fraction(334, 35), Fraction(551, 27)), 2431))  # q = 199, R = 70
+@example(((Fraction(56, 53), Fraction(63, 53), Fraction(403, 35), Fraction(14, 3)), 18374))  # q = 636, R = 477
+@example(((Fraction(978, 31), Fraction(95, 16)), 1018))  # q = 496, R = 15; q = 144 misses it by one
+def test_dirichlet_simultaneous_matches_reference_scan(inputs):
+    alphas, Z = inputs
+    assert dirichlet_simultaneous(alphas, Z) == reference_scan(alphas, Z)
+
+
+def test_a_very_short_lattice_vector_shrinks_the_search():
+    # q = 97 nearly solves both targets, so its multiples crowd the ball
+    # around the whole box [1, Z] x [-R, R]^2; listing them all would take
+    # time linear in Z
+    k = 10**30
+    alphas = (Fraction(13 * k + 1, 97 * k), Fraction(50 * k + 1, 97 * k))
+    started = time.perf_counter()
+    w = dirichlet_simultaneous(alphas, 10**8)
+    assert time.perf_counter() - started < 1.0
+    assert w.q == 97 and w == reference_scan(alphas, 10**8)

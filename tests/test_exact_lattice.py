@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from wblowup.exact_lattice import (
     BudgetExceeded,
+    _lll,
+    _short_vectors,
     ceil_div,
     format_rational,
     gcd_all,
@@ -126,3 +130,43 @@ def test_budget_error_carries_numbers():
     assert err.estimated == 123
     assert err.cap == 45
     assert "123" in str(err) and "45" in str(err)
+
+
+def test_short_vectors_match_a_box_scan():
+    # every v in [-s, s]^n with v.v <= bound and v = x*B for an integer x,
+    # found by solving x = v*B^-1 exactly, up to sign
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        basis = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        inverse = _inverse(basis)
+        if inverse is None:
+            continue
+        bound = rng.randint(0, 40)
+        s = math.isqrt(bound)
+        expected = {
+            max(v, tuple(-t for t in v))
+            for v in itertools.product(range(-s, s + 1), repeat=n)
+            if sum(t * t for t in v) <= bound
+            and all(sum(v[k] * inverse[k][i] for k in range(n)).denominator == 1 for i in range(n))
+        }
+        reduced = [list(row) for row in basis]
+        found = _short_vectors(reduced, *_lll(reduced), bound)
+        assert all(sum(t * t for t in v) <= bound for v in found)
+        assert {max(tuple(v), tuple(-t for t in v)) for v in found} == expected
+
+
+def _inverse(rows):
+    # Gauss-Jordan over the rationals; None for a singular matrix
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import coprime_sorted_tuples, random_weight_vector
-from wblowup.exact_lattice import gcd_all
+from wblowup.exact_lattice import gcd_all, integer_nth_root, pow_cmp
 from wblowup.toric_mld import WeightVector, is_eps_lc, psi_value
 from wblowup.witness import (
     METHOD_ENUMERATION,
@@ -262,6 +263,38 @@ def test_general_theta_candidates_lie_on_the_line():
         assert x[j] * w.q == pj * x[0]
     assert cert.psi_at_point < Fraction(1, 2)
     assert cert.trace["hypothesis_ok"] is True
+
+
+HUGE_N3 = [
+    (1030258263504458984910397, 1278140510116388904691940, 1426333040704270630547753),
+    (1060365362074921892703914035062, 1353918141503929023461728491263, 1494973553486308774251300770804),
+    (
+        1024221733902973338203696427188404441476961140,
+        1212373467559713310455349106329683237911707391,
+        1351844623920910540907083359280514370873486469,
+    ),
+    (
+        1059120394276220075121804993926540463328073483125505326824576,
+        1218004191081306903524015380702178344787396197637269280891464,
+        1228591339346415988885361940792304665112257852896268370051809,
+    ),
+]
+
+
+@pytest.mark.parametrize("entries", HUGE_N3, ids=["1e24", "1e30", "1e45", "1e60"])
+def test_huge_n3_weights_cost_the_lattice_not_the_denominators(entries):
+    # Z = floor(a_1^(1/3)) runs from 10^8 to 10^20 here: a pass over every
+    # denominator q <= Z could not finish
+    a = WeightVector(entries)
+    started = time.perf_counter()
+    cert = certify_not_eps_lc(a, Fraction(1, 2))
+    assert time.perf_counter() - started < 1.0
+    assert isinstance(cert, Certificate) and cert.method == METHOD_GENERAL_THETA
+    assert cert.psi_at_point < Fraction(1, 2) and contains_interior(build_polytope(a, Fraction(1, 2)), cert.point)
+    w = cert.trace["dirichlet"]
+    assert w.Z == integer_nth_root(a.entries[0], 3) and 1 <= w.q <= w.Z and w.satisfied
+    worst = max(abs(Fraction(w.q * aj, a.entries[0]) - pj) for aj, pj in zip(a.entries[1:], w.p))
+    assert pow_cmp(worst, 2, Fraction(1, w.Z)) <= 0
 
 
 def test_general_theta_flags_violated_hypothesis():
