@@ -25,10 +25,8 @@ from .oracle import (
     verify_interior_psi_equivalence,
 )
 from .toric_mld import (
-    BarycentricCoords,
     MldReport,
     WeightVector,
-    barycentric,
     is_eps_lc,
     mld_at_fixed_point,
     mld_global,
@@ -37,13 +35,11 @@ from .toric_mld import (
 from .witness import (
     Certificate,
     CEpsPolytope,
-    FacetHyperplane,
     certificate_threshold,
     build_polytope,
     certify_not_eps_lc,
     contains_interior,
     default_theta,
-    interior_by_subsimplex,
     witness_general_theta,
     witness_n2,
     witness_n3,

@@ -102,30 +102,6 @@ class WeightVector:
 
 
 @dataclass(frozen=True)
-class BarycentricCoords:
-    """Coordinates of a vector in one maximal cone: v = ray_coeff * a + sum(axis_coeffs[j] * e_j).
-
-    axis_coeffs has full length n; the entry at the cone's omitted axis is
-    always 0 since e_i is not a generator of cone i. All coefficients are
-    nonnegative exactly when the vector lies in the cone, and their sum is
-    psi(v) whenever it does.
-    """
-
-    cone: int
-    ray_coeff: Fraction
-    axis_coeffs: tuple[Fraction, ...]
-
-    def value(self) -> Fraction:
-        return self.ray_coeff + sum(self.axis_coeffs)
-
-    def in_cone(self) -> bool:
-        return self.ray_coeff >= 0 and all(c >= 0 for c in self.axis_coeffs)
-
-    def reconstruct(self, a: WeightVector) -> tuple[Fraction, ...]:
-        return tuple(self.ray_coeff * aj + cj for aj, cj in zip(a.entries, self.axis_coeffs))
-
-
-@dataclass(frozen=True)
 class MldReport:
     """Result of a global mld search.
 
@@ -177,22 +153,6 @@ def argmin_cones(a: WeightVector, v) -> tuple[int, ...]:
         elif lhs == rhs:
             best.append(j + 1)
     return tuple(best)
-
-
-def barycentric(a: WeightVector, v, cone: int) -> BarycentricCoords:
-    """Solve v = ray_coeff * a + sum axis_coeffs[j] * e_j for the given cone.
-
-    Defined for any nonnegative nonzero v; coefficients are negative when v
-    is outside the cone.
-    """
-    _check_vector(a, v)
-    if not 1 <= cone <= a.n:
-        raise ValueError(f"cone index out of range: {cone}")
-    i = cone - 1
-    lam0 = Fraction(v[i]) / a.entries[i]
-    axis = [Fraction(v[j]) - a.entries[j] * lam0 for j in range(a.n)]
-    axis[i] = Fraction(0)
-    return BarycentricCoords(cone, lam0, tuple(axis))
 
 
 def _psi(ent, T1, v) -> tuple[int, int]:

@@ -14,8 +14,7 @@ a_i * ed > 0, is the row
 
 and x is interior exactly when every coordinate and every row is strictly
 positive. Membership is therefore O(n) integer work and building C is
-O(1); the rational facets and vertices are only a view derived from the
-rows on access.
+O(1).
 
 The constructions pick a rational line through the origin whose direction,
 chosen by Dirichlet approximation, is so close to the ray through a that
@@ -45,8 +44,6 @@ from .exact_lattice import (
 from .toric_mld import (
     WeightVector,
     _first_refuter,
-    argmin_cones,
-    barycentric,
     estimate_region_points,
     psi_value,
 )
@@ -65,33 +62,13 @@ CERTIFY_METHODS = ("auto", "construction", "enumeration")
 
 
 @dataclass(frozen=True)
-class FacetHyperplane:
-    """Rational view of one tilted facet row, positive on the interior side.
-
-    The row omitting axis i, divided by a_i * ed, reads
-        ((sum_{j != i} a_j - 1) / a_i) * x_i - sum_{j != i} x_j + eps,
-    which vanishes on its n defining vertices and equals eps at the origin.
-    """
-
-    omitted: int  # 1-based axis whose eps*e_i is NOT on this facet
-    coeffs: tuple[Fraction, ...]
-    offset: Fraction
-
-    def evaluate(self, point) -> Fraction:
-        acc = self.offset
-        for c, x in zip(self.coeffs, point):
-            acc += c * x
-        return acc
-
-
-@dataclass(frozen=True)
 class CEpsPolytope:
     """C(a, eps) in integer facet form: eps = en/ed and K = (T - 1) * ed.
 
     The tilted facet omitting axis i is the row
-    x_i * K + a_i * (en - ed * sum(x)) >= 0, i.e. a_i * ed times its
-    rational form. facets and vertices are derived from these rows on
-    access, for inspection and tests; membership never builds them.
+    x_i * K + a_i * (en - ed * sum(x)) >= 0, i.e. a_i * ed times
+    ((sum_{j != i} a_j - 1) / a_i) * x_i - sum_{j != i} x_j + eps, which
+    vanishes on its n defining vertices and equals eps at the origin.
     """
 
     a: WeightVector
@@ -103,28 +80,6 @@ class CEpsPolytope:
     @property
     def n(self) -> int:
         return self.a.n
-
-    @property
-    def facets(self) -> tuple[FacetHyperplane, ...]:
-        n = self.n
-        out = []
-        for i, ai in enumerate(self.a.entries):
-            scale = ai * self.ed
-            coeffs = [Fraction(-1)] * n
-            coeffs[i] = Fraction(self.K - scale, scale)
-            out.append(FacetHyperplane(i + 1, tuple(coeffs), Fraction(ai * self.en, scale)))
-        return tuple(out)
-
-    @property
-    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.n
-        eps = self.eps
-        zero = (Fraction(0),) * n
-        basis = tuple(
-            tuple(eps if j == i else Fraction(0) for j in range(n)) for i in range(n)
-        )
-        apex = tuple(eps * ai for ai in self.a.entries)
-        return (zero, *basis, apex)
 
 
 @dataclass(frozen=True)
@@ -188,42 +143,21 @@ def build_polytope(a: WeightVector, eps) -> CEpsPolytope:
     return CEpsPolytope(a, eps, eps.numerator, ed, (a.total - 1) * ed)
 
 
-def _inside(K: int, en: int, ed: int, ent, v) -> bool:
-    # strictly positive coordinates and facet rows x_i*K + a_i*(en - ed*sum(x));
-    # on lattice points this is psi(v) < en/ed, as psi is the maximum of the
-    # linear forms of the maximal cones
+def contains_interior(C: CEpsPolytope, v) -> bool:
+    """Strict membership: all n coordinate and all n facet inequalities hold strictly."""
+    # the facet rows are x_i*K + a_i*(en - ed*sum(x)); on lattice points
+    # membership is psi(v) < en/ed, as psi is the maximum of the linear
+    # forms of the maximal cones
+    require_same_dimension(C.n, v)
     for x in v:
         if x <= 0:
             return False
-    u = en - ed * sum(v)
-    for x, ai in zip(v, ent):
+    K = C.K
+    u = C.en - C.ed * sum(v)
+    for x, ai in zip(v, C.a.entries):
         if x * K + ai * u <= 0:
             return False
     return True
-
-
-def contains_interior(C: CEpsPolytope, v) -> bool:
-    """Strict membership: all n coordinate and all n facet inequalities hold strictly."""
-    require_same_dimension(C.n, v)
-    return _inside(C.K, C.en, C.ed, C.a.entries, v)
-
-
-def interior_by_subsimplex(C: CEpsPolytope, v) -> bool:
-    """Interior test by the barycentric route, used to cross-validate contains_interior.
-
-    v is interior exactly when, in some containing maximal cone, its
-    coordinates with respect to the eps-scaled generators have nonnegative
-    axis coefficients, strictly positive ray coefficient, and sum below 1
-    (the sum is psi(v)/eps).
-    """
-    require_same_dimension(C.n, v)
-    if any(x < 0 for x in v) or not any(v):
-        return False
-    for cone in argmin_cones(C.a, v):
-        b = barycentric(C.a, v, cone)
-        if b.in_cone() and b.ray_coeff > 0 and b.value() < C.eps:
-            return True
-    return False
 
 
 def certificate_threshold(n: int, eps):
@@ -311,9 +245,11 @@ def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | Non
     with denominator p_1 <= Z = floor(a_1 ** (1/n)). The line exits the
     polytope through the facet minimising eps/A_i over positive exit
     coefficients A_i; multiples of the direction up to that abscissa are
-    tried. Returns None when the approximation search is inconclusive.
-    The hypothesis a_j/a_2 <= a_1**theta is recorded in the trace but not
-    required.
+    tried. Some A_i is positive: with lambda_j = p_j/p_1 - a_j/a_1, the
+    double sums cancel in sum_i a_i*A_i = sum(a)/a_1 + sum_j lambda_j >=
+    n - (n - 1) = 1, since |lambda_j| <= 1. Returns None when no multiple
+    is interior. The hypothesis a_j/a_2 <= a_1**theta is recorded in the
+    trace but not required.
     """
     eps = _check_eps(eps)
     n = a.n
@@ -323,8 +259,6 @@ def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | Non
     Z = integer_nth_root(ent[0], n)
     alphas = tuple(Fraction(ent[j], ent[0]) for j in range(1, n))
     w = dirichlet_simultaneous(alphas, Z)
-    if not w.satisfied:
-        return None  # approximation inconclusive
     direction = (w.q,) + w.p
     lam = [Fraction(0)] * n
     for j in range(1, n):
@@ -336,10 +270,7 @@ def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | Non
             if j != i:
                 acc += lam[j] - Fraction(ent[j], ent[i]) * lam[i]
         coeffs.append(acc)
-    exits = [(eps / A, i + 1) for i, A in enumerate(coeffs) if A > 0]
-    if not exits:
-        return None
-    x10, exit_facet = min(exits)
+    x10, exit_facet = min((eps / A, i + 1) for i, A in enumerate(coeffs) if A > 0)
     C = build_polytope(a, eps)
     trace = {
         "Z": Z,
@@ -374,17 +305,14 @@ def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
     if a.n != 3:
         raise ValueError("witness_n3 requires exactly three weights")
     theta = _check_theta(theta, a.n)
-    a1, a2, a3 = a.entries
-    if pow_cmp(Fraction(a3, a2), theta.denominator, Fraction(a1**theta.numerator)) <= 0:
+    if _theta_hypothesis(a, theta):
         return witness_general_theta(a, eps, theta)
+    a1, a2, a3 = a.entries
     M2 = integer_nth_root(a1, 2)
     approx = dirichlet_1d(Fraction(a2, a1), M2)
     p, q = approx.p, approx.q
-    # (q, p) must be interior to the plane projection, which is C((a1, a2), eps)
-    # even when a1, a2 share a factor
-    en, ed = eps.numerator, eps.denominator
-    if not _inside((a1 + a2 - 1) * ed, en, ed, (a1, a2), (q, p)):
-        return None
+    # the three tilted facet rows solved for x_3: (q, p, m) is interior
+    # exactly when x3_lo < m < x3_hi, as q, p >= 1 and x3_lo > 0
     x3_lo = (q + p - eps) * Fraction(a3, a1 + a2 - 1)
     x3_hi = min(
         Fraction(a2 + a3 - 1, a1) * q - p + eps,
@@ -402,11 +330,8 @@ def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
     if m >= x3_hi:
         return None
     pt = (q, p, m)
-    C = build_polytope(a, eps)
-    if not contains_interior(C, pt):
-        return None
     return _verified(
-        C,
+        build_polytope(a, eps),
         Certificate(a, eps, pt, psi_value(a, pt), METHOD_N3_PROJECTION, trace),
     )
 

@@ -10,14 +10,13 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import coprime_sorted_tuples
+from conftest import barycentric, coprime_sorted_tuples, facets, interior_by_subsimplex, vertices
 from wblowup.diophantine import dirichlet_1d, dirichlet_simultaneous
 from wblowup.exact_lattice import gcd_all, integer_nth_root, pow_cmp
 from wblowup.oracle import mld_bruteforce, verify_interior_psi_equivalence
 from wblowup.toric_mld import (
     WeightVector,
     argmin_cones,
-    barycentric,
     is_eps_lc,
     mld_at_fixed_point,
     mld_global,
@@ -30,7 +29,6 @@ from wblowup.witness import (
     certify_not_eps_lc,
     contains_interior,
     default_theta,
-    interior_by_subsimplex,
     witness_general_theta,
     witness_n3,
 )
@@ -167,10 +165,10 @@ def test_criterion_6_dirichlet_contracts():
         )
         w = dirichlet_simultaneous(alphas, Z)
         assert 1 <= w.q <= Z
-        if w.satisfied:
-            satisfied += 1
-            worst = max(abs(w.q * aj - pj) for aj, pj in zip(alphas, w.p))
-            assert pow_cmp(worst, d, Fraction(1, Z)) <= 0
+        satisfied += w.satisfied
+        worst = max(abs(w.q * aj - pj) for aj, pj in zip(alphas, w.p))
+        assert pow_cmp(worst, d, Fraction(1, Z)) <= 0
+    assert satisfied == 1000
     _report(
         "criterion 6: Dirichlet contracts on 1000 + 1000 random instances",
         started,
@@ -252,8 +250,8 @@ def test_criterion_7_facet_vertex_incidence():
         a = _random_weights(rng, rng.randint(2, 4), 10**4)
         eps = Fraction(rng.randint(1, 8), 8)
         C = build_polytope(a, eps)
-        zero, *basis, apex = C.vertices
-        for f in C.facets:
+        zero, *basis, apex = vertices(C)
+        for f in facets(C):
             assert f.evaluate(zero) == eps
             assert f.evaluate(apex) == 0
             for j, vert in enumerate(basis, start=1):

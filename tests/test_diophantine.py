@@ -122,9 +122,9 @@ def test_simultaneous_satisfied_obeys_power_bound():
         assert 1 <= w.q <= Z
         for aj, pj, rj in zip(alphas, w.p, w.residuals):
             assert rj == Fraction(pj, w.q) - aj
-        if w.satisfied:
-            worst = max(abs(w.q * aj - pj) for aj, pj in zip(alphas, w.p))
-            assert pow_cmp(worst, d, Fraction(1, Z)) <= 0
+        assert w.satisfied
+        worst = max(abs(w.q * aj - pj) for aj, pj in zip(alphas, w.p))
+        assert pow_cmp(worst, d, Fraction(1, Z)) <= 0
 
 
 def test_nearest_choice_minimises_residual():
@@ -149,9 +149,8 @@ def test_witness_shape_and_serialisation():
 
 def reference_scan(alphas, Z):
     # every q = 1..Z in turn: nearest integers with half-integral ties to even,
-    # bound err**d * Z <= den**d, else the first q with the least worst residual
+    # bound err**d * Z <= den**d; Minkowski's theorem says some q meets it
     d = len(alphas)
-    best = None
     for q in range(1, Z + 1):
         ps, errs = [], []
         for a in alphas:
@@ -163,10 +162,8 @@ def reference_scan(alphas, Z):
             errs.append(Fraction(abs(t - p * v), v))
         residuals = tuple(Fraction(p, q) - a for p, a in zip(ps, alphas))
         if all(e.numerator**d * Z <= e.denominator**d for e in errs):
-            return DirichletWitness(q, tuple(ps), Z, residuals, True)
-        if best is None or max(errs) < best[0]:
-            best = (max(errs), DirichletWitness(q, tuple(ps), Z, residuals, False))
-    return best[1]
+            return DirichletWitness(q, tuple(ps), Z, residuals)
+    raise AssertionError(f"no q <= {Z} meets the bound for {alphas}")
 
 
 @st.composite

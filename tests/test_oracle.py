@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coprime_sorted_tuples, random_weight_vector
+from conftest import coprime_sorted_tuples, facets, random_weight_vector
 from wblowup.exact_lattice import BudgetExceeded
 from wblowup.oracle import (
     enumerate_lattice_points,
@@ -43,7 +43,7 @@ def test_closed_contains_open_and_difference_is_on_boundary():
         opened = enumerate_lattice_points(C, "open")
         assert set(opened) <= set(closed)
         for v in set(closed) - set(opened):
-            slacks = [f.evaluate(v) for f in C.facets] + [Fraction(c) for c in v]
+            slacks = [f.evaluate(v) for f in facets(C)] + [Fraction(c) for c in v]
             assert min(slacks) == 0
 
 

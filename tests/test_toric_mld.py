@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_weight_vector
+from conftest import barycentric, random_weight_vector
 from wblowup.exact_lattice import BudgetExceeded
 from wblowup.oracle import psi_bruteforce
 from wblowup.toric_mld import (
@@ -14,7 +14,6 @@ from wblowup.toric_mld import (
     CLASS_TERMINAL,
     WeightVector,
     argmin_cones,
-    barycentric,
     estimate_region_points,
     is_eps_lc,
     iter_region_points,

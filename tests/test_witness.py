@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import coprime_sorted_tuples, random_weight_vector
+from conftest import coprime_sorted_tuples, facets, interior_by_subsimplex, random_weight_vector, vertices
 from wblowup.exact_lattice import gcd_all, integer_nth_root, pow_cmp
 from wblowup.toric_mld import WeightVector, is_eps_lc, psi_value
 from wblowup.witness import (
@@ -25,7 +25,6 @@ from wblowup.witness import (
     certify_not_eps_lc,
     contains_interior,
     default_theta,
-    interior_by_subsimplex,
     witness_general_theta,
     witness_n2,
     witness_n3,
@@ -37,7 +36,7 @@ from wblowup.witness import (
 
 def test_facet_form_example_n3():
     C = build_polytope(WeightVector((2, 3, 5)), 1)
-    f3 = C.facets[2]
+    f3 = facets(C)[2]
     assert f3.omitted == 3
     assert f3.coeffs == (Fraction(-1), Fraction(-1), Fraction(4, 5))
     assert f3.offset == 1
@@ -48,7 +47,7 @@ def test_facet_lines_n2():
     a, b = 7, 9
     eps = Fraction(1, 2)
     C = build_polytope(WeightVector((a, b)), eps)
-    line1, line2 = C.facets
+    line1, line2 = facets(C)
     # upper line through (0, eps) and eps*a
     assert line1.evaluate((0, eps)) == 0
     assert line1.evaluate((eps * a, eps * b)) == 0
@@ -63,8 +62,8 @@ def test_vertex_incidence_slacks():
         a = random_weight_vector(rng, rng.randint(2, 4), 30)
         eps = Fraction(rng.randint(1, 4), 4)
         C = build_polytope(a, eps)
-        zero, *basis, apex = C.vertices
-        for f in C.facets:
+        zero, *basis, apex = vertices(C)
+        for f in facets(C):
             assert f.evaluate(zero) == eps
             assert f.evaluate(apex) == 0
             for j, vert in enumerate(basis, start=1):
@@ -76,7 +75,7 @@ def test_vertex_incidence_slacks():
 
 def test_square_like_polytope_for_ones():
     C = build_polytope(WeightVector((1, 1)), 1)
-    assert all(f.evaluate((0, 0)) == 1 for f in C.facets)
+    assert all(f.evaluate((0, 0)) == 1 for f in facets(C))
 
 
 def test_build_polytope_rejects_bad_eps():
@@ -149,7 +148,7 @@ def test_integer_rows_agree_with_rational_facets_and_psi(case):
     a, eps, v = case
     C = build_polytope(a, eps)
     inside = contains_interior(C, v)
-    assert inside == (all(x > 0 for x in v) and all(f.evaluate(v) > 0 for f in C.facets))
+    assert inside == (all(x > 0 for x in v) and all(f.evaluate(v) > 0 for f in facets(C)))
     assert inside == (psi_value(a, v) < eps)
 
 
