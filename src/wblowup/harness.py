@@ -109,6 +109,8 @@ class SweepSpec:
             raise ValueError("tail caps must be nonnegative")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
+        if self.enumeration_cap < 1:
+            raise ValueError("enumeration cap must be positive")
         if self.method not in CERTIFY_METHODS:
             raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {self.method!r}")
 

@@ -39,7 +39,10 @@ Conventions used throughout the package:
   projected vertices, which is {psi <= s} for the prefix weights
   (a_1, ..., a_k). The enumerator reads its slice bounds from those
   closed-form rows, so every prefix it visits extends to a point of the
-  polytope at every n.
+  polytope at every n. A lattice point with a zero coordinate has psi
+  equal to its coordinate sum, so for eps <= 1 the lattice points with
+  psi < eps are the interior lattice points of C(a, eps) = {psi <= eps},
+  and the eps-lc search enumerates them directly, with strict rows.
 """
 
 from __future__ import annotations
@@ -190,19 +193,24 @@ def estimate_region_points(a: WeightVector, scale) -> int:
     return int(vol + surf) + n + 2
 
 
-def iter_region_points(a: WeightVector, scale):
-    """Yield every nonzero lattice point of {psi <= scale} in lexicographic order.
+def iter_region_points(a: WeightVector, scale, strict: bool = False):
+    """Yield the nonzero lattice points of {psi <= scale} in lexicographic order.
+
+    With strict set, yield only its interior lattice points: every
+    coordinate positive and psi < scale, which for scale <= 1 is psi < scale.
 
     Slices along the first coordinate. The shadow of {psi <= s} =
     hull(0, s*e_j, s*a) on x_1..x_k is the hull of the projected vertices,
-    i.e. the same polytope for the prefix weights (a_1, ..., a_k). So with
+    i.e. the same polytope for the prefix weights (a_1, ..., a_k), and the
+    shadow of its interior is the interior of that hull. So with
     T_k = a_1 + ... + a_k and S = x_1 + ... + x_k, the bounds on x_k given
     x_1..x_{k-1} are exactly the rows
 
         x_i * (T_k - 1) + a_i * (s - S) >= 0,  i <= k,   and x_k >= 0,
 
-    and every visited prefix extends to a point of the polytope at every n.
-    The caller is responsible for budget checks.
+    with > in place of >= when strict, and every visited prefix extends to
+    a point of the region, or of its interior, at every n. The caller is
+    responsible for budget checks.
     """
     s = Fraction(scale)
     if s <= 0:
@@ -211,21 +219,23 @@ def iter_region_points(a: WeightVector, scale):
     ent = a.entries
     n = a.n
     # the rows times sd, 0-based: at level k, x_i * tilt[k] + a_i * (r - sd * x_k)
-    # >= 0 with tilt[k] = (a_0 + ... + a_k - 1) * sd and r = sd * (s - sum(prefix))
+    # >= d with tilt[k] = (a_0 + ... + a_k - 1) * sd and r = sd * (s - sum(prefix));
+    # rows and coordinates are integers, so d = 1 makes each of them strict
+    d = 1 if strict else 0
     tilt = [(sum(ent[: k + 1]) - 1) * sd for k in range(n)]
     scaled = [aj * sd for aj in ent]
 
     def rec(prefix, r):
         k = len(prefix)
         if k == 0:
-            lo, hi = 0, ent[0] * r // sd
+            lo, hi = d, (ent[0] * r - d) // sd
         else:
-            # the rows i < k bound x_k above; row k is x_k * tilt[k - 1] +
-            # a_k * r >= 0, a lower bound unless tilt[k - 1] = 0
+            # the rows i < k bound x_k above; row k is x_k * tilt[k - 1] + a_k * r >= d,
+            # a lower bound unless tilt[k - 1] = 0 (a_0 = 1), when level 0 implies it
             ck = tilt[k - 1]
-            lo = max(0, ceil_div(-ent[k] * r, ck)) if ck else 0
+            lo = max(d, ceil_div(d - ent[k] * r, ck)) if ck else d
             tk = tilt[k]
-            hi = min((xi * tk + ai * r) // di for xi, ai, di in zip(prefix, ent, scaled))
+            hi = min((xi * tk + ai * r - d) // di for xi, ai, di in zip(prefix, ent, scaled))
         if lo > hi:
             return
         if k == n - 1:
@@ -235,8 +245,8 @@ def iter_region_points(a: WeightVector, scale):
         for t in range(lo, hi + 1):
             yield from rec(prefix + (t,), r - sd * t)
 
-    # the origin is the lexicographically first point
-    yield from islice(rec((), sn), 1, None)
+    # the closed region's lexicographically first point is the origin
+    yield from islice(rec((), sn), 1 - d, None)
 
 
 def _sail_min(p: int, q: int) -> tuple[int, int]:
@@ -364,69 +374,23 @@ def mld_at_fixed_point(a: WeightVector, cone: int, enumeration_cap: int = DEFAUL
     """
     if not 1 <= cone <= a.n:
         raise ValueError(f"cone index out of range: {cone}")
+    if enumeration_cap < 1:
+        raise ValueError("enumeration cap must be positive")
     est = estimate_region_points(a, a.n)
     if est > enumeration_cap:
         raise BudgetExceeded(est, enumeration_cap, "fixed-point mld enumeration")
     return Fraction(_least_interior(a.entries, cone - 1), a.entries[cone - 1])
 
 
-def _refuting_point_n2(a1, a2, en, ed):
-    # first lattice point (lex order) with psi strictly below en/ed, n = 2
-    T1 = a1 + a2 - 1
-    hull2 = (en * a2) // ed
-    for t in range(0, (en * a1) // ed + 1):
-        hi = ((a2 - 1) * ed * t + a1 * en) // (a1 * ed)
-        if hull2 < hi:
-            hi = hull2
-        if a1 > 1:
-            rhs = a2 * (ed * t - en)
-            lo = ceil_div(rhs, (a1 - 1) * ed) if rhs > 0 else 0
-        else:
-            if ed * t > en:
-                break
-            lo = 0
-        if t == 0 and lo == 0:
-            lo = 1
-        if lo > hi:
-            continue
-        ystar = ceil_div(t * a2, a1)
-        # below the ray through a: the cone omitting axis 2
-        c2 = (a1 - 1) * ed
-        r2 = a2 * (ed * t - en)
-        for y in range(lo, min(hi, ystar - 1) + 1):
-            if c2 * y > r2:
-                return (t, y)
-        # on or above the ray: the cone omitting axis 1
-        c1 = a1 * ed
-        r1 = en * a1 + ed * t * (a2 - 1)
-        for y in range(max(lo, ystar), hi + 1):
-            if c1 * y < r1:
-                return (t, y)
-    return None
-
-
-def _first_refuter(a: WeightVector, eps: Fraction):
-    # the lexicographically first lattice point with psi < eps, or None; the
-    # callers check the budget
-    en, ed = eps.numerator, eps.denominator
-    if a.n == 2:
-        return _refuting_point_n2(a.entries[0], a.entries[1], en, ed)
-    ent = a.entries
-    T1 = a.total - 1
-    for v in iter_region_points(a, eps):
-        num, den = _psi(ent, T1, v)
-        if num * ed < en * den:
-            return v
-    return None
-
-
 def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
     """Decide whether every nonzero lattice point has psi >= eps.
 
-    Returns (True, None) or (False, refuting_vector), early-exiting on the
-    first refutation in lexicographic order. Only eps in (0, 1] is
-    accepted; codimension-1 points all have mld exactly 1, so in this range
-    the mld over lattice points settles the question.
+    Returns (True, None) or (False, refuting_vector), where the refuter is
+    the lexicographically first lattice point with psi < eps. The search
+    enumerates the interior lattice points of C(a, eps) = {psi <= eps}
+    directly and stops at the first. Only eps in (0, 1] is accepted;
+    codimension-1 points all have mld exactly 1, so in this range the mld
+    over lattice points settles the question.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -436,5 +400,5 @@ def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_C
     est = estimate_region_points(a, eps)
     if est > enumeration_cap:
         raise BudgetExceeded(est, enumeration_cap, "eps-lc refutation scan")
-    refuter = _first_refuter(a, eps)
+    refuter = next(iter_region_points(a, eps, strict=True), None)
     return (refuter is None, refuter)

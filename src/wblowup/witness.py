@@ -21,10 +21,11 @@ chosen by Dirichlet approximation, is so close to the ray through a that
 the line exits the polytope beyond its first lattice point. For n = 3
 there is an additional route that solves the problem in the plane
 projection and then lifts along the third coordinate. When no
-construction succeeds, certify_not_eps_lc runs the lexicographic
-refutation search of is_eps_lc once. On lattice points psi < eps is
-exactly interiority, so its first point is the certificate, and a search
-that finds none proves eps-lc.
+construction succeeds, certify_not_eps_lc enumerates the interior lattice
+points of C(a, eps) directly, as the refutation search of is_eps_lc does,
+and stops at the first. On lattice points interiority is exactly
+psi < eps, so that lexicographically first point is the certificate, and
+a scan that finds none proves eps-lc.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .exact_lattice import (
     pow_cmp,
     require_same_dimension,
 )
+from . import toric_mld
 from .toric_mld import (
     WeightVector,
-    _first_refuter,
     estimate_region_points,
     psi_value,
 )
@@ -345,14 +346,14 @@ def certify_not_eps_lc(
 ) -> Certificate | str:
     """Dispatcher: the construction for the dimension, then one bounded scan.
 
-    method "auto" tries the construction and, if it fails, runs the
-    refutation search of is_eps_lc once: the lexicographically first
-    lattice point with psi < eps, which is interior to C(a, eps), is the
-    certificate; a search that finds none returns "eps-lc". When the
-    estimated size of {psi <= eps} exceeds enumeration_cap no search runs
-    and the verdict is "inconclusive". method "construction" stops after
-    the construction, returning "no-witness" if it fails; "enumeration"
-    runs only the search.
+    method "auto" tries the construction and, if it fails, enumerates the
+    interior lattice points of C(a, eps) once, as is_eps_lc does: the
+    lexicographically first of them, the first lattice point with
+    psi < eps, is the certificate; a scan that finds none returns "eps-lc".
+    When the estimated size of {psi <= eps} exceeds enumeration_cap no scan
+    runs and the verdict is "inconclusive"; a cap below 1 is rejected.
+    method "construction" stops after the construction, returning
+    "no-witness" if it fails; "enumeration" runs only the scan.
 
     A wrong verdict is never returned: every certificate is re-checked
     exactly by _verified, and "eps-lc" only comes from a completed scan.
@@ -360,6 +361,8 @@ def certify_not_eps_lc(
     eps = _check_eps(eps)
     if method not in CERTIFY_METHODS:
         raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {method!r}")
+    if enumeration_cap < 1:
+        raise ValueError("enumeration cap must be positive")
     if method != "enumeration":
         if a.n == 2:
             cert = witness_n2(a, eps)
@@ -373,7 +376,8 @@ def certify_not_eps_lc(
             return VERDICT_NO_WITNESS
     if estimate_region_points(a, eps) > enumeration_cap:
         return VERDICT_INCONCLUSIVE
-    v = _first_refuter(a, eps)
+    # looked up on the module at call time, so tests can count the scans
+    v = next(toric_mld.iter_region_points(a, eps, strict=True), None)
     if v is None:
         return VERDICT_EPS_LC
     cert = Certificate(a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"})

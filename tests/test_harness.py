@@ -67,6 +67,25 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mld", "--weights", "2,3"),
+        ("check", "--weights", "1,12", "--eps", "1"),
+        ("witness", "--weights", "1,12", "--eps", "1"),
+        ("sweep", "--n", "2", "--eps", "1/2", "--a1-min", "2", "--a1-max", "4", "--tail-cap", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("cap", ["0", "-4"])
+def test_cap_below_one_is_usage_error(capsys, argv, cap):
+    # a nonpositive cap is a usage error on every subcommand, never a verdict
+    code, out, err = run_cli(capsys, *argv, "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert "enumeration cap must be positive" in err
+
+
 def test_budget_exhaustion_exits_3(capsys):
     code, _, err = run_cli(capsys, "mld", "--weights", "1000003,1000033", "--cap", "100")
     assert code == 3

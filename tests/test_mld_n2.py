@@ -97,6 +97,8 @@ def test_mld_report_matches_oracle_brute_force():
     cases += [random_weight_vector(rng, 4, 12) for _ in range(30)]
     cases += [random_weight_vector(rng, 5, 8) for _ in range(10)]
     cases += [random_weight_vector(rng, 6, 6) for _ in range(4)]
+    # n = 7, one tuple per class: random small weights are almost all terminal
+    cases += [WeightVector(e) for e in ((1, 1, 2, 3, 4, 4, 5), (2, 2, 3, 4, 4, 4, 4), (3, 4, 5, 5, 5, 5, 5))]
     cases += [WeightVector((1,) * 5), WeightVector((2, 2, 2, 3, 3, 3))]
     for a in cases:
         assert mld_global(a) == oracle_report(a), a.entries

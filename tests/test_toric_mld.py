@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import barycentric, random_weight_vector
 from wblowup.exact_lattice import BudgetExceeded
-from wblowup.oracle import psi_bruteforce
+from wblowup.oracle import enumerate_lattice_points, psi_bruteforce
 from wblowup.toric_mld import (
     CLASS_CANONICAL,
     CLASS_KLT,
@@ -21,6 +21,7 @@ from wblowup.toric_mld import (
     mld_global,
     psi_value,
 )
+from wblowup.witness import build_polytope
 
 
 def small_weights(rng, max_n=4, max_entry=40):
@@ -232,6 +233,27 @@ def test_iter_region_points_equals_sorted_box_filter():
         assert list(iter_region_points(a, scale)) == _box_filter(a, scale)
 
 
+def test_strict_region_points_are_the_closed_scan_below_scale():
+    # strict mode yields the closed scan's positive points with psi < s, in
+    # the same order, and for s <= 1 every point with psi < s is positive.
+    # a_1 = 1 zeroes the tilt of the second level's lower row; its interior
+    # is empty unless s > 1, and s = 1 puts the first level's bound on a
+    # lattice point, so small denominators are drawn often
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        a = random_weight_vector(rng, n, (40, 25, 9, 6)[n - 2])
+        if rng.random() < 0.25:
+            a = WeightVector((1,) + a.entries[1:])
+        den = rng.choice((1, 2, rng.randint(1, 50)))
+        s = Fraction(rng.randint(1, 2 * den), den)
+        closed = list(iter_region_points(a, s))
+        below = [v for v in closed if psi_value(a, v) < s]
+        assert list(iter_region_points(a, s, strict=True)) == [v for v in below if all(v)]
+        if s <= 1:
+            assert all(map(all, below))
+
+
 def test_estimate_is_conservative_on_small_instances():
     rng = random.Random(17)
     for _ in range(30):
@@ -323,19 +345,42 @@ def test_is_eps_lc_agrees_with_mld():
 
 
 def test_is_eps_lc_refuter_matches_generic_path():
-    # the n = 2 fast scan and the generic scan pick the same lex-first refuter
+    # the strict scan's first point is the closed scan's first point with psi < eps
     rng = random.Random(31)
     for _ in range(80):
-        a = small_weights(rng, max_n=2, max_entry=25)
+        a = small_weights(rng, max_n=5, max_entry=25)
         for eps in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
             ok, refuter = is_eps_lc(a, eps)
-            en, ed = eps.numerator, eps.denominator
             expected = None
             for v in iter_region_points(a, eps):
                 if psi_value(a, v) < eps:
                     expected = v
                     break
             assert (not ok and refuter == expected) or (ok and expected is None)
+
+
+@pytest.mark.parametrize("n,max_entry,refuted,lc", [(5, 9, 12, 4), (6, 7, 12, 4), (7, 4, 4, 4)])
+def test_is_eps_lc_agrees_with_oracle_at_high_n(n, max_entry, refuted, lc):
+    # random small weights rarely refute at n >= 5, so candidates are drawn
+    # until each verdict, read off the mld, has its quota of cases
+    rng = random.Random(n)
+    want = {True: lc, False: refuted}
+    while any(want.values()):
+        a = random_weight_vector(rng, n, max_entry)
+        eps = Fraction(rng.randint(1, 12), 12)
+        expect_lc = mld_global(a).value >= eps
+        if not want[expect_lc]:
+            continue
+        want[expect_lc] -= 1
+        interior = enumerate_lattice_points(build_polytope(a, eps), "open")
+        ok, refuter = is_eps_lc(a, eps)
+        assert ok == expect_lc == (not interior), (a, eps)
+        assert refuter == (interior[0] if interior else None), (a, eps)
+
+
+def test_fixed_point_mld_rejects_cap_below_one():
+    with pytest.raises(ValueError, match="enumeration cap must be positive"):
+        mld_at_fixed_point(WeightVector((2, 3, 5)), 1, 0)
 
 
 def test_budget_errors_report_estimate():
