@@ -34,6 +34,7 @@ from .witness import (
     CERTIFY_METHODS,
     VERDICT_EPS_LC,
     Certificate,
+    _check_theta,
     build_polytope,
     certify_not_eps_lc,
 )
@@ -111,6 +112,8 @@ class SweepSpec:
             raise ValueError("worker count must be positive")
         if self.enumeration_cap < 1:
             raise ValueError("enumeration cap must be positive")
+        if self.theta is not None:
+            _check_theta(self.theta, self.n)
         if self.method not in CERTIFY_METHODS:
             raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {self.method!r}")
 
@@ -449,12 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value config file; CLI flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, weights=True, eps=True):
+    def common(p, weights=True, eps=True, theta=False):
         if weights:
             p.add_argument("--weights", help="comma-separated positive integers, sorted, coprime")
         if eps:
             p.add_argument("--eps", help="rational in (0,1], e.g. 1/2")
-        p.add_argument("--theta", help="rational exponent for the theta constructions")
+        if theta:
+            p.add_argument("--theta", help="theta-construction exponent, rational in (0, 1/(2n^2))")
         p.add_argument("--cap", type=int, help="enumeration budget (default WBLOWUP_BUDGET or 10^7)")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -465,10 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check)
 
     p_wit = sub.add_parser("witness", help="construct a not-eps-lc certificate")
-    common(p_wit)
+    common(p_wit, theta=True)
 
     p_sweep = sub.add_parser("sweep", help="sweep coprime weight tuples, emitting CSV")
-    common(p_sweep, weights=False)
+    common(p_sweep, weights=False, theta=True)
     p_sweep.add_argument("--n", type=int, help="tuple length (default 2)")
     p_sweep.add_argument("--a1-min", dest="a1_min", type=int, help="smallest a1")
     p_sweep.add_argument("--a1-max", dest="a1_max", type=int, help="largest a1")

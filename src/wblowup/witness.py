@@ -16,11 +16,14 @@ and x is interior exactly when every coordinate and every row is strictly
 positive. Membership is therefore O(n) integer work and building C is
 O(1).
 
-The constructions pick a rational line through the origin whose direction,
-chosen by Dirichlet approximation, is so close to the ray through a that
-the line exits the polytope beyond its first lattice point. For n = 3
-there is an additional route that solves the problem in the plane
-projection and then lifts along the third coordinate. When no
+Each construction proposes one lattice point w with every coordinate
+positive: the Dirichlet point of a rational line through the origin that
+runs close to the ray through a, or for n = 3 a point lifted from the
+plane projection along the third coordinate. It judges w by psi alone.
+The tilted rows are eps minus the linear forms of the maximal cones, and
+psi is the largest of those forms, so t*w is interior exactly when
+t*psi(w) < eps (the ray lemma). The multiples of w inside C(a, eps) are
+therefore 1 <= k < eps/psi(w), and if any of them is, w is. When no
 construction succeeds, certify_not_eps_lc enumerates the interior lattice
 points of C(a, eps) directly, as the refutation search of is_eps_lc does,
 and stops at the first. On lattice points interiority is exactly
@@ -182,51 +185,55 @@ def _verified(C: CEpsPolytope, cert: Certificate) -> Certificate:
     return cert
 
 
-def witness_n2(a: WeightVector, eps) -> Certificate | None:
-    """Dirichlet-line construction in the plane.
+def _judged(
+    a: WeightVector, eps: Fraction, point, psi: Fraction, method: str, trace
+) -> Certificate | None:
+    # the last step of every route: a lattice point with psi(point) from
+    # psi_value certifies exactly when psi < eps
+    if psi >= eps:
+        return None
+    return _verified(build_polytope(a, eps), Certificate(a, eps, point, psi, method, trace))
 
-    With Z = isqrt(a_1) and p/q approximating a_2/a_1, the line y = (p/q) x
-    leaves C(a, eps) at abscissa x0, through the lower tilted facet when
-    p/q <= a_2/a_1 (case 1) and through the upper one otherwise (case 2).
-    Multiples k*(q, p) with k*q up to x0 are tried in order.
+
+def _exit_abscissa(eps: Fraction, q: int, psi: Fraction) -> Fraction:
+    # the line through a point with first coordinate q leaves C(a, eps) where
+    # t*psi = eps, at first coordinate eps*q/psi; built from integers, as a
+    # chain of Fraction products costs about three times as much
+    return Fraction(eps.numerator * q * psi.denominator, eps.denominator * psi.numerator)
+
+
+def witness_n2(a: WeightVector, eps) -> Certificate | None:
+    """Dirichlet-point construction in the plane.
+
+    With Z = isqrt(a_1) and p/q approximating a_2/a_1, the one candidate is
+    w = (q, p), judged by psi(w) < eps. By the ray lemma no other multiple
+    of w can succeed where w fails. The trace records where the line
+    y = (p/q) x leaves C(a, eps), x0 = eps*q/psi(w): through the lower
+    tilted facet when p/q <= a_2/a_1 (case 1), the upper one otherwise
+    (case 2). When a_1 = 1 the candidate is a itself, with psi(a) = 1.
     """
     eps = _check_eps(eps)
     if a.n != 2:
         raise ValueError("witness_n2 requires exactly two weights")
     a1, a2 = a.entries
-    if a1 == 1:
-        return None  # lower tilted facet is vertical; handled by enumeration
-    C = build_polytope(a, eps)
     Z = integer_nth_root(a1, 2)
     alpha = Fraction(a2, a1)
     approx = dirichlet_1d(alpha, Z)
     p, q = approx.p, approx.q
-    # the line leaves C(a, eps) at abscissa x0 = eps * num / den
-    if p * a1 <= a2 * q:
-        method = METHOD_N2_CASE1
-        num, den = a2 * q, a2 * q - p * (a1 - 1)
-    else:
-        method = METHOD_N2_CASE2
-        num, den = a1 * q, p * a1 - q * (a2 - 1)
-    num *= C.en
-    den *= C.ed
+    pt = (q, p)
+    psi = psi_value(a, pt)
+    case = 1 if p * a1 <= a2 * q else 2
     trace = {
         "Z": Z,
         "p": p,
         "q": q,
         "alpha": alpha,
         "residual": approx.residual,
-        "case": 1 if method == METHOD_N2_CASE1 else 2,
-        "x0": Fraction(num, den),
+        "case": case,
+        "x0": _exit_abscissa(eps, q, psi),
+        "k": 1,
     }
-    for k in range(1, num // (den * q) + 1):
-        pt = (k * q, k * p)
-        if contains_interior(C, pt):
-            return _verified(
-                C,
-                Certificate(a, eps, pt, psi_value(a, pt), method, {**trace, "k": k}),
-            )
-    return None
+    return _judged(a, eps, pt, psi, METHOD_N2_CASE1 if case == 1 else METHOD_N2_CASE2, trace)
 
 
 def _theta_hypothesis(a: WeightVector, theta: Fraction) -> bool:
@@ -240,17 +247,16 @@ def _theta_hypothesis(a: WeightVector, theta: Fraction) -> bool:
 
 
 def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | None:
-    """Simultaneous-Dirichlet line construction for any dimension.
+    """Simultaneous-Dirichlet point construction for any dimension.
 
-    The direction (p_1, ..., p_n) comes from approximating each a_j/a_1
-    with denominator p_1 <= Z = floor(a_1 ** (1/n)). The line exits the
-    polytope through the facet minimising eps/A_i over positive exit
-    coefficients A_i; multiples of the direction up to that abscissa are
-    tried. Some A_i is positive: with lambda_j = p_j/p_1 - a_j/a_1, the
-    double sums cancel in sum_i a_i*A_i = sum(a)/a_1 + sum_j lambda_j >=
-    n - (n - 1) = 1, since |lambda_j| <= 1. Returns None when no multiple
-    is interior. The hypothesis a_j/a_2 <= a_1**theta is recorded in the
-    trace but not required.
+    The one candidate is w = (q, p_1, ..., p_{n-1}), approximating each
+    a_j/a_1 with denominator q <= Z = floor(a_1 ** (1/n)), judged by
+    psi(w) < eps. By the ray lemma no other multiple of w can succeed
+    where w fails. Exit coefficient i of the trace is cone i's linear form
+    at w divided by q; the largest is psi(w)/q, and its first index, the
+    cone holding w, is the exit facet of the line through w, which leaves
+    C(a, eps) at x1_0 = eps*q/psi(w). The hypothesis a_j/a_2 <= a_1**theta
+    is recorded in the trace but not required.
     """
     eps = _check_eps(eps)
     n = a.n
@@ -258,49 +264,35 @@ def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | Non
     ent = a.entries
     hypothesis_ok = _theta_hypothesis(a, theta)
     Z = integer_nth_root(ent[0], n)
-    alphas = tuple(Fraction(ent[j], ent[0]) for j in range(1, n))
-    w = dirichlet_simultaneous(alphas, Z)
-    direction = (w.q,) + w.p
-    lam = [Fraction(0)] * n
-    for j in range(1, n):
-        lam[j] = Fraction(w.p[j - 1], w.q) - alphas[j - 1]
-    coeffs = []
-    for i in range(n):
-        acc = Fraction(1, ent[0]) + lam[i] / ent[i]
-        for j in range(n):
-            if j != i:
-                acc += lam[j] - Fraction(ent[j], ent[i]) * lam[i]
-        coeffs.append(acc)
-    x10, exit_facet = min((eps / A, i + 1) for i, A in enumerate(coeffs) if A > 0)
-    C = build_polytope(a, eps)
+    w = dirichlet_simultaneous(tuple(Fraction(ent[j], ent[0]) for j in range(1, n)), Z)
+    pt = (w.q,) + w.p
+    S, T1 = sum(pt), a.total - 1
+    coeffs = tuple(Fraction(ai * S - xi * T1, ai * w.q) for ai, xi in zip(ent, pt))
+    psi = psi_value(a, pt)
     trace = {
         "Z": Z,
         "dirichlet": w,
         "theta": theta,
         "hypothesis_ok": hypothesis_ok,
-        "exit_coefficients": tuple(coeffs),
-        "exit_facet": exit_facet,
-        "x1_0": x10,
+        "exit_coefficients": coeffs,
+        "exit_facet": coeffs.index(max(coeffs)) + 1,
+        "x1_0": _exit_abscissa(eps, w.q, psi),
+        "k": 1,
     }
-    for k in range(1, int(x10 / w.q) + 1):
-        pt = tuple(k * c for c in direction)
-        if contains_interior(C, pt):
-            return _verified(
-                C,
-                Certificate(a, eps, pt, psi_value(a, pt), METHOD_GENERAL_THETA, {**trace, "k": k}),
-            )
-    return None
+    return _judged(a, eps, pt, psi, METHOD_GENERAL_THETA, trace)
 
 
 def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
     """Three-dimensional construction.
 
-    Branch (i), when a_3/a_2 <= a_1**theta: delegate to the general line
-    construction. Branch (ii): project onto the first two coordinates,
-    place (q, p) there by the plane construction, and lift along the
-    vertical line x_1 = q, x_2 = p, whose segment inside the polytope runs
-    from the bottom tilted facet up to the lower of the other two. Any
-    integer strictly inside that segment gives the certificate.
+    Branch (i), when a_3/a_2 <= a_1**theta: delegate to the general
+    Dirichlet-point construction. Branch (ii): project onto the first two
+    coordinates, place (q, p) there by the plane construction, and lift
+    along the vertical line x_1 = q, x_2 = p, whose segment inside the
+    polytope runs from the bottom tilted facet, x3_lo, up to the lower of
+    the other two, x3_hi. The one candidate is (q, p, m) with m the least
+    integer above x3_lo, judged by psi < eps, which holds exactly when
+    m < x3_hi.
     """
     eps = _check_eps(eps)
     if a.n != 3:
@@ -327,14 +319,8 @@ def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
         "x3_lo": x3_lo,
         "x3_hi": x3_hi,
     }
-    m = math.floor(x3_lo) + 1  # smallest integer strictly above the lower end
-    if m >= x3_hi:
-        return None
-    pt = (q, p, m)
-    return _verified(
-        build_polytope(a, eps),
-        Certificate(a, eps, pt, psi_value(a, pt), METHOD_N3_PROJECTION, trace),
-    )
+    pt = (q, p, math.floor(x3_lo) + 1)  # least integer strictly above the lower end
+    return _judged(a, eps, pt, psi_value(a, pt), METHOD_N3_PROJECTION, trace)
 
 
 def certify_not_eps_lc(
@@ -351,7 +337,8 @@ def certify_not_eps_lc(
     lexicographically first of them, the first lattice point with
     psi < eps, is the certificate; a scan that finds none returns "eps-lc".
     When the estimated size of {psi <= eps} exceeds enumeration_cap no scan
-    runs and the verdict is "inconclusive"; a cap below 1 is rejected.
+    runs and the verdict is "inconclusive"; a cap below 1 is rejected, and
+    so is a theta outside (0, 1/(2 n^2)), whatever the route.
     method "construction" stops after the construction, returning
     "no-witness" if it fails; "enumeration" runs only the scan.
 
@@ -359,6 +346,8 @@ def certify_not_eps_lc(
     exactly by _verified, and "eps-lc" only comes from a completed scan.
     """
     eps = _check_eps(eps)
+    if theta is not None:
+        theta = _check_theta(theta, a.n)
     if method not in CERTIFY_METHODS:
         raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {method!r}")
     if enumeration_cap < 1:
@@ -380,5 +369,7 @@ def certify_not_eps_lc(
     v = next(toric_mld.iter_region_points(a, eps, strict=True), None)
     if v is None:
         return VERDICT_EPS_LC
-    cert = Certificate(a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"})
-    return _verified(build_polytope(a, eps), cert)
+    cert = _judged(a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"})
+    if cert is None:
+        raise AssertionError(f"the interior scan yielded {v}, outside C({a.entries}, {eps})")
+    return cert

@@ -65,6 +65,11 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+    # --theta belongs to witness and sweep only
+    code, out, _ = run_cli(capsys, "mld", "--weights", "2,3", "--theta", "7")
+    assert (code, out) == (2, "")
+    code, out, _ = run_cli(capsys, "check", "--weights", "2,3", "--eps", "1", "--theta", "1/100")
+    assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize(
@@ -84,6 +89,28 @@ def test_cap_below_one_is_usage_error(capsys, argv, cap):
     assert code == 2
     assert out == ""
     assert "enumeration cap must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n = 2 runs no theta construction
+        ("witness", "--weights", "26,27", "--eps", "1/2", "--theta", "5"),
+        ("witness", "--weights", "26,27", "--eps", "1/2", "--theta", "0"),
+        ("witness", "--weights", "5,6,61", "--eps", "1", "--theta", "5"),
+        # the enumeration route runs no construction at all
+        ("sweep", "--n", "3", "--eps", "1/2", "--a1-min", "2", "--a1-max", "3", "--tail-cap", "1,1",
+         "--theta", "5", "--method", "enumeration", "--no-timing"),
+    ],
+    ids=["witness-n2-5", "witness-n2-0", "witness-n3-5", "sweep-enumeration-5"],
+)
+def test_out_of_range_theta_is_usage_error(capsys, argv):
+    # theta must lie in (0, 1/(2 n^2)) whatever the dimension and route;
+    # a sweep refuses it before writing its CSV header
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "theta must lie in" in err
 
 
 def test_budget_exhaustion_exits_3(capsys):

@@ -111,6 +111,34 @@ def test_interior_equals_psi_below_eps_for_lattice_points():
             assert contains_interior(C, v) == (psi_value(a, v) < eps)
 
 
+def test_multiples_of_a_positive_point_are_interior_exactly_below_eps_over_psi():
+    # the ray lemma the constructions rest on: the tilted rows are eps minus
+    # the cone forms and psi is their maximum, so k*w is interior exactly
+    # when k*psi(w) < eps, for every w with positive coordinates
+    rng = random.Random(9)
+    for n in range(2, 7):
+        seen = set()
+        for _ in range(60):
+            a1 = rng.randint(1, 10 ** rng.randint(1, 6))
+            spread = rng.choice([1, 3, a1])
+            entries = sorted([a1] + [a1 + rng.randint(0, spread) for _ in range(n - 1)])
+            while gcd_all(entries) != 1:
+                entries[-1] += 1
+            a = WeightVector(tuple(entries))
+            m = rng.randint(1, 3)
+            w = tuple(max(1, m * ai // a1 + rng.randint(-1, 1)) for ai in entries)
+            psi = psi_value(a, w)
+            for eps in (Fraction(1, 12), Fraction(1, 2), Fraction(1), psi, 2 * psi, 3 * psi + Fraction(1, 10**9)):
+                if not 0 < eps <= 1:
+                    continue
+                C = build_polytope(a, eps)
+                for k in range(1, 5):
+                    inside = contains_interior(C, tuple(k * x for x in w))
+                    assert inside == (k * psi < eps), (a.entries, w, eps, k)
+                    seen.add(inside)
+        assert seen == {True, False}
+
+
 @st.composite
 def _huge_weights_eps_point(draw):
     # weights up to 10^18, from near-equal to widely spread; a lattice point
@@ -311,6 +339,17 @@ def test_general_theta_rejects_bad_theta():
         witness_general_theta(a, Fraction(1, 2), Fraction(1, 8))  # 1/8 == 1/(2 n^2)
     with pytest.raises(ValueError):
         witness_general_theta(a, Fraction(1, 2), Fraction(0))
+
+
+@pytest.mark.parametrize("method", ["auto", "construction", "enumeration"])
+@pytest.mark.parametrize("entries", [(26, 27), (5, 6, 61), (100, 101, 102, 103)])
+def test_certify_rejects_bad_theta_on_every_route(entries, method):
+    # checked up front, as the cap and the method are, even where no theta
+    # construction would run
+    a = WeightVector(entries)
+    for theta in (Fraction(0), Fraction(1, 2 * a.n**2), Fraction(5)):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            certify_not_eps_lc(a, Fraction(1, 2), theta, method=method)
 
 
 # ---------------------------------------------------------------------------
