@@ -5,9 +5,9 @@ codes: 0 computed as asked, 1 negative verdict where the subcommand has a
 polarity (not eps-lc, no witness), 2 usage error, 3 budget exhausted.
 
 Configuration precedence is CLI flag over config-file entry over built-in
-default; the config file (--config PATH) is line oriented, `key = value`.
-The environment variable WBLOWUP_BUDGET overrides the default enumeration
-budget.
+default; the config file (--config PATH) is line oriented, `key = value`,
+and each key must be a flag of the chosen subcommand. The environment
+variable WBLOWUP_BUDGET overrides the default enumeration budget.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def _handle_mld(ns, config) -> int:
     a = parse_weights(_effective(ns, config, "weights", None, str))
     cap = _effective(ns, config, "cap", default_budget(), int)
     report = mld_global(a, cap)
-    _emit(report.to_json_dict(), ns.out)
+    _emit(report.to_json_dict(), _effective(ns, config, "out", None, str))
     return 0
 
 
@@ -314,7 +314,7 @@ def _handle_check(ns, config) -> int:
     if refuter is not None:
         payload["refuting_point"] = list(refuter)
         payload["refuting_psi"] = format_rational(psi_value(a, refuter))
-    _emit(payload, ns.out)
+    _emit(payload, _effective(ns, config, "out", None, str))
     return 0 if ok else 1
 
 
@@ -325,11 +325,12 @@ def _handle_witness(ns, config) -> int:
         raise ValueError("witness requires --eps")
     theta = _effective(ns, config, "theta", None, parse_rational)
     cap = _effective(ns, config, "cap", default_budget(), int)
+    out = _effective(ns, config, "out", None, str)
     result = certify_not_eps_lc(a, eps, theta, cap)
     if isinstance(result, Certificate):
-        _emit(result.to_json_dict(), ns.out)
+        _emit(result.to_json_dict(), out)
         return 0
-    _emit({"weights": list(a.entries), "eps": format_rational(eps), "verdict": result}, ns.out)
+    _emit({"weights": list(a.entries), "eps": format_rational(eps), "verdict": result}, out)
     return 1 if result == VERDICT_EPS_LC else 3
 
 
@@ -350,6 +351,7 @@ def _handle_sweep(ns, config) -> int:
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     method = _effective(ns, config, "method", "auto", str)
+    out = _effective(ns, config, "out", None, str)
     spec = SweepSpec(
         n=n,
         eps=eps,
@@ -365,10 +367,10 @@ def _handle_sweep(ns, config) -> int:
     if fmt == "json":
         rows = []
         report = _sweep(spec, lambda row: rows.append(dict(zip(CSV_COLUMNS, row))))
-        _emit({"rows": rows, "frontier": report.to_json_dict()}, ns.out)
+        _emit({"rows": rows, "frontier": report.to_json_dict()}, out)
         return 0
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as handle:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
             report = run_sweep(spec, handle)
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value config file; CLI flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, weights=True, eps=True, theta=False):
+    def common(p, weights=True, eps=True, theta=False, out=True):
         if weights:
             p.add_argument("--weights", help="comma-separated positive integers, sorted, coprime")
         if eps:
@@ -460,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         if theta:
             p.add_argument("--theta", help="theta-construction exponent, rational in (0, 1/(2n^2))")
         p.add_argument("--cap", type=int, help="enumeration budget (default WBLOWUP_BUDGET or 10^7)")
-        p.add_argument("--out", help="write output to this path instead of stdout")
+        if out:
+            p.add_argument("--out", help="write output to this path instead of stdout")
 
     p_mld = sub.add_parser("mld", help="minimal log discrepancy report")
     common(p_mld, eps=False)
@@ -497,12 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ver = sub.add_parser("verify-example", help="check the (1,k) family is 1-lc")
-    common(p_ver, weights=False, eps=False)
+    common(p_ver, weights=False, eps=False, out=False)
     p_ver.add_argument("--limit", type=int, help="largest k for the 1-lc scan (default 500)")
     p_ver.add_argument("--mld-limit", dest="mld_limit", type=int, help="largest k for fixed-point mlds")
 
     p_self = sub.add_parser("selftest", help="cross-check engine against the brute-force oracle")
-    common(p_self, weights=False, eps=False)
+    common(p_self, weights=False, eps=False, out=False)
     p_self.add_argument("--max-entry", dest="max_entry", type=int, help="largest weight entry (default 10)")
 
     return parser
@@ -528,6 +531,10 @@ def cli_dispatch(argv) -> int:
     try:
         if ns.config:
             config = load_config(ns.config)
+            # a key is a flag of the chosen subcommand, or a usage error
+            unknown = sorted(set(config) - (set(vars(ns)) - {"config", "command"}))
+            if unknown:
+                raise ValueError(f"{ns.config}: no {ns.command} flag reads {', '.join(unknown)}")
         return _HANDLERS[ns.command](ns, config)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

@@ -39,7 +39,14 @@ Conventions used throughout the package:
   projected vertices, which is {psi <= s} for the prefix weights
   (a_1, ..., a_k). The enumerator reads its slice bounds from those
   closed-form rows, so every prefix it visits extends to a point of the
-  polytope at every n. A lattice point with a zero coordinate has psi
+  polytope at every n, though not always to a lattice point. It yields
+  the region as columns along x_n, one per (n-1)-prefix. The global mld
+  counts each column and reads its least psi in closed form, since psi
+  falls along a column up to one breakpoint and rises after it, so it
+  costs the visited prefixes rather than the points: {psi <= 1} of
+  (2, 3, 100001) holds 8,338 nonzero points in 5 columns, one of them
+  8,334 long, while (15701, 28340, 29766) visits 15,702 values of x_1 for
+  12,307 points. A lattice point with a zero coordinate has psi
   equal to its coordinate sum, so for eps <= 1 the lattice points with
   psi < eps are the interior lattice points of C(a, eps) = {psi <= eps},
   and the eps-lc search enumerates them directly, with strict rows.
@@ -193,13 +200,106 @@ def estimate_region_points(a: WeightVector, scale) -> int:
     return int(vol + surf) + n + 2
 
 
+def _slices(a: WeightVector, scale, strict: bool = False):
+    # the lattice points of {psi <= scale}, or of its interior when strict,
+    # as columns (prefix, lo, hi) along the last coordinate: the points are
+    # prefix + (y,) for lo <= y <= hi. Prefixes come in lexicographic order
+    # and empty columns are skipped. The closed region's first column is
+    # the origin's, (0, ..., 0, y) for 0 <= y <= hi.
+    #
+    # The rows of iter_region_points, times sd and 0-based: at level k,
+    # x_i * tilt[k] + a_i * (r - sd * x_k) >= d for i <= k, with
+    # tilt[k] = (a_0 + ... + a_k - 1) * sd and r = sd * (s - sum(prefix)).
+    # Rows and coordinates are integers, so d = 1 makes each row strict.
+    # Rows i < k bound x_k above. Row k reads x_k * tilt[k - 1] >= d - a_k * r,
+    # a lower bound; at level 1 with a_0 = 1 its tilt is 0 and level 0
+    # already implies it (r >= d), which a divisor of 1 keeps true.
+    #
+    # Levels 0..m-1, m = n - 2, run as an odometer. Level m loops over
+    # t = x_m and reads each column's range in closed form: row n - 1 gives
+    # lo, rows m and i < m give hi, and the bound of each i < m is
+    # (x_i * tl + a_i * (r - sd * t) - d) // (a_i * sd) = C_i - t, so the
+    # rows above m cost one C = min C_i per prefix.
+    s = Fraction(scale)
+    if s <= 0:
+        raise ValueError("scale must be positive")
+    sn, sd = s.numerator, s.denominator
+    ent = a.entries
+    n = len(ent)
+    m = n - 2
+    d = 1 if strict else 0
+    tilt = [(sum(ent[: k + 1]) - 1) * sd for k in range(n)]
+    low = [c or 1 for c in tilt]
+    scaled = [aj * sd for aj in ent]
+    tl = tilt[-1]
+    am, sm, lm = ent[m], scaled[m], low[m]
+    an = ent[-1]
+    # every point of the region has y <= a_n * s, so C may start at
+    # hi + cap: C - t >= cap binds no column, and with no rows above m
+    # (n = 2) it stands in for them
+    cap = an * sn // sd
+    x = [0] * m
+    his = [0] * m
+    rs = [sn] * (m + 1)
+    # level 0 is bounded by its own row: x_0 <= (a_0 * r - d) / sd
+    lo, hi = d, (ent[0] * sn - d) // sd
+    k = 0
+    while True:
+        if k < m and lo <= hi:
+            # descend: fix x_k = lo
+            x[k] = lo
+            his[k] = hi
+            r = rs[k + 1] = rs[k] - sd * lo
+        else:
+            if lo <= hi:
+                # level m: loop over t = x_m and read each column in closed form
+                r = rs[m]
+                head = tuple(x)
+                c = hi + cap
+                for i in range(m):
+                    ci = (x[i] * tl + ent[i] * r - d) // scaled[i]
+                    if ci < c:
+                        c = ci
+                for t in range(lo, hi + 1):
+                    r1 = r - sd * t
+                    yhi = (t * tl + am * r1 - d) // sm
+                    if c - t < yhi:
+                        yhi = c - t
+                    ylo = -((an * r1 - d) // lm)
+                    if ylo < d:
+                        ylo = d
+                    if ylo <= yhi:
+                        yield head + (t,), ylo, yhi
+            # carry: advance the deepest odometer level with room left
+            while True:
+                k -= 1
+                if k < 0:
+                    return
+                if x[k] < his[k]:
+                    break
+            x[k] += 1
+            r = rs[k + 1] = rs[k + 1] - sd
+        # level k's range: row k below, the rows i < k above
+        k += 1
+        lo = -((ent[k] * r - d) // low[k - 1])
+        if lo < d:
+            lo = d
+        tk = tilt[k]
+        hi = (x[0] * tk + ent[0] * r - d) // scaled[0]
+        for i in range(1, k):
+            hi_i = (x[i] * tk + ent[i] * r - d) // scaled[i]
+            if hi_i < hi:
+                hi = hi_i
+
+
 def iter_region_points(a: WeightVector, scale, strict: bool = False):
     """Yield the nonzero lattice points of {psi <= scale} in lexicographic order.
 
     With strict set, yield only its interior lattice points: every
     coordinate positive and psi < scale, which for scale <= 1 is psi < scale.
 
-    Slices along the first coordinate. The shadow of {psi <= s} =
+    This is the points view of the enumerator, which walks the region as
+    columns along the last coordinate. The shadow of {psi <= s} =
     hull(0, s*e_j, s*a) on x_1..x_k is the hull of the projected vertices,
     i.e. the same polytope for the prefix weights (a_1, ..., a_k), and the
     shadow of its interior is the interior of that hull. So with
@@ -209,44 +309,15 @@ def iter_region_points(a: WeightVector, scale, strict: bool = False):
         x_i * (T_k - 1) + a_i * (s - S) >= 0,  i <= k,   and x_k >= 0,
 
     with > in place of >= when strict, and every visited prefix extends to
-    a point of the region, or of its interior, at every n. The caller is
-    responsible for budget checks.
+    a point of the region, or of its interior, at every n (a rational
+    point: the column of x_n over an (n-1)-prefix may hold no lattice
+    point). Each column's range is read in closed form, so the cost is
+    the visited (n-1)-prefixes plus one step per point yielded. The caller
+    is responsible for budget checks.
     """
-    s = Fraction(scale)
-    if s <= 0:
-        raise ValueError("scale must be positive")
-    sn, sd = s.numerator, s.denominator
-    ent = a.entries
-    n = a.n
-    # the rows times sd, 0-based: at level k, x_i * tilt[k] + a_i * (r - sd * x_k)
-    # >= d with tilt[k] = (a_0 + ... + a_k - 1) * sd and r = sd * (s - sum(prefix));
-    # rows and coordinates are integers, so d = 1 makes each of them strict
-    d = 1 if strict else 0
-    tilt = [(sum(ent[: k + 1]) - 1) * sd for k in range(n)]
-    scaled = [aj * sd for aj in ent]
-
-    def rec(prefix, r):
-        k = len(prefix)
-        if k == 0:
-            lo, hi = d, (ent[0] * r - d) // sd
-        else:
-            # the rows i < k bound x_k above; row k is x_k * tilt[k - 1] + a_k * r >= d,
-            # a lower bound unless tilt[k - 1] = 0 (a_0 = 1), when level 0 implies it
-            ck = tilt[k - 1]
-            lo = max(d, ceil_div(d - ent[k] * r, ck)) if ck else d
-            tk = tilt[k]
-            hi = min((xi * tk + ai * r - d) // di for xi, ai, di in zip(prefix, ent, scaled))
-        if lo > hi:
-            return
-        if k == n - 1:
-            for y in range(lo, hi + 1):
-                yield prefix + (y,)
-            return
-        for t in range(lo, hi + 1):
-            yield from rec(prefix + (t,), r - sd * t)
-
+    points = (prefix + (y,) for prefix, lo, hi in _slices(a, scale, strict) for y in range(lo, hi + 1))
     # the closed region's lexicographically first point is the origin
-    yield from islice(rec((), sn), 1 - d, None)
+    yield from islice(points, 0 if strict else 1, None)
 
 
 def _sail_min(p: int, q: int) -> tuple[int, int]:
@@ -295,20 +366,65 @@ def _mld_n2(a: WeightVector) -> tuple[Fraction, tuple[int, ...], int]:
     return (*best, (a1 + a2 + gcd(a1 - 1, a2) + gcd(a1, a2 - 1)) // 2 + 1)
 
 
+def _column_min(ent, T1, p, lo, hi) -> tuple[int, int, int]:
+    # least psi over the column (p, y), lo <= y <= hi, as (numerator,
+    # denominator, y) with the smallest such y; T1 = sum(a) - 1. With
+    # S = sum(p) and m = min_i p_i / a_i = pb / ab over the prefix,
+    #
+    #     psi(p, y) = S + y - T1 * min(m, y / a_n),
+    #
+    # which falls (or stays flat, when T1 = a_n) up to y* = a_n * m and
+    # rises by 1 per step after it. So the minimum at the smallest y is
+    # among lo, clamp(floor(y*)) and clamp(floor(y*) + 1), in that order.
+    an = ent[-1]
+    S = sum(p)
+    pb, ab = p[0], ent[0]
+    for pj, aj in zip(p, ent):
+        if pj * ab < pb * aj:
+            pb, ab = pj, aj
+    ys = an * pb // ab
+    if lo == hi or ys < lo:
+        candidates = (lo,)
+    elif ys < hi:
+        candidates = (lo, ys, ys + 1)
+    else:
+        candidates = (lo, hi)
+    best = None
+    for y in candidates:
+        if y * ab < pb * an:
+            num, den = an * (S + y) - T1 * y, an
+        else:
+            num, den = ab * (S + y) - T1 * pb, ab
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den, y)
+    return best
+
+
 def _mld_scan(a: WeightVector) -> tuple[Fraction, tuple[int, ...], int]:
-    # every nonzero lattice point of {psi <= 1}; the first is e_n with psi 1,
-    # and the first strict minimum after it is the lex-first minimiser
+    # every nonzero lattice point of {psi <= 1}, one column of the last
+    # coordinate at a time, each counted and minimised in closed form. The
+    # first column is the origin's, whose first nonzero point e_n has psi 1;
+    # a strict < across columns then keeps the lex-first minimiser
     ent = a.entries
     T1 = a.total - 1
-    points = iter_region_points(a, 1)
-    best_v = next(points)
-    best_num = best_den = scanned = 1
-    for v in points:
-        scanned += 1
-        num, den = _psi(ent, T1, v)
+    columns = _slices(a, 1)
+    prefix, _, scanned = next(columns)
+    best_v = prefix + (1,)
+    best_num = best_den = 1
+    for p, lo, hi in columns:
+        scanned += hi - lo + 1
+        num, den, y = _column_min(ent, T1, p, lo, hi)
         if num * best_den < best_num * den:
-            best_num, best_den, best_v = num, den, v
+            best_num, best_den, best_v = num, den, p + (y,)
     return Fraction(best_num, best_den), best_v, scanned
+
+
+def _first_refuter(a: WeightVector, eps):
+    # the lexicographically first lattice point with psi < eps <= 1: the
+    # first point of the strict scan of C(a, eps)'s interior, or None
+    for prefix, lo, _ in _slices(a, eps, strict=True):
+        return prefix + (lo,)
+    return None
 
 
 def _least_interior(ent, i) -> int:
@@ -338,10 +454,11 @@ def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) 
 
     For n = 2 nothing is enumerated: the value is min(1, least box-point
     age), found by the Klein sail walk, and the count comes from Pick's
-    theorem, in O(log a_2) steps. For n >= 3 the points of {psi <= 1} are
-    enumerated, which costs their number rather than sum(a). The budget
-    check on the enumeration estimate applies to every n, so n = 2 refuses
-    exactly where a scan would.
+    theorem, in O(log a_2) steps. For n >= 3 {psi <= 1} is enumerated as
+    columns along the last coordinate, each counted and minimised in
+    closed form, which costs the visited (n-1)-prefixes rather than sum(a)
+    or the points. The budget check on the enumeration estimate applies to
+    every n, so n = 2 refuses exactly where a scan would.
     """
     if enumeration_cap < 1:
         raise ValueError("enumeration cap must be positive")
@@ -400,5 +517,5 @@ def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_C
     est = estimate_region_points(a, eps)
     if est > enumeration_cap:
         raise BudgetExceeded(est, enumeration_cap, "eps-lc refutation scan")
-    refuter = next(iter_region_points(a, eps, strict=True), None)
+    refuter = _first_refuter(a, eps)
     return (refuter is None, refuter)

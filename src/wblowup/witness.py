@@ -45,9 +45,9 @@ from .exact_lattice import (
     pow_cmp,
     require_same_dimension,
 )
-from . import toric_mld
 from .toric_mld import (
     WeightVector,
+    _first_refuter,
     estimate_region_points,
     psi_value,
 )
@@ -365,8 +365,7 @@ def certify_not_eps_lc(
             return VERDICT_NO_WITNESS
     if estimate_region_points(a, eps) > enumeration_cap:
         return VERDICT_INCONCLUSIVE
-    # looked up on the module at call time, so tests can count the scans
-    v = next(toric_mld.iter_region_points(a, eps, strict=True), None)
+    v = _first_refuter(a, eps)
     if v is None:
         return VERDICT_EPS_LC
     cert = _judged(a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"})

@@ -322,6 +322,38 @@ def test_load_config_parses_and_rejects(tmp_path):
         load_config(str(cfg))
 
 
+def test_config_keys_no_flag_reads_are_usage_errors(tmp_path, capsys):
+    # mld takes no --theta and no --eps, so the file may not set them either
+    cfg = tmp_path / "wblowup.cfg"
+    cfg.write_text("theta = 7\nbogus = 1\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "mld", "--weights", "2,3")
+    assert code == 2 and out == ""
+    assert "bogus" in err and "theta" in err
+    cfg.write_text("eps = 1/2\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "mld", "--weights", "2,3")
+    assert code == 2 and "eps" in err
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "check", "--weights", "2,3")
+    assert code == 0
+    # keys are read under their flag's destination, spelt either way
+    cfg.write_text("max-entry = 3\n")
+    assert run_cli(capsys, "--config", str(cfg), "selftest")[0] == 0
+    cfg.write_text("config = other.cfg\n")
+    assert run_cli(capsys, "--config", str(cfg), "selftest")[0] == 2
+
+
+def test_config_out_is_read_and_unread_out_flags_are_refused(tmp_path, capsys):
+    target = tmp_path / "mld.json"
+    cfg = tmp_path / "wblowup.cfg"
+    cfg.write_text(f"out = {target}\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "mld", "--weights", "2,3")
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["mld"] == "2/3"
+    # verify-example and selftest print a report and write no file
+    for command in ("verify-example", "selftest"):
+        assert run_cli(capsys, "--config", str(cfg), command)[0] == 2
+        assert run_cli(capsys, command, "--out", str(target))[0] == 2
+
+
 def test_missing_config_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "mld", "--weights", "2,3")
     assert code == 2

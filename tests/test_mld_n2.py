@@ -174,7 +174,7 @@ def test_n2_never_enumerates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("n = 2 mld enumerated a region")
 
-    monkeypatch.setattr(toric_mld, "iter_region_points", refuse)
+    monkeypatch.setattr(toric_mld, "_slices", refuse)
     for entries in [(1, 1), (1, 7), (2, 3), (5, 8), (10093, 10424)]:
         a = WeightVector(entries)
         mld_global(a)
@@ -186,7 +186,7 @@ def test_fixed_point_never_enumerates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fixed-point mld enumerated a region")
 
-    monkeypatch.setattr(toric_mld, "iter_region_points", refuse)
+    monkeypatch.setattr(toric_mld, "_slices", refuse)
     for entries in [(1, 1, 1), (2, 3, 5), (1052, 1204, 1239), (2, 3, 5, 7), (1, 1, 2, 3, 5)]:
         a = WeightVector(entries)
         for cone in range(1, a.n + 1):

@@ -13,6 +13,9 @@ from wblowup.toric_mld import (
     CLASS_KLT,
     CLASS_TERMINAL,
     WeightVector,
+    _column_min,
+    _psi,
+    _slices,
     argmin_cones,
     estimate_region_points,
     is_eps_lc,
@@ -311,6 +314,74 @@ def test_mld_global_bounded_by_fixed_points():
         assert rep.value <= 1
         for i in range(1, a.n + 1):
             assert rep.value <= mld_at_fixed_point(a, i)
+
+
+def _per_point_mld(a):
+    # reference for the column scan: psi at every point of {psi <= 1}, a
+    # strict lexicographic minimum and a count
+    ent, T1 = a.entries, a.total - 1
+    best_num, best_den, best_v, count = 2, 1, None, 0
+    for v in iter_region_points(a, 1):
+        count += 1
+        num, den = _psi(ent, T1, v)
+        if num * best_den < best_num * den:
+            best_num, best_den, best_v = num, den, v
+    return Fraction(best_num, best_den), best_v, argmin_cones(a, best_v)[0], count
+
+
+def test_mld_scan_matches_per_point_reference():
+    # pinned: the minimiser's column clamped to hi (10, 41, 149), y* an
+    # integer there (7, 27, 81), minima tied across columns (15, 22, 24) and
+    # (59, 66, 93), and a_1 = 1, whose first level has tilt 0
+    cases = [(10, 41, 149), (7, 27, 81), (15, 22, 24), (59, 66, 93), (1, 9, 16), (1, 1, 2, 5), (1, 3, 4, 5, 7)]
+    rng = random.Random(71)
+    for n, max_entry in ((3, 150), (3, 40), (4, 25), (5, 10), (6, 6)):
+        cases += [random_weight_vector(rng, n, max_entry).entries for _ in range(12)]
+    for entries in cases:
+        a = WeightVector(entries)
+        rep = mld_global(a)
+        assert (rep.value, rep.achieved_at, rep.cone, rep.points_scanned) == _per_point_mld(a), entries
+
+
+def test_column_min_matches_every_column():
+    # the closed-form least psi of each column, at its smallest y, against
+    # psi at every point of the column; the columns cover every shape the
+    # closed form distinguishes
+    seen = set()
+    rng = random.Random(72)
+    regions = [WeightVector((1, k)) for k in (1, 2, 7)]  # T - 1 = a_n: psi is flat up to y*
+    for n, max_entry in ((2, 60), (3, 40), (4, 12), (5, 6)):
+        regions += [random_weight_vector(rng, n, max_entry) for _ in range(8)]
+    for a in regions:
+        ent, T1, an = a.entries, a.total - 1, a.entries[-1]
+        for p, lo, hi in _slices(a, 1):
+            if not any(p):
+                continue  # the origin's column, where _mld_scan seeds e_n
+            values = [(Fraction(*_psi(ent, T1, p + (y,))), y) for y in range(lo, hi + 1)]
+            value, y = min(values)
+            num, den, got = _column_min(ent, T1, p, lo, hi)
+            assert (Fraction(num, den), got) == (value, y), (ent, p, lo, hi)
+            # the column's shape; psi <= 1 on it and rises by 1 per step
+            # after y*, so lo - 1 <= floor(y*) and hi <= floor(y*) + 1
+            pb, ab = min(zip(p, ent), key=lambda t: Fraction(*t))
+            ys = an * pb // ab
+            if ys < lo:
+                seen.add("clamped to lo")
+            elif ys >= hi and lo < hi:
+                seen.add("clamped to hi")
+            elif ys < hi and values[ys - lo][0] == values[ys + 1 - lo][0]:
+                seen.add("floor(y*) ties floor(y*) + 1")
+            if lo <= ys <= hi and lo < hi and an * pb % ab == 0:
+                seen.add("y* an integer")
+            if T1 == an and lo < min(ys, hi):
+                seen.add("flat up to y*")
+    assert seen == {
+        "clamped to lo",
+        "clamped to hi",
+        "floor(y*) ties floor(y*) + 1",
+        "y* an integer",
+        "flat up to y*",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -436,13 +436,13 @@ def test_certify_scans_eps_lc_tuples_once(monkeypatch, entries, eps):
     import wblowup.toric_mld as toric_mld
 
     calls = []
-    original = toric_mld.iter_region_points
+    original = toric_mld._slices
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(toric_mld, "iter_region_points", counting)
+    monkeypatch.setattr(toric_mld, "_slices", counting)
     assert certify_not_eps_lc(WeightVector(entries), eps) == VERDICT_EPS_LC
     assert len(calls) <= 1
 
