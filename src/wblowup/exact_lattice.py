@@ -15,12 +15,15 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
 class BudgetExceeded(Exception):
-    """An enumeration was refused because its predicted size exceeds the cap."""
+    """A scan stopped, or was refused up front, before its counted work passed the cap.
 
-    def __init__(self, estimated: int, cap: int, what: str = "lattice enumeration"):
-        self.estimated = estimated
+    work > cap counts the units named by what, up to the step that would pass cap.
+    """
+
+    def __init__(self, work: int, cap: int, what: str):
+        self.work = work
         self.cap = cap
-        super().__init__(f"{what}: estimated {estimated} points exceeds budget {cap}")
+        super().__init__(f"{work} {what} exceed budget {cap}")
 
 
 # "p" or "p/q"; a sign is only allowed on the numerator and q must be positive.

@@ -35,7 +35,7 @@ def enumerate_lattice_points(C: CEpsPolytope, mode: str = "closed", budget: int 
     for m in dims:
         volume *= m
     if volume > budget:
-        raise BudgetExceeded(volume, budget, "oracle box scan")
+        raise BudgetExceeded(volume, budget, "oracle box points")
     # a_i*ed*F_i(x) = x_i*K + a_i*u with K = (T-1)*ed and u = en - ed*sum(x)
     K = (sum(ent) - 1) * ed
     strict = mode == "open"

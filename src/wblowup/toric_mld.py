@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from math import factorial, gcd
+from math import gcd
 from operator import mod
 
 from .exact_lattice import (
@@ -182,30 +182,17 @@ def psi_value(a: WeightVector, v) -> Fraction:
     return Fraction(*_psi(a.entries, a.total - 1, v))
 
 
-def estimate_region_points(a: WeightVector, scale) -> int:
-    """Cheap estimate of the lattice points of {psi <= scale}.
-
-    Volume term scale^n * sum(a) / n! plus a surface correction. It is not
-    an upper bound: it overcounts small low-dimensional regions but can
-    undercount badly as n and the scale grow (actual/estimate is 1.2 for
-    (4, 4, 8, 8, 12, 13) at scale 1 and 5.0 for eight 1s at scale 2).
-    Budgets compare against it to refuse large regions early; it does not
-    bound the points a scan visits.
-    """
-    s = Fraction(scale)
-    n = a.n
-    total = a.total
-    vol = s**n * total / factorial(n)
-    surf = s ** (n - 1) * n * total / factorial(n - 1)
-    return int(vol + surf) + n + 2
-
-
-def _slices(a: WeightVector, scale, strict: bool = False):
+def _slices(a: WeightVector, scale, strict: bool, budget: int):
     # the lattice points of {psi <= scale}, or of its interior when strict,
     # as columns (prefix, lo, hi) along the last coordinate: the points are
     # prefix + (y,) for lo <= y <= hi. Prefixes come in lexicographic order
     # and empty columns are skipped. The closed region's first column is
     # the origin's, (0, ..., 0, y) for 0 <= y <= hi.
+    #
+    # The budget counts visited prefixes: one per odometer step plus, at
+    # level m, the hi - lo + 1 values of t, before their columns are read.
+    # It raises BudgetExceeded before the count passes budget and checks
+    # every O(n) steps, so budget bounds the work. Returns the count.
     #
     # The rows of iter_region_points, times sd and 0-based: at level k,
     # x_i * tilt[k] + a_i * (r - sd * x_k) >= d for i <= k, with
@@ -235,16 +222,21 @@ def _slices(a: WeightVector, scale, strict: bool = False):
     am, sm, lm = ent[m], scaled[m], low[m]
     an = ent[-1]
     # every point of the region has y <= a_n * s, so C may start at
-    # hi + cap: C - t >= cap binds no column, and with no rows above m
+    # hi + ymax: C - t >= ymax binds no column, and with no rows above m
     # (n = 2) it stands in for them
-    cap = an * sn // sd
+    ymax = an * sn // sd
     x = [0] * m
     his = [0] * m
     rs = [sn] * (m + 1)
     # level 0 is bounded by its own row: x_0 <= (a_0 * r - d) / sd
     lo, hi = d, (ent[0] * sn - d) // sd
-    k = 0
+    k = work = 0
     while True:
+        work += 1
+        if k == m and lo <= hi:
+            work += hi - lo + 1
+        if work > budget:
+            raise BudgetExceeded(work, budget, "visited prefixes")
         if k < m and lo <= hi:
             # descend: fix x_k = lo
             x[k] = lo
@@ -255,7 +247,7 @@ def _slices(a: WeightVector, scale, strict: bool = False):
                 # level m: loop over t = x_m and read each column in closed form
                 r = rs[m]
                 head = tuple(x)
-                c = hi + cap
+                c = hi + ymax
                 for i in range(m):
                     ci = (x[i] * tl + ent[i] * r - d) // scaled[i]
                     if ci < c:
@@ -274,7 +266,7 @@ def _slices(a: WeightVector, scale, strict: bool = False):
             while True:
                 k -= 1
                 if k < 0:
-                    return
+                    return work
                 if x[k] < his[k]:
                     break
             x[k] += 1
@@ -312,10 +304,12 @@ def iter_region_points(a: WeightVector, scale, strict: bool = False):
     a point of the region, or of its interior, at every n (a rational
     point: the column of x_n over an (n-1)-prefix may hold no lattice
     point). Each column's range is read in closed form, so the cost is
-    the visited (n-1)-prefixes plus one step per point yielded. The caller
-    is responsible for budget checks.
+    the visited prefixes plus one step per point yielded. The prefixes are
+    counted against the default budget of 10^7, and BudgetExceeded is
+    raised before the count passes it.
     """
-    points = (prefix + (y,) for prefix, lo, hi in _slices(a, scale, strict) for y in range(lo, hi + 1))
+    columns = _slices(a, scale, strict, DEFAULT_ENUMERATION_CAP)
+    points = (prefix + (y,) for prefix, lo, hi in columns for y in range(lo, hi + 1))
     # the closed region's lexicographically first point is the origin
     yield from islice(points, 0 if strict else 1, None)
 
@@ -400,14 +394,14 @@ def _column_min(ent, T1, p, lo, hi) -> tuple[int, int, int]:
     return best
 
 
-def _mld_scan(a: WeightVector) -> tuple[Fraction, tuple[int, ...], int]:
+def _mld_scan(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], int]:
     # every nonzero lattice point of {psi <= 1}, one column of the last
     # coordinate at a time, each counted and minimised in closed form. The
     # first column is the origin's, whose first nonzero point e_n has psi 1;
     # a strict < across columns then keeps the lex-first minimiser
     ent = a.entries
     T1 = a.total - 1
-    columns = _slices(a, 1)
+    columns = _slices(a, 1, False, budget)
     prefix, _, scanned = next(columns)
     best_v = prefix + (1,)
     best_num = best_den = 1
@@ -419,10 +413,10 @@ def _mld_scan(a: WeightVector) -> tuple[Fraction, tuple[int, ...], int]:
     return Fraction(best_num, best_den), best_v, scanned
 
 
-def _first_refuter(a: WeightVector, eps):
+def _first_refuter(a: WeightVector, eps, budget: int):
     # the lexicographically first lattice point with psi < eps <= 1: the
     # first point of the strict scan of C(a, eps)'s interior, or None
-    for prefix, lo, _ in _slices(a, eps, strict=True):
+    for prefix, lo, _ in _slices(a, eps, True, budget):
         return prefix + (lo,)
     return None
 
@@ -454,18 +448,15 @@ def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) 
 
     For n = 2 nothing is enumerated: the value is min(1, least box-point
     age), found by the Klein sail walk, and the count comes from Pick's
-    theorem, in O(log a_2) steps. For n >= 3 {psi <= 1} is enumerated as
-    columns along the last coordinate, each counted and minimised in
-    closed form, which costs the visited (n-1)-prefixes rather than sum(a)
-    or the points. The budget check on the enumeration estimate applies to
-    every n, so n = 2 refuses exactly where a scan would.
+    theorem, in O(log a_2) steps, with no budget. For n >= 3 {psi <= 1} is
+    enumerated as columns along the last coordinate, each counted and
+    minimised in closed form, so it costs the visited prefixes rather than
+    sum(a) or the points; BudgetExceeded stops it before they pass
+    enumeration_cap. A cap below 1 is rejected at every n.
     """
     if enumeration_cap < 1:
         raise ValueError("enumeration cap must be positive")
-    est = estimate_region_points(a, 1)
-    if est > enumeration_cap:
-        raise BudgetExceeded(est, enumeration_cap, "mld enumeration")
-    value, at, scanned = (_mld_n2 if a.n == 2 else _mld_scan)(a)
+    value, at, scanned = _mld_n2(a) if a.n == 2 else _mld_scan(a, enumeration_cap)
     if value < 1:
         classification = CLASS_KLT
     elif scanned > a.n + 1:
@@ -483,20 +474,20 @@ def mld_at_fixed_point(a: WeightVector, cone: int, enumeration_cap: int = DEFAUL
     a positive coefficient wherever the box point has none, so the value is
     the least box-point age plus 1 per vanishing remainder, with the origin
     contributing n (the interior point a + sum of the cone's basis
-    generators). Nothing is enumerated: the box points of the cone are
-    read in O(n * a_i) steps, or by the Klein sail walk in O(log a_i) for
-    n = 2, where the value is the least age, or 2 for a smooth cone. The
-    budget check on {psi <= n} is kept, so it refuses exactly where a scan
-    of that region would.
+    generators). Nothing is enumerated: for n = 2 the Klein sail walk reads
+    the least age, or 2 for a smooth cone, in O(log a_i) steps, and no
+    budget applies. For n >= 3 one pass reads the box points of the cone in
+    n * a_i steps, and BudgetExceeded is raised before the pass when that
+    exceeds enumeration_cap. A cap below 1 is rejected at every n.
     """
     if not 1 <= cone <= a.n:
         raise ValueError(f"cone index out of range: {cone}")
     if enumeration_cap < 1:
         raise ValueError("enumeration cap must be positive")
-    est = estimate_region_points(a, a.n)
-    if est > enumeration_cap:
-        raise BudgetExceeded(est, enumeration_cap, "fixed-point mld enumeration")
-    return Fraction(_least_interior(a.entries, cone - 1), a.entries[cone - 1])
+    p = a.entries[cone - 1]
+    if a.n > 2 and a.n * p > enumeration_cap:
+        raise BudgetExceeded(a.n * p, enumeration_cap, "box steps")
+    return Fraction(_least_interior(a.entries, cone - 1), p)
 
 
 def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
@@ -507,15 +498,13 @@ def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_C
     enumerates the interior lattice points of C(a, eps) = {psi <= eps}
     directly and stops at the first. Only eps in (0, 1] is accepted;
     codimension-1 points all have mld exactly 1, so in this range the mld
-    over lattice points settles the question.
+    over lattice points settles the question. BudgetExceeded stops the scan
+    before its visited prefixes pass enumeration_cap, which must be >= 1.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if enumeration_cap < 1:
         raise ValueError("enumeration cap must be positive")
-    est = estimate_region_points(a, eps)
-    if est > enumeration_cap:
-        raise BudgetExceeded(est, enumeration_cap, "eps-lc refutation scan")
-    refuter = _first_refuter(a, eps)
+    refuter = _first_refuter(a, eps, enumeration_cap)
     return (refuter is None, refuter)

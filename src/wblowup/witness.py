@@ -40,6 +40,7 @@ from fractions import Fraction
 from .diophantine import DirichletWitness, dirichlet_1d, dirichlet_simultaneous
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
+    BudgetExceeded,
     format_rational,
     integer_nth_root,
     pow_cmp,
@@ -48,7 +49,6 @@ from .exact_lattice import (
 from .toric_mld import (
     WeightVector,
     _first_refuter,
-    estimate_region_points,
     psi_value,
 )
 
@@ -336,9 +336,9 @@ def certify_not_eps_lc(
     interior lattice points of C(a, eps) once, as is_eps_lc does: the
     lexicographically first of them, the first lattice point with
     psi < eps, is the certificate; a scan that finds none returns "eps-lc".
-    When the estimated size of {psi <= eps} exceeds enumeration_cap no scan
-    runs and the verdict is "inconclusive"; a cap below 1 is rejected, and
-    so is a theta outside (0, 1/(2 n^2)), whatever the route.
+    A scan whose visited prefixes would pass enumeration_cap before it finds
+    a point returns "inconclusive"; a cap below 1 is rejected, and so is a
+    theta outside (0, 1/(2 n^2)), whatever the route.
     method "construction" stops after the construction, returning
     "no-witness" if it fails; "enumeration" runs only the scan.
 
@@ -363,9 +363,10 @@ def certify_not_eps_lc(
             return cert
         if method == "construction":
             return VERDICT_NO_WITNESS
-    if estimate_region_points(a, eps) > enumeration_cap:
+    try:
+        v = _first_refuter(a, eps, enumeration_cap)
+    except BudgetExceeded:
         return VERDICT_INCONCLUSIVE
-    v = _first_refuter(a, eps)
     if v is None:
         return VERDICT_EPS_LC
     cert = _judged(a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"})

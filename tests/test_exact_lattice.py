@@ -126,10 +126,10 @@ def test_vector_helpers_validate():
 
 
 def test_budget_error_carries_numbers():
-    err = BudgetExceeded(123, 45, "scan")
-    assert err.estimated == 123
+    err = BudgetExceeded(123, 45, "visited prefixes")
+    assert err.work == 123
     assert err.cap == 45
-    assert "123" in str(err) and "45" in str(err)
+    assert str(err) == "123 visited prefixes exceed budget 45"
 
 
 def test_short_vectors_match_a_box_scan():

@@ -114,24 +114,46 @@ def test_out_of_range_theta_is_usage_error(capsys, argv):
 
 
 def test_budget_exhaustion_exits_3(capsys):
-    code, _, err = run_cli(capsys, "mld", "--weights", "1000003,1000033", "--cap", "100")
+    code, _, err = run_cli(capsys, "mld", "--weights", "1000003,1000033,1000037", "--cap", "100")
     assert code == 3
     assert "budget" in err.lower()
 
 
 def test_witness_inconclusive_exits_3(capsys):
-    code, out, _ = run_cli(
-        capsys, "witness", "--weights", "1,1000000007", "--eps", "1", "--cap", "10"
-    )
+    # no construction applies and the eps-lc scan visits 30 prefixes
+    argv = ("witness", "--weights", "2,57,58", "--eps", "1")
+    code, out, _ = run_cli(capsys, *argv, "--cap", "29")
     assert code == 3
     assert json.loads(out)["verdict"] == "inconclusive"
+    code, out, _ = run_cli(capsys, *argv, "--cap", "30")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "eps-lc"
+
+
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        # a budget estimate refused these, though no scan comes near it
+        (("check", "--weights", "1,20000000", "--eps", "1"), "verdict", "eps-lc"),
+        (("mld", "--weights", "2,3,6000001"), "points_scanned", 500004),
+    ],
+    ids=["check-1,2e7", "mld-2,3,6000001"],
+)
+def test_cheap_scans_answer_under_the_default_budget(capsys, monkeypatch, argv, key, value):
+    monkeypatch.delenv("WBLOWUP_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)[key] == value
 
 
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("WBLOWUP_BUDGET", "50")
     assert default_budget() == 50
-    code, _, _ = run_cli(capsys, "mld", "--weights", "200,201")
+    code, _, _ = run_cli(capsys, "mld", "--weights", "200,201,203")
     assert code == 3
+    monkeypatch.setenv("WBLOWUP_BUDGET", "505")
+    code, _, _ = run_cli(capsys, "mld", "--weights", "200,201,203")
+    assert code == 0
     monkeypatch.setenv("WBLOWUP_BUDGET", "junk")
     code, _, _ = run_cli(capsys, "mld", "--weights", "2,3")
     assert code == 2

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -132,20 +133,28 @@ def test_fixed_point_mld_on_every_cone_matches_golden_digest(n, max_entry, cones
 
 
 @pytest.mark.parametrize(
-    "argv,message",
-    [
-        (
-            ["mld", "--weights", "2999999,3000000"],
-            "budget exhausted: mld enumeration: estimated 15000001 points exceeds budget 10000000\n",
-        ),
-        (
-            ["mld", "--weights", "1000,1001", "--cap", "1000"],
-            "budget exhausted: mld enumeration: estimated 5006 points exceeds budget 1000\n",
-        ),
-    ],
+    "weights,cap",
+    [("2999999,3000000", None), ("1000,1001", "1000")],
+    ids=["2999999,3000000", "1000,1001-cap-1000"],
 )
-def test_n2_mld_refusals_are_unchanged(argv, message):
-    assert run(argv) == (3, "", message)
+def test_n2_mld_takes_no_budget(weights, cap):
+    # n = 2 never scans: both refused with exit 3 under a budget estimate
+    argv = ["mld", "--weights", weights]
+    code, out, err = run(argv + (["--cap", cap] if cap else []))
+    assert (code, err) == (0, "")
+    assert out == run(argv)[1]
+    a1, a2 = map(int, weights.split(","))
+    payload = json.loads(out)
+    assert (payload["mld"], payload["achieved_at"]) == (format_rational(Fraction(2, a2)), [1, 1])
+    assert payload["points_scanned"] == (a1 + a2 + gcd(a1 - 1, a2) + gcd(a1, a2 - 1)) // 2 + 1
+
+
+def test_n3_mld_refusal_message():
+    assert run(["mld", "--weights", "1000,1001,1003", "--cap", "1000"]) == (
+        3,
+        "",
+        "budget exhausted: 1001 visited prefixes exceed budget 1000\n",
+    )
 
 
 def test_verify_example_output_is_unchanged():

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import coprime_sorted_tuples, random_weight_vector
 from wblowup import toric_mld
-from wblowup.exact_lattice import ceil_div
+from wblowup.exact_lattice import DEFAULT_ENUMERATION_CAP, ceil_div
 from wblowup.oracle import enumerate_lattice_points, psi_bruteforce
 from wblowup.toric_mld import (
     CLASS_CANONICAL,
@@ -28,7 +28,6 @@ from wblowup.toric_mld import (
     MldReport,
     WeightVector,
     _mld_scan,
-    estimate_region_points,
     mld_at_fixed_point,
     mld_global,
     psi_value,
@@ -112,7 +111,7 @@ def test_n2_branch_matches_generic_scan():
     for entries in coprime_sorted_tuples(2, 150):
         a = WeightVector(entries)
         rep = mld_global(a)
-        assert (rep.value, rep.achieved_at, rep.points_scanned) == _mld_scan(a), entries
+        assert (rep.value, rep.achieved_at, rep.points_scanned) == _mld_scan(a, DEFAULT_ENUMERATION_CAP), entries
     for entries in coprime_sorted_tuples(2, 80):
         a = WeightVector(entries)
         for cone in (1, 2):
@@ -155,12 +154,12 @@ SCALE = [
 @pytest.mark.parametrize("entries,value,at", SCALE, ids=["fibonacci", "k,k+1", "k,2k-1", "1,k"])
 def test_n2_mld_runs_in_logarithmic_steps(entries, value, at):
     # a Hirzebruch-Jung walk that does not skip collinear runs takes a2
-    # steps on (k, k+1); here a2 has about 300 digits
+    # steps on (k, k+1); here a2 has about 300 digits, far past the default
+    # budget, which n = 2 never consults
     a = WeightVector(entries)
-    cap = 10 * estimate_region_points(a, a.n)
     started = time.perf_counter()
-    rep = mld_global(a, cap)
-    fixed = [mld_at_fixed_point(a, cone, cap) for cone in (1, 2)]
+    rep = mld_global(a)
+    fixed = [mld_at_fixed_point(a, cone) for cone in (1, 2)]
     assert time.perf_counter() - started < 1.0
     assert psi_value(a, rep.achieved_at) == rep.value
     assert rep.points_scanned == pick_count(*entries)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import barycentric, random_weight_vector
-from wblowup.exact_lattice import BudgetExceeded
+from wblowup.exact_lattice import DEFAULT_ENUMERATION_CAP, BudgetExceeded
 from wblowup.oracle import enumerate_lattice_points, psi_bruteforce
 from wblowup.toric_mld import (
     CLASS_CANONICAL,
@@ -17,7 +17,6 @@ from wblowup.toric_mld import (
     _psi,
     _slices,
     argmin_cones,
-    estimate_region_points,
     is_eps_lc,
     iter_region_points,
     mld_at_fixed_point,
@@ -257,12 +256,54 @@ def test_strict_region_points_are_the_closed_scan_below_scale():
             assert all(map(all, below))
 
 
-def test_estimate_is_conservative_on_small_instances():
-    rng = random.Random(17)
-    for _ in range(30):
-        a = small_weights(rng, max_n=3, max_entry=15)
-        actual = sum(1 for _ in iter_region_points(a, 1))
-        assert actual <= estimate_region_points(a, 1)
+def _drain(columns):
+    # the columns of a scan that finishes, and the work it returns
+    out = []
+    while True:
+        try:
+            out.append(next(columns))
+        except StopIteration as stop:
+            return out, stop.value
+
+
+def _visited_prefixes(a, s, strict):
+    # the prefixes an exact scan visits: the empty one and, for k < n, the
+    # lattice points of the region's shadow on x_1..x_k, which is the same
+    # region for the prefix weights; psi is the largest of its linear pieces
+    count = 1
+    for k in range(1, a.n):
+        ent = a.entries[:k]
+        for x in itertools.product(*(range(int(strict), int(s * ai) + 1) for ai in ent)):
+            psi = sum(x) - (sum(ent) - 1) * min(Fraction(xi, ai) for xi, ai in zip(x, ent))
+            count += psi < s if strict else psi <= s
+    return count
+
+
+def test_scan_budget_is_a_hard_bound():
+    # a finished scan counts exactly its visited prefixes, and that count
+    # fits its cap; any smaller cap stops the scan before the count passes
+    # it, after a prefix of the same columns, reporting a count within the
+    # cap plus one step: a prefix and the t values of one column block
+    rng = random.Random(29)
+    cases = []
+    for n, count, max_entry in ((2, 10, 400), (3, 10, 60), (4, 8, 16), (5, 6, 8), (6, 4, 5), (7, 3, 4), (8, 2, 3)):
+        for _ in range(count):
+            den = rng.randint(1, 6)
+            scale = Fraction(rng.randint(den // 2 + 1, den), den)
+            cases.append((random_weight_vector(rng, n, max_entry), scale, rng.random() < 0.5))
+    for a, s, strict in cases:
+        columns, work = _drain(_slices(a, s, strict, DEFAULT_ENUMERATION_CAP))
+        assert work == _visited_prefixes(a, s, strict), (a, s, strict)
+        assert _drain(_slices(a, s, strict, work)) == (columns, work)
+        step = 1 + int(s * a.entries[-2]) + 1
+        for cap in {1, work // 2, work - 1} - {0, work}:
+            scan = _slices(a, s, strict, cap)
+            seen = []
+            with pytest.raises(BudgetExceeded) as err:
+                for column in scan:
+                    seen.append(column)
+            assert cap < err.value.work <= cap + step and err.value.cap == cap, (a, s, strict, cap)
+            assert seen == columns[: len(seen)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +395,7 @@ def test_column_min_matches_every_column():
         regions += [random_weight_vector(rng, n, max_entry) for _ in range(8)]
     for a in regions:
         ent, T1, an = a.entries, a.total - 1, a.entries[-1]
-        for p, lo, hi in _slices(a, 1):
+        for p, lo, hi in _slices(a, 1, False, DEFAULT_ENUMERATION_CAP):
             if not any(p):
                 continue  # the origin's column, where _mld_scan seeds e_n
             values = [(Fraction(*_psi(ent, T1, p + (y,))), y) for y in range(lo, hi + 1)]
@@ -454,15 +495,37 @@ def test_fixed_point_mld_rejects_cap_below_one():
         mld_at_fixed_point(WeightVector((2, 3, 5)), 1, 0)
 
 
-def test_budget_errors_report_estimate():
-    a = WeightVector((10**6, 10**6 + 1))
+def test_budget_errors_report_work():
+    # n >= 3 scans stop on their count of visited prefixes, even before a
+    # refuter they would reach, and the fixed-point pass refuses its
+    # n * a_i box steps up front; n = 2 takes no budget
+    a = WeightVector((1000, 1001, 1003))
     with pytest.raises(BudgetExceeded) as err:
         mld_global(a, enumeration_cap=1000)
-    assert err.value.estimated > 1000
+    assert err.value.cap == 1000 < err.value.work
+    assert "visited prefixes" in str(err.value) and "estimated" not in str(err.value)
+    assert mld_global(a, enumeration_cap=2505) == mld_global(a)
     with pytest.raises(BudgetExceeded):
-        is_eps_lc(a, Fraction(1, 2), enumeration_cap=1000)
-    with pytest.raises(BudgetExceeded):
-        mld_at_fixed_point(a, 1, enumeration_cap=1000)
+        is_eps_lc(a, Fraction(1, 2), enumeration_cap=1)
+    with pytest.raises(BudgetExceeded) as err:
+        mld_at_fixed_point(a, 1, enumeration_cap=2999)
+    assert (err.value.work, err.value.cap) == (3000, 2999)
+    assert "box steps" in str(err.value)
+    assert mld_at_fixed_point(a, 1, enumeration_cap=3000) == mld_at_fixed_point(a, 1)
+    b = WeightVector((10**6, 10**6 + 1))
+    assert mld_global(b, enumeration_cap=1) == mld_global(b)
+    assert mld_at_fixed_point(b, 1, enumeration_cap=1) == mld_at_fixed_point(b, 1)
+
+
+def test_fixed_point_budget_is_its_box_pass():
+    # a budget on {psi <= n} refused every cone here; the smooth cones
+    # read no box point, and cone 8 reads its 10^6 - 1 in 8 * 10^6 steps
+    a = WeightVector((1,) * 7 + (10**6,))
+    assert [mld_at_fixed_point(a, cone) for cone in range(1, 8)] == [8] * 7
+    assert mld_at_fixed_point(a, 8) == Fraction(10**6 + 6, 10**6)
+    with pytest.raises(BudgetExceeded) as err:
+        mld_at_fixed_point(a, 8, 8 * 10**6 - 1)
+    assert err.value.work == 8 * 10**6
 
 
 @settings(max_examples=60, deadline=None)

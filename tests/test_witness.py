@@ -423,8 +423,16 @@ def test_certify_enumeration_path_when_construction_fails():
 
 
 def test_certify_inconclusive_on_tiny_budget():
-    # a1 = 1 skips the construction, and the budget blocks the scan
-    res = certify_not_eps_lc(WeightVector((1, 10**9)), 1, enumeration_cap=10)
+    # no construction applies, and proving eps-lc visits 30 prefixes
+    a = WeightVector((2, 57, 58))
+    assert certify_not_eps_lc(a, 1, enumeration_cap=29) == VERDICT_INCONCLUSIVE
+    assert certify_not_eps_lc(a, 1, enumeration_cap=30) == VERDICT_EPS_LC
+    # the whole interior scan visits 750 prefixes, its first point after 3:
+    # a refuter found within the cap is still the certificate
+    b = WeightVector((1000, 1001, 1003))
+    cert = certify_not_eps_lc(b, Fraction(1, 2), enumeration_cap=3, method="enumeration")
+    assert isinstance(cert, Certificate) and cert.point == (1, 1, 1)
+    res = certify_not_eps_lc(b, Fraction(1, 2), enumeration_cap=2, method="enumeration")
     assert res == VERDICT_INCONCLUSIVE
 
 

@@ -2,13 +2,16 @@
 
 The digest is a running SHA-256 over the exit code and stdout of each call,
 recorded from the constructions that walked the multiples k*w of their
-Dirichlet point and located its exit from C(a, eps) in Fraction algebra. A
-changed digest means a changed certificate, trace or verdict.
+Dirichlet point and located its exit from C(a, eps) in Fraction algebra.
+It was recorded again once the budget counted the prefixes a scan visits,
+when two calls moved from inconclusive to certificates that
+bench/gate.verify_certificate accepts. A changed digest means a changed
+certificate, trace or verdict.
 
 The n = 2 calls cover both plane cases, a_1 = 1, and tuples below
 certificate_threshold that the interior scan certifies or proves eps-lc.
 The n = 5 and 6 calls cover general-theta hits from 10^3 to 10^30 and
-misses that end in the scan, an eps-lc verdict or an inconclusive one.
+misses that end in the scan: a certificate or an eps-lc verdict.
 """
 
 import contextlib
@@ -65,7 +68,7 @@ N5_N6 = [
     ("1289724775452300807701282277360,1300159123223939677959893626560,"
      "1318659704021763684630941703025,1336505786287687582868199135519,"
      "1359360780399030142080208401199,1401078933263846551932258249001", "1"),
-    # misses: certified by the scan, eps-lc, or inconclusive (exit 3)
+    # misses: certified by the scan or eps-lc
     ("90,103,116,127,139", "1/2"),
     ("9,11,13,14,18", "1/2"),
     ("3891850394,4076666010,4586517207,6060428235,6516622790", "1/2"),
@@ -84,4 +87,4 @@ def test_n2_n5_n6_witness_json_matches_golden_digest(monkeypatch):
             code = cli_dispatch(["witness", "--weights", weights, "--eps", eps])
         assert err.getvalue() == ""
         running.update(f"{code}\n{out.getvalue()}".encode())
-    assert running.hexdigest() == "e4d6f77dcaf0f4165b3835656bca59dff27def603d9ecea3d7a52e373cb0fa6f"
+    assert running.hexdigest() == "e6d5d7b9ad96cf8be441a2e55120418334a78153324d10670775ba0cd4989d2e"
