@@ -2,9 +2,7 @@
 
 from .diophantine import (
     Approx1D,
-    ContinuedFraction,
     DirichletWitness,
-    continued_fraction,
     dirichlet_1d,
     dirichlet_simultaneous,
 )

@@ -1,6 +1,7 @@
 """Constructive Dirichlet approximation over the rationals.
 
-One-dimensional approximations come from continued-fraction convergents.
+One-dimensional approximations are convergents, walked by the extended
+Euclidean recurrence on the integer numerator and denominator.
 The simultaneous version returns what a scan over q = 1..Z would: the
 least q whose nearest-integer numerators meet the d-th power bound. No
 real root is extracted: with D the common denominator of the targets the
@@ -23,21 +24,11 @@ from typing import NamedTuple
 from .exact_lattice import _lll, _short_vectors, format_rational, integer_nth_root
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Partial quotients and convergents of a nonnegative rational."""
-
-    value: Fraction
-    quotients: tuple[int, ...]
-    convergents: tuple[tuple[int, int], ...]  # (p, q) pairs, lowest terms
-
-
 class Approx1D(NamedTuple):
-    """One-dimensional approximation with |q*alpha - p| < 1/Z."""
+    """One-dimensional approximation p/q with 1 <= q <= Z and |q*alpha - p| < 1/Z."""
 
     p: int
     q: int
-    residual: Fraction  # q*alpha - p, signed
 
 
 @dataclass(frozen=True)
@@ -72,52 +63,29 @@ class DirichletWitness:
         }
 
 
-def continued_fraction(alpha) -> ContinuedFraction:
-    """Euclidean-algorithm partial quotients of a nonnegative rational."""
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    quotients = []
-    num, den = alpha.numerator, alpha.denominator
-    while True:
-        q, r = divmod(num, den)
-        quotients.append(q)
-        if r == 0:
-            break
-        num, den = den, r
-    convergents = []
-    hm2, hm1 = 0, 1
-    km2, km1 = 1, 0
-    for aq in quotients:
-        h = aq * hm1 + hm2
-        k = aq * km1 + km2
-        convergents.append((h, k))
-        hm2, hm1 = hm1, h
-        km2, km1 = km1, k
-    if convergents[-1] != (alpha.numerator, alpha.denominator):
-        raise AssertionError(f"last convergent {convergents[-1]} does not reproduce {alpha}")
-    return ContinuedFraction(alpha, tuple(quotients), tuple(convergents))
+def dirichlet_1d(num: int, den: int, Z: int) -> Approx1D:
+    """Integers (p, q) with 1 <= q <= Z and |q*alpha - p| < 1/Z, alpha = num/den.
 
-
-def dirichlet_1d(alpha, Z: int) -> Approx1D:
-    """Integers (p, q) with 1 <= q <= Z and |q*alpha - p| < 1/Z.
-
-    Uses the last convergent p_k/q_k with q_k <= Z. Either it is alpha
-    itself, with residual 0, or the next convergent has q_{k+1} > Z and
-    the classical bound |q_k*alpha - p_k| <= 1/q_{k+1} <= 1/(Z + 1) holds.
+    Walks the convergents p_k/q_k of alpha by the extended Euclidean
+    recurrence and keeps the last with q_k <= Z. Either it is alpha itself,
+    or the next convergent has q_{k+1} > Z and the classical bound
+    |q_k*alpha - p_k| <= 1/q_{k+1} <= 1/(Z + 1) holds.
     """
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if num < 0 or den < 1:
+        raise ValueError(f"alpha must be a nonnegative rational, got {num}/{den}")
     if not isinstance(Z, int) or Z < 1:
         raise ValueError(f"Z must be a positive integer, got {Z!r}")
-    cf = continued_fraction(alpha)
-    p, q = cf.convergents[0]
-    for cp, cq in cf.convergents[1:]:
-        if cq > Z:
+    # (p, q) is the current convergent and (p0, q0) the one before it; the
+    # first, floor(alpha)/1, always fits
+    p0, q0, p, q = 1, 0, num // den, 1
+    num, den = den, num % den
+    while den:
+        c, r = divmod(num, den)
+        if c * q + q0 > Z:
             break
-        p, q = cp, cq
-    return Approx1D(p, q, q * alpha - p)
+        p0, q0, p, q = p, q, c * p + p0, c * q + q0
+        num, den = den, r
+    return Approx1D(p, q)
 
 
 def _nearest(t: int, D: int) -> tuple[int, int]:

@@ -43,9 +43,12 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x) -> str:
     """Render a rational as "p" or "p/q", the inverse of parse_rational."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return format_ratio(x.numerator, x.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """Render num/den, in lowest terms with den > 0, as format_rational does."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def gcd_all(values) -> int:

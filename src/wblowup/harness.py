@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +27,7 @@ from fractions import Fraction
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
+    format_ratio,
     format_rational,
     gcd_all,
     parse_rational,
@@ -150,7 +152,7 @@ def iter_weight_tuples(spec: SweepSpec):
     def rec(prefix):
         k = len(prefix)
         if k == spec.n:
-            if gcd_all(prefix) == 1:
+            if math.gcd(*prefix) == 1:
                 yield prefix
             return
         lo = prefix[-1]
@@ -163,7 +165,8 @@ def iter_weight_tuples(spec: SweepSpec):
 
 
 def _sweep_task(args):
-    entries, eps, theta, cap, include_timing, method = args
+    # eps_text is eps formatted once per sweep
+    entries, eps, eps_text, theta, cap, include_timing, method = args
     a = WeightVector(entries)
     started = time.perf_counter_ns()
     result = certify_not_eps_lc(a, eps, theta, cap, method)
@@ -171,17 +174,17 @@ def _sweep_task(args):
     if isinstance(result, Certificate):
         verdict = "certificate"
         method = result.method
-        point = ";".join(str(c) for c in result.point)
-        psi = format_rational(result.psi_at_point)
-        hyp = result.trace.get("hypothesis_ok")
+        point = ";".join(map(str, result.point))
+        psi = format_ratio(*result.psi)
+        hyp = result.hypothesis_ok
         flags = "" if hyp is None else ("theta-ok" if hyp else "theta-violated")
     else:
         verdict = result
         method = point = psi = flags = ""
     return [
         str(len(entries)),
-        ";".join(str(c) for c in entries),
-        format_rational(eps),
+        ";".join(map(str, entries)),
+        eps_text,
         verdict,
         method,
         point,
@@ -211,8 +214,9 @@ def Pool(processes: int):
 
 def _sweep(spec: SweepSpec, emit) -> FrontierReport:
     # certify every tuple of the spec, passing each row to emit in order
+    eps_text = format_rational(spec.eps)
     tasks = [
-        (entries, spec.eps, spec.theta, spec.enumeration_cap, spec.include_timing, spec.method)
+        (entries, spec.eps, eps_text, spec.theta, spec.enumeration_cap, spec.include_timing, spec.method)
         for entries in iter_weight_tuples(spec)
     ]
     counts: dict[int, list[int]] = {}

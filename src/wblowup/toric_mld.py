@@ -65,7 +65,6 @@ from .exact_lattice import (
     BudgetExceeded,
     ceil_div,
     format_rational,
-    gcd_all,
     require_same_dimension,
 )
 
@@ -90,7 +89,7 @@ class WeightVector:
                 raise ValueError(f"weights must be positive integers, got {x!r}")
         if any(e[i] > e[i + 1] for i in range(len(e) - 1)):
             raise ValueError(f"weights must be sorted ascending: {e}")
-        if gcd_all(e) != 1:
+        if gcd(*e) != 1:
             raise ValueError(f"weights must be coprime: {e}")
 
     @property
@@ -190,9 +189,11 @@ def _slices(a: WeightVector, scale, strict: bool, budget: int):
     # the origin's, (0, ..., 0, y) for 0 <= y <= hi.
     #
     # The budget counts visited prefixes: one per odometer step plus, at
-    # level m, the hi - lo + 1 values of t, before their columns are read.
-    # It raises BudgetExceeded before the count passes budget and checks
-    # every O(n) steps, so budget bounds the work. Returns the count.
+    # level m, the hi - lo + 1 values of t. A level-m range that would pass
+    # budget is clipped to the values left, and BudgetExceeded is raised
+    # once the clipped columns are read; an odometer step past budget
+    # raises at once. So budget bounds the work, a column within it is
+    # still yielded, and the t loop checks nothing. Returns the count.
     #
     # The rows of iter_region_points, times sd and 0-based: at level k,
     # x_i * tilt[k] + a_i * (r - sd * x_k) >= d for i <= k, with
@@ -233,8 +234,6 @@ def _slices(a: WeightVector, scale, strict: bool, budget: int):
     k = work = 0
     while True:
         work += 1
-        if k == m and lo <= hi:
-            work += hi - lo + 1
         if work > budget:
             raise BudgetExceeded(work, budget, "visited prefixes")
         if k < m and lo <= hi:
@@ -245,6 +244,8 @@ def _slices(a: WeightVector, scale, strict: bool, budget: int):
         else:
             if lo <= hi:
                 # level m: loop over t = x_m and read each column in closed form
+                work += hi - lo + 1
+                top = hi if work <= budget else hi - (work - budget)
                 r = rs[m]
                 head = tuple(x)
                 c = hi + ymax
@@ -252,7 +253,7 @@ def _slices(a: WeightVector, scale, strict: bool, budget: int):
                     ci = (x[i] * tl + ent[i] * r - d) // scaled[i]
                     if ci < c:
                         c = ci
-                for t in range(lo, hi + 1):
+                for t in range(lo, top + 1):
                     r1 = r - sd * t
                     yhi = (t * tl + am * r1 - d) // sm
                     if c - t < yhi:
@@ -262,6 +263,8 @@ def _slices(a: WeightVector, scale, strict: bool, budget: int):
                         ylo = d
                     if ylo <= yhi:
                         yield head + (t,), ylo, yhi
+                if top < hi:
+                    raise BudgetExceeded(work, budget, "visited prefixes")
             # carry: advance the deepest odometer level with room left
             while True:
                 k -= 1

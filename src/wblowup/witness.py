@@ -23,7 +23,11 @@ plane projection along the third coordinate. It judges w by psi alone.
 The tilted rows are eps minus the linear forms of the maximal cones, and
 psi is the largest of those forms, so t*w is interior exactly when
 t*psi(w) < eps (the ray lemma). The multiples of w inside C(a, eps) are
-therefore 1 <= k < eps/psi(w), and if any of them is, w is. When no
+therefore 1 <= k < eps/psi(w), and if any of them is, w is. The point,
+psi as an integer numerator and denominator, and the judgment
+num * ed < en * den are all integers; a Certificate keeps them, and its
+trace (the Dirichlet data, the exit point of the line through w) is a
+pure function of them, computed only when read. When no
 construction succeeds, certify_not_eps_lc enumerates the interior lattice
 points of C(a, eps) directly, as the refutation search of is_eps_lc does,
 and stops at the first. On lattice points interiority is exactly
@@ -33,23 +37,24 @@ a scan that finds none proves eps-lc.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
+from math import gcd, isqrt
 
 from .diophantine import DirichletWitness, dirichlet_1d, dirichlet_simultaneous
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
     format_rational,
+    format_ratio,
     integer_nth_root,
-    pow_cmp,
     require_same_dimension,
 )
 from .toric_mld import (
     WeightVector,
     _first_refuter,
-    psi_value,
+    _psi,
 )
 
 METHOD_N2_CASE1 = "n2-case1"
@@ -88,21 +93,46 @@ class CEpsPolytope:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A lattice point interior to C(a, eps), plus its construction trace."""
+    """A lattice point interior to C(a, eps), and the route that found it.
+
+    psi is psi(point) in lowest terms, as (numerator, denominator). A
+    general-theta certificate also keeps theta and its Dirichlet witness.
+    The trace is a pure function of these fields, computed when first read.
+    """
 
     weights: WeightVector
     eps: Fraction
     point: tuple[int, ...]
-    psi_at_point: Fraction
+    psi: tuple[int, int]
     method: str
-    trace: dict
+    theta: Fraction | None = None
+    dirichlet: DirichletWitness | None = None
+
+    @cached_property
+    def psi_at_point(self) -> Fraction:
+        return Fraction(*self.psi)
+
+    @property
+    def hypothesis_ok(self) -> bool | None:
+        """Whether a_j / a_2 <= a_1 ** theta, for a general-theta certificate."""
+        return None if self.theta is None else _theta_hypothesis(self.weights, self.theta)
+
+    @cached_property
+    def trace(self) -> dict:
+        if self.method == METHOD_ENUMERATION:
+            return {"source": "interior-scan"}
+        if self.method == METHOD_GENERAL_THETA:
+            return _theta_trace(self)
+        if self.method == METHOD_N3_PROJECTION:
+            return _projection_trace(self)
+        return _plane_trace(self)
 
     def to_json_dict(self) -> dict:
         return {
             "weights": list(self.weights.entries),
             "eps": format_rational(self.eps),
             "point": list(self.point),
-            "psi": format_rational(self.psi_at_point),
+            "psi": format_ratio(*self.psi),
             "method": self.method,
             "trace": _jsonify(self.trace),
         }
@@ -128,14 +158,17 @@ def _check_eps(eps) -> Fraction:
     return eps
 
 
+@cache
 def default_theta(n: int) -> Fraction:
     """Default exponent strictly inside the admissible range (0, 1/(2 n^2))."""
     return Fraction(1, 2 * n * n + 1)
 
 
 def _check_theta(theta, n: int) -> Fraction:
-    theta = default_theta(n) if theta is None else Fraction(theta)
-    if not 0 < theta < Fraction(1, 2 * n * n):
+    if theta is None:
+        return default_theta(n)
+    theta = theta if isinstance(theta, Fraction) else Fraction(theta)
+    if not 0 < 2 * n * n * theta.numerator < theta.denominator:
         raise ValueError(f"theta must lie in (0, 1/{2 * n * n}), got {theta}")
     return theta
 
@@ -147,21 +180,25 @@ def build_polytope(a: WeightVector, eps) -> CEpsPolytope:
     return CEpsPolytope(a, eps, eps.numerator, ed, (a.total - 1) * ed)
 
 
-def contains_interior(C: CEpsPolytope, v) -> bool:
-    """Strict membership: all n coordinate and all n facet inequalities hold strictly."""
-    # the facet rows are x_i*K + a_i*(en - ed*sum(x)); on lattice points
-    # membership is psi(v) < en/ed, as psi is the maximum of the linear
-    # forms of the maximal cones
-    require_same_dimension(C.n, v)
+def _rows_positive(ent, K: int, en: int, ed: int, v) -> bool:
+    # every coordinate and every facet row x_i*K + a_i*(en - ed*sum(x)) of
+    # C(a, en/ed), K = (sum(a) - 1) * ed, strictly positive
     for x in v:
         if x <= 0:
             return False
-    K = C.K
-    u = C.en - C.ed * sum(v)
-    for x, ai in zip(v, C.a.entries):
+    u = en - ed * sum(v)
+    for x, ai in zip(v, ent):
         if x * K + ai * u <= 0:
             return False
     return True
+
+
+def contains_interior(C: CEpsPolytope, v) -> bool:
+    """Strict membership: all n coordinate and all n facet inequalities hold strictly."""
+    # on lattice points membership is psi(v) < en/ed, as psi is the maximum
+    # of the linear forms of the maximal cones
+    require_same_dimension(C.n, v)
+    return _rows_positive(C.a.entries, C.K, C.en, C.ed, v)
 
 
 def certificate_threshold(n: int, eps):
@@ -178,28 +215,39 @@ def certificate_threshold(n: int, eps):
     return int((2 / eps + 1) ** 2) + 1
 
 
-def _verified(C: CEpsPolytope, cert: Certificate) -> Certificate:
-    # soundness guard: a certificate is never returned unchecked
-    if cert.psi_at_point >= cert.eps or not contains_interior(C, cert.point):
+def _verified(cert: Certificate) -> Certificate:
+    # soundness guard: a certificate is never returned unchecked; psi < eps
+    # and the strict rows, in integers
+    en, ed = cert.eps.numerator, cert.eps.denominator
+    num, den = cert.psi
+    ent = cert.weights.entries
+    if num * ed >= en * den or not _rows_positive(ent, (sum(ent) - 1) * ed, en, ed, cert.point):
         raise AssertionError(f"unsound certificate: {cert}")
     return cert
 
 
-def _judged(
-    a: WeightVector, eps: Fraction, point, psi: Fraction, method: str, trace
-) -> Certificate | None:
-    # the last step of every route: a lattice point with psi(point) from
-    # psi_value certifies exactly when psi < eps
-    if psi >= eps:
+def _judged(a: WeightVector, eps: Fraction, point, method: str, theta=None, dirichlet=None) -> Certificate | None:
+    # the last step of every route: a lattice point certifies exactly when
+    # psi(point) < eps, one cross-multiplication
+    num, den = _psi(a.entries, a.total - 1, point)
+    if num * eps.denominator >= eps.numerator * den:
         return None
-    return _verified(build_polytope(a, eps), Certificate(a, eps, point, psi, method, trace))
+    g = gcd(num, den)
+    return _verified(Certificate(a, eps, point, (num // g, den // g), method, theta, dirichlet))
 
 
-def _exit_abscissa(eps: Fraction, q: int, psi: Fraction) -> Fraction:
-    # the line through a point with first coordinate q leaves C(a, eps) where
-    # t*psi = eps, at first coordinate eps*q/psi; built from integers, as a
-    # chain of Fraction products costs about three times as much
-    return Fraction(eps.numerator * q * psi.denominator, eps.denominator * psi.numerator)
+def _exit_abscissa(cert: Certificate) -> Fraction:
+    # the line through the point, first coordinate q, leaves C(a, eps) where
+    # t*psi = eps, at first coordinate eps*q/psi
+    num, den = cert.psi
+    return Fraction(cert.eps.numerator * cert.point[0] * den, cert.eps.denominator * num)
+
+
+def _plane_trace(cert: Certificate) -> dict:
+    (a1, a2), (q, p) = cert.weights.entries, cert.point
+    alpha, case = Fraction(a2, a1), 1 if cert.method == METHOD_N2_CASE1 else 2
+    return {"Z": isqrt(a1), "p": p, "q": q, "alpha": alpha, "residual": q * alpha - p, "case": case,
+            "x0": _exit_abscissa(cert), "k": 1}
 
 
 def witness_n2(a: WeightVector, eps) -> Certificate | None:
@@ -216,34 +264,26 @@ def witness_n2(a: WeightVector, eps) -> Certificate | None:
     if a.n != 2:
         raise ValueError("witness_n2 requires exactly two weights")
     a1, a2 = a.entries
-    Z = integer_nth_root(a1, 2)
-    alpha = Fraction(a2, a1)
-    approx = dirichlet_1d(alpha, Z)
-    p, q = approx.p, approx.q
-    pt = (q, p)
-    psi = psi_value(a, pt)
-    case = 1 if p * a1 <= a2 * q else 2
-    trace = {
-        "Z": Z,
-        "p": p,
-        "q": q,
-        "alpha": alpha,
-        "residual": approx.residual,
-        "case": case,
-        "x0": _exit_abscissa(eps, q, psi),
-        "k": 1,
-    }
-    return _judged(a, eps, pt, psi, METHOD_N2_CASE1 if case == 1 else METHOD_N2_CASE2, trace)
+    p, q = dirichlet_1d(a2, a1, isqrt(a1))
+    return _judged(a, eps, (q, p), METHOD_N2_CASE1 if p * a1 <= a2 * q else METHOD_N2_CASE2)
 
 
 def _theta_hypothesis(a: WeightVector, theta: Fraction) -> bool:
-    # a_j / a_2 <= a_1 ** theta for 3 <= j <= n, by exact power comparison
+    # a_j / a_2 <= a_1 ** theta for 3 <= j <= n, as a_j ** td <= a_2 ** td *
+    # a_1 ** tn; the weights ascend, so a_n decides, and for n = 2 it holds
     tn, td = theta.numerator, theta.denominator
-    bound = Fraction(a.entries[0] ** tn)
-    return all(
-        pow_cmp(Fraction(a.entries[j], a.entries[1]), td, bound) <= 0
-        for j in range(2, a.n)
-    )
+    ent = a.entries
+    return ent[-1] ** td <= ent[1] ** td * ent[0] ** tn
+
+
+def _theta_trace(cert: Certificate) -> dict:
+    # exit coefficient i is cone i's linear form at w divided by q
+    w, pt, ent = cert.dirichlet, cert.point, cert.weights.entries
+    S, T1 = sum(pt), sum(ent) - 1
+    coeffs = tuple(Fraction(ai * S - xi * T1, ai * w.q) for ai, xi in zip(ent, pt))
+    return {"Z": w.Z, "dirichlet": w, "theta": cert.theta, "hypothesis_ok": cert.hypothesis_ok,
+            "exit_coefficients": coeffs, "exit_facet": coeffs.index(max(coeffs)) + 1,
+            "x1_0": _exit_abscissa(cert), "k": 1}
 
 
 def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | None:
@@ -262,24 +302,17 @@ def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | Non
     n = a.n
     theta = _check_theta(theta, n)
     ent = a.entries
-    hypothesis_ok = _theta_hypothesis(a, theta)
     Z = integer_nth_root(ent[0], n)
     w = dirichlet_simultaneous(tuple(Fraction(ent[j], ent[0]) for j in range(1, n)), Z)
-    pt = (w.q,) + w.p
-    S, T1 = sum(pt), a.total - 1
-    coeffs = tuple(Fraction(ai * S - xi * T1, ai * w.q) for ai, xi in zip(ent, pt))
-    psi = psi_value(a, pt)
-    trace = {
-        "Z": Z,
-        "dirichlet": w,
-        "theta": theta,
-        "hypothesis_ok": hypothesis_ok,
-        "exit_coefficients": coeffs,
-        "exit_facet": coeffs.index(max(coeffs)) + 1,
-        "x1_0": _exit_abscissa(eps, w.q, psi),
-        "k": 1,
-    }
-    return _judged(a, eps, pt, psi, METHOD_GENERAL_THETA, trace)
+    return _judged(a, eps, (w.q,) + w.p, METHOD_GENERAL_THETA, theta, w)
+
+
+def _projection_trace(cert: Certificate) -> dict:
+    # the three tilted facet rows solved for x_3 along x_1 = q, x_2 = p
+    (a1, a2, a3), (q, p, _), eps = cert.weights.entries, cert.point, cert.eps
+    x3_hi = min(Fraction(a2 + a3 - 1, a1) * q - p + eps, Fraction(a1 + a3 - 1, a2) * p - q + eps)
+    return {"M2": isqrt(a1), "p": p, "q": q, "residual": q * Fraction(a2, a1) - p,
+            "x3_lo": (q + p - eps) * Fraction(a3, a1 + a2 - 1), "x3_hi": x3_hi}
 
 
 def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
@@ -301,26 +334,11 @@ def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
     if _theta_hypothesis(a, theta):
         return witness_general_theta(a, eps, theta)
     a1, a2, a3 = a.entries
-    M2 = integer_nth_root(a1, 2)
-    approx = dirichlet_1d(Fraction(a2, a1), M2)
-    p, q = approx.p, approx.q
-    # the three tilted facet rows solved for x_3: (q, p, m) is interior
-    # exactly when x3_lo < m < x3_hi, as q, p >= 1 and x3_lo > 0
-    x3_lo = (q + p - eps) * Fraction(a3, a1 + a2 - 1)
-    x3_hi = min(
-        Fraction(a2 + a3 - 1, a1) * q - p + eps,
-        Fraction(a1 + a3 - 1, a2) * p - q + eps,
-    )
-    trace = {
-        "M2": M2,
-        "p": p,
-        "q": q,
-        "residual": approx.residual,
-        "x3_lo": x3_lo,
-        "x3_hi": x3_hi,
-    }
-    pt = (q, p, math.floor(x3_lo) + 1)  # least integer strictly above the lower end
-    return _judged(a, eps, pt, psi_value(a, pt), METHOD_N3_PROJECTION, trace)
+    p, q = dirichlet_1d(a2, a1, isqrt(a1))
+    # m, the least integer above x3_lo = (q + p - eps) * a3 / (a1 + a2 - 1)
+    en, ed = eps.numerator, eps.denominator
+    m = ((q + p) * ed - en) * a3 // ((a1 + a2 - 1) * ed) + 1
+    return _judged(a, eps, (q, p, m), METHOD_N3_PROJECTION)
 
 
 def certify_not_eps_lc(
@@ -369,7 +387,7 @@ def certify_not_eps_lc(
         return VERDICT_INCONCLUSIVE
     if v is None:
         return VERDICT_EPS_LC
-    cert = _judged(a, eps, v, psi_value(a, v), METHOD_ENUMERATION, {"source": "interior-scan"})
+    cert = _judged(a, eps, v, METHOD_ENUMERATION)
     if cert is None:
         raise AssertionError(f"the interior scan yielded {v}, outside C({a.entries}, {eps})")
     return cert

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -7,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from wblowup.diophantine import (
     DirichletWitness,
-    continued_fraction,
     dirichlet_1d,
     dirichlet_simultaneous,
 )
@@ -16,72 +16,58 @@ from wblowup.exact_lattice import pow_cmp
 nonneg_rationals = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
 
 
-def test_continued_fraction_examples():
-    cf = continued_fraction(Fraction(27, 26))
-    assert cf.quotients == (1, 26)
-    assert cf.convergents == ((1, 1), (27, 26))
-
-    cf = continued_fraction(Fraction(3, 7))
-    assert cf.quotients == (0, 2, 3)
-    assert cf.convergents == ((0, 1), (1, 2), (3, 7))
-
-    cf = continued_fraction(Fraction(5))
-    assert cf.quotients == (5,)
-    assert cf.convergents == ((5, 1),)
-
-
-def test_continued_fraction_rejects_negative():
-    with pytest.raises(ValueError):
-        continued_fraction(Fraction(-1, 2))
-
-
-@given(nonneg_rationals)
-def test_convergents_reconstruct_and_denominators_grow(alpha):
-    cf = continued_fraction(alpha)
-    p, q = cf.convergents[-1]
-    assert Fraction(p, q) == alpha
-    import math
-
-    for cp, cq in cf.convergents:
-        assert math.gcd(cp, cq) == 1
-    dens = [q for _, q in cf.convergents]
-    assert all(dens[i] <= dens[i + 1] for i in range(len(dens) - 1))
-    assert all(dens[i] < dens[i + 1] for i in range(1, len(dens) - 1))
-
-
-def test_convergents_are_best_approximations():
-    rng = random.Random(7)
-    for _ in range(50):
-        alpha = Fraction(rng.randint(0, 400), rng.randint(1, 400))
-        cf = continued_fraction(alpha)
-        for p_k, q_k in cf.convergents:
-            err_k = abs(q_k * alpha - p_k)
-            for q in range(1, q_k):
-                best = abs(q * alpha - round(q * alpha))
-                assert best >= err_k
-
-
 def test_dirichlet_1d_examples():
-    w = dirichlet_1d(Fraction(27, 26), 5)
-    assert (w.p, w.q) == (1, 1)
-    assert w.residual == Fraction(1, 26)
-
-    w = dirichlet_1d(Fraction(3, 7), 2)
-    assert (w.p, w.q) == (1, 2)
-    assert abs(w.residual) == Fraction(1, 7)
-
+    # 27/26 = [1; 26]: convergents 1/1, 27/26
+    assert dirichlet_1d(27, 26, 5) == (1, 1)
+    assert dirichlet_1d(27, 26, 25) == (1, 1)
+    assert dirichlet_1d(27, 26, 26) == (27, 26)
+    # 3/7 = [0; 2, 3]: convergents 0/1, 1/2, 3/7
+    assert [dirichlet_1d(3, 7, Z) for Z in (1, 2, 6, 7)] == [(0, 1), (1, 2), (1, 2), (3, 7)]
+    # 89/80 = [1; 8, 1, 8]: 9/8 lies above alpha
+    assert dirichlet_1d(89, 80, 8) == (9, 8)
     for Z in (1, 3, 10):
-        w = dirichlet_1d(Fraction(4), Z)
-        assert (w.p, w.q) == (4, 1)
-        assert w.residual == 0
+        assert dirichlet_1d(4, 1, Z) == (4, 1)
+    assert dirichlet_1d(0, 5, 3) == (0, 1)
+    # a numerator and denominator need not be coprime
+    assert dirichlet_1d(6, 14, 2) == (1, 2)
+
+
+def test_dirichlet_1d_rejects_bad_input():
+    for num, den, Z in ((-1, 2, 3), (1, 0, 3), (1, -2, 3), (1, 2, 0), (1, 2, 1.5)):
+        with pytest.raises(ValueError):
+            dirichlet_1d(num, den, Z)
 
 
 @given(nonneg_rationals, st.integers(min_value=1, max_value=1000))
 def test_dirichlet_1d_contract(alpha, Z):
-    w = dirichlet_1d(alpha, Z)
-    assert 1 <= w.q <= Z
-    assert w.residual == w.q * alpha - w.p
-    assert abs(w.residual) * Z < 1
+    p, q = dirichlet_1d(alpha.numerator, alpha.denominator, Z)
+    assert 1 <= q <= Z
+    assert abs(q * alpha - p) * Z < 1
+
+
+@given(nonneg_rationals)
+def test_dirichlet_1d_reaches_alpha_and_q_grows_with_Z(alpha):
+    # the walk ends on alpha in lowest terms once Z admits its denominator,
+    # and the denominators it stops at never fall as Z grows
+    num, den = alpha.numerator, alpha.denominator
+    assert dirichlet_1d(num, den, den) == (num, den)
+    assert dirichlet_1d(3 * num, 3 * den, den) == (num, den)
+    qs = [dirichlet_1d(num, den, Z).q for Z in range(1, min(den, 200) + 1)]
+    assert all(math.gcd(*dirichlet_1d(num, den, Z)) == 1 for Z in range(1, min(den, 50) + 1))
+    assert qs == sorted(qs)
+
+
+def test_dirichlet_1d_is_a_best_approximation():
+    # a convergent is a best approximation of the second kind: no smaller
+    # denominator comes closer
+    rng = random.Random(7)
+    for _ in range(50):
+        alpha = Fraction(rng.randint(0, 400), rng.randint(1, 400))
+        for Z in range(1, alpha.denominator + 1, 3):
+            p, q = dirichlet_1d(alpha.numerator, alpha.denominator, Z)
+            err = abs(q * alpha - p)
+            for q2 in range(1, q):
+                assert abs(q2 * alpha - round(q2 * alpha)) >= err
 
 
 def test_dirichlet_simultaneous_integer_targets():
@@ -94,7 +80,7 @@ def test_dirichlet_simultaneous_integer_targets():
 
 def test_dirichlet_simultaneous_matches_1d():
     w = dirichlet_simultaneous((Fraction(27, 26),), 5)
-    one = dirichlet_1d(Fraction(27, 26), 5)
+    one = dirichlet_1d(27, 26, 5)
     assert w.satisfied
     assert (w.p[0], w.q) == (one.p, one.q)
 

@@ -146,6 +146,19 @@ def test_cheap_scans_answer_under_the_default_budget(capsys, monkeypatch, argv, 
     assert json.loads(out)[key] == value
 
 
+def test_refuter_in_a_range_longer_than_the_budget_is_found(capsys, monkeypatch):
+    # the first level of the plane scan holds 10^8 - 1 values of x_1, more
+    # than the default budget of 10^7: the range is clipped at the budget
+    # rather than refused before its first column is read
+    monkeypatch.delenv("WBLOWUP_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, "check", "--weights", "100000007,100000008", "--eps", "1")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "not-eps-lc"
+    assert payload["refuting_point"] == [1, 1]
+    assert payload["refuting_psi"] == "1/50000004"
+
+
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("WBLOWUP_BUDGET", "50")
     assert default_budget() == 50

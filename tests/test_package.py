@@ -21,7 +21,6 @@ PUBLIC_NAMES = {
     "BudgetExceeded",
     "CEpsPolytope",
     "Certificate",
-    "ContinuedFraction",
     "DEFAULT_ENUMERATION_CAP",
     "DirichletWitness",
     "MldReport",
@@ -31,7 +30,6 @@ PUBLIC_NAMES = {
     "certificate_threshold",
     "certify_not_eps_lc",
     "contains_interior",
-    "continued_fraction",
     "default_theta",
     "dirichlet_1d",
     "dirichlet_simultaneous",

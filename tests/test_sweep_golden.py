@@ -7,8 +7,16 @@ parsing that CSV back. The --cap digests were recorded again once the
 budget counted the prefixes a scan visits: 34 rows of the cap-30 sweep
 moved from inconclusive to 19 certificates, re-checked by
 bench/gate.verify_certificate, and 15 eps-lc verdicts, re-checked by the
-oracle's box scan; no other row changed. A changed digest means a changed
-verdict, point, psi, method or row order somewhere in the sweep.
+oracle's box scan; no other row changed. The cap-5 digest was recorded
+again once a level range longer than the budget left was clipped rather
+than refused before its first column: the row 3;11;11 moved from
+inconclusive to the certificate (1, 1, 1) with psi 9/11 by enumeration,
+which bench/gate.verify_certificate accepts; no other row changed. The
+criterion-1 digest, the
+30,554 n = 2 rows of the sweep-n2 benchmark workload, was recorded from
+the certify pipeline that still built every construction's trace in
+Fractions. A changed digest means a changed verdict, point, psi, method or
+row order somewhere in the sweep.
 """
 
 import contextlib
@@ -38,9 +46,9 @@ GOLDEN = [
         "ef20c77fc4036427118945792af238fd935975372ef3a5dcfade962a0aa8f906",
     ),
     (
-        # the cap turns 9 rows inconclusive
+        # the cap turns 8 rows inconclusive
         "--n 3 --eps 1 --a1-min 1 --a1-max 8 --tail-cap 8 --cap 5",
-        "6718accd0ac0818e317e79d2a093f80b7073f4cd7b2ad3d8592defa0ee95c35b",
+        "0ada26af3873fc105279b327786524756c808524db6ba9c66531b5310c603089",
     ),
     (
         "--n 2 --eps 1/2 --a1-min 1 --a1-max 40 --tail-cap 40 --method construction",
@@ -49,6 +57,11 @@ GOLDEN = [
     (
         "--n 2 --eps 1/2 --a1-min 1 --a1-max 40 --tail-cap 40 --method enumeration",
         "e9d488c9696466793a0041890288fc7108931df45901ab25d4be12d9efde0acb",
+    ),
+    (
+        # criterion 1: every tuple at or above certificate_threshold(2, 1/2)
+        "--n 2 --eps 1/2 --a1-min 26 --a1-max 126 --tail-cap 500",
+        "99f7b77f01eb538155c70c3c29da209d65bbadc9fb79e2c2d27dc0e2fec3e06b",
     ),
 ]
 

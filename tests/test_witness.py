@@ -539,3 +539,40 @@ def test_certificates_are_always_sound():
             C = build_polytope(a, eps)
             assert contains_interior(C, res.point)
             assert psi_value(a, res.point) == res.psi_at_point < eps
+
+
+@st.composite
+def _sorted_coprime_weights_and_eps(draw):
+    n = draw(st.integers(2, 5))
+    top = draw(st.sampled_from([6, 30, 200, 10**4])) if n <= 3 else draw(st.sampled_from([5, 12, 40]))
+    entries = sorted(draw(st.lists(st.integers(1, top), min_size=n, max_size=n)))
+    assume(gcd_all(entries) == 1)
+    return WeightVector(tuple(entries)), draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_sorted_coprime_weights_and_eps())
+def test_sweep_row_certificate_and_trace_agree(case):
+    # the sweep row reads the certificate's integers, never its trace; the
+    # JSON form, psi_value and the n = 2 exit abscissa must tell the same story
+    from wblowup.exact_lattice import format_rational
+    from wblowup.harness import CSV_COLUMNS, _sweep_task
+
+    a, eps = case
+    cap = 20000
+    row = dict(zip(CSV_COLUMNS, _sweep_task((a.entries, eps, format_rational(eps), None, cap, False, "auto"))))
+    res = certify_not_eps_lc(a, eps, enumeration_cap=cap)
+    if not isinstance(res, Certificate):
+        assert row["verdict"] == res and row["point"] == row["psi"] == row["hypothesis_flags"] == ""
+        return
+    payload = res.to_json_dict()
+    assert row["verdict"] == "certificate"
+    assert row["method"] == payload["method"]
+    assert row["point"] == ";".join(map(str, payload["point"]))
+    assert row["psi"] == payload["psi"]
+    hyp = payload["trace"].get("hypothesis_ok")
+    assert row["hypothesis_flags"] == ("" if hyp is None else "theta-ok" if hyp else "theta-violated")
+    assert (hyp is not None) == (res.method == METHOD_GENERAL_THETA)
+    assert psi_value(a, res.point) == res.psi_at_point == Fraction(payload["psi"]) < eps
+    if res.method in (METHOD_N2_CASE1, METHOD_N2_CASE2):
+        assert res.trace["x0"] == eps * res.point[0] / res.psi_at_point
