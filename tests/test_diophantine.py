@@ -16,6 +16,30 @@ from wblowup.exact_lattice import pow_cmp
 nonneg_rationals = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
 
 
+def _convergents_walked(num, den):
+    # the distinct answers of dirichlet_1d as Z runs up to den, in order
+    seen = []
+    for Z in range(1, den + 1):
+        pq = tuple(dirichlet_1d(num, den, Z))
+        if not seen or seen[-1] != pq:
+            seen.append(pq)
+    return seen
+
+
+def test_continued_fraction_examples():
+    # hand expansions: each convergent is p_k = a_k p_{k-1} + p_{k-2}, and
+    # the walk in dirichlet_1d visits exactly these
+    for (num, den), quotients in (((27, 26), (1, 26)), ((3, 7), (0, 2, 3)), ((5, 1), (5,))):
+        expected, (p0, q0, p, q) = [], (0, 1, 1, 0)
+        for a in quotients:
+            p0, q0, p, q = p, q, a * p + p0, a * q + q0
+            expected.append((p, q))
+        assert _convergents_walked(num, den) == expected
+    assert _convergents_walked(27, 26) == [(1, 1), (27, 26)]
+    assert _convergents_walked(3, 7) == [(0, 1), (1, 2), (3, 7)]
+    assert _convergents_walked(5, 1) == [(5, 1)]
+
+
 def test_dirichlet_1d_examples():
     # 27/26 = [1; 26]: convergents 1/1, 27/26
     assert dirichlet_1d(27, 26, 5) == (1, 1)
