@@ -8,8 +8,9 @@ Configuration precedence is CLI flag over config-file entry over built-in
 default; the config file (--config PATH) is line oriented, `key = value`,
 and each key must be a flag of the chosen subcommand. The environment
 variable WBLOWUP_BUDGET overrides the default budget of 10^7 visited prefixes
-per scan (box steps for a fixed-point pass); at about 1-3.5 us per prefix a
-scan stopped there has run some 10-35 s.
+per scan (lattice slices for n = 3 mld, box steps for a fixed-point pass);
+at about 1-3.5 us per prefix a scan stopped there has run some 10-35 s,
+and at about 20-26 us per slice an n = 3 mld some 200-260 s.
 """
 
 from __future__ import annotations
@@ -467,7 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", help="rational in (0,1], e.g. 1/2")
         if theta:
             p.add_argument("--theta", help="theta-construction exponent, rational in (0, 1/(2n^2))")
-        p.add_argument("--cap", type=int, help="work budget, in visited prefixes (default WBLOWUP_BUDGET or 10^7)")
+        p.add_argument(
+            "--cap",
+            type=int,
+            help="work budget, in visited prefixes, or lattice slices for n = 3 mld (default WBLOWUP_BUDGET or 10^7)",
+        )
         if out:
             p.add_argument("--out", help="write output to this path instead of stdout")
 

@@ -114,7 +114,7 @@ def test_out_of_range_theta_is_usage_error(capsys, argv):
 
 
 def test_budget_exhaustion_exits_3(capsys):
-    code, _, err = run_cli(capsys, "mld", "--weights", "1000003,1000033,1000037", "--cap", "100")
+    code, _, err = run_cli(capsys, "mld", "--weights", "1000003,1000033,1000037,1000039", "--cap", "100")
     assert code == 3
     assert "budget" in err.lower()
 
@@ -136,8 +136,11 @@ def test_witness_inconclusive_exits_3(capsys):
         # a budget estimate refused these, though no scan comes near it
         (("check", "--weights", "1,20000000", "--eps", "1"), "verdict", "eps-lc"),
         (("mld", "--weights", "2,3,6000001"), "points_scanned", 500004),
+        # the column scan would visit about 10^9 prefixes; n = 3 reads 105
+        # lattice slices, and psi(1, 1, 1) = 27/1000000021
+        (("mld", "--weights", "1000000007,1000000009,1000000021"), "mld", "27/1000000021"),
     ],
-    ids=["check-1,2e7", "mld-2,3,6000001"],
+    ids=["check-1,2e7", "mld-2,3,6000001", "mld-1e9-triple"],
 )
 def test_cheap_scans_answer_under_the_default_budget(capsys, monkeypatch, argv, key, value):
     monkeypatch.delenv("WBLOWUP_BUDGET", raising=False)
@@ -162,10 +165,10 @@ def test_refuter_in_a_range_longer_than_the_budget_is_found(capsys, monkeypatch)
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("WBLOWUP_BUDGET", "50")
     assert default_budget() == 50
-    code, _, _ = run_cli(capsys, "mld", "--weights", "200,201,203")
+    code, _, _ = run_cli(capsys, "mld", "--weights", "200,201,203,207")
     assert code == 3
-    monkeypatch.setenv("WBLOWUP_BUDGET", "505")
-    code, _, _ = run_cli(capsys, "mld", "--weights", "200,201,203")
+    monkeypatch.setenv("WBLOWUP_BUDGET", "643")
+    code, _, _ = run_cli(capsys, "mld", "--weights", "200,201,203,207")
     assert code == 0
     monkeypatch.setenv("WBLOWUP_BUDGET", "junk")
     code, _, _ = run_cli(capsys, "mld", "--weights", "2,3")

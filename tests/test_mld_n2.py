@@ -1,11 +1,12 @@
 """The mld routines against brute force, and the n = 2 sail walk.
 
 mld_at_fixed_point reads box-point ages at every n, and mld_global does for
-n = 2, where the Klein sail walk and Pick count take over; neither
-enumerates a region there. The oracle's box scan is the reference on small
-weights, the generic scan of {psi <= 1} that mld_global keeps for n >= 3 is
-the reference for n = 2 pairs, and a Reid-Tai age sum written out below is
-the reference past the sizes a scan can reach.
+n = 2, where the Klein sail walk and Pick count take over, and for n = 3,
+where each cone's box points are counted and listed by lattice slices;
+neither enumerates a region there. The oracle's box scan is the reference
+on small weights, the generic scan of {psi <= 1} that mld_global keeps for
+n >= 4 is the reference for n = 2 pairs and n = 3 triples, and a Reid-Tai
+age sum written out below is the reference past the sizes a scan can reach.
 """
 
 import itertools
@@ -107,11 +108,32 @@ def test_mld_report_matches_oracle_brute_force():
             assert mld_at_fixed_point(a, cone) == oracle_fixed_point(a, cone), (entries, cone)
 
 
+def scan_report(a):
+    # every MldReport field from the generic column scan of {psi <= 1}
+    value, at, scanned = _mld_scan(a, DEFAULT_ENUMERATION_CAP)
+    cone = min(range(a.n), key=lambda i: Fraction(at[i], a.entries[i])) + 1
+    if value < 1:
+        classification = CLASS_KLT
+    else:
+        classification = CLASS_CANONICAL if scanned > a.n + 1 else CLASS_TERMINAL
+    return MldReport(a, value, at, cone, classification, scanned)
+
+
 def test_n2_branch_matches_generic_scan():
-    for entries in coprime_sorted_tuples(2, 150):
+    # the n = 2 sail walk and the n = 3 lattice slicer against the scan they
+    # replace, report for report
+    rng = random.Random(13)
+    seeded = []
+    while len(seeded) < 200:
+        e = tuple(sorted((rng.randrange(1, 3000), rng.randrange(1, 30000), rng.randrange(1, 30000))))
+        if gcd(*e) == 1:
+            seeded.append(e)
+    # 17 to 31 box points of the minimising cone tie at age 1/2 here, more
+    # than the slicer lists, so it bisects on their lexicographic order
+    ties = [(29, 140, 336), (4, 359, 724), (3, 408, 610)]
+    for entries in [*coprime_sorted_tuples(2, 150), *coprime_sorted_tuples(3, 25), *seeded, *ties]:
         a = WeightVector(entries)
-        rep = mld_global(a)
-        assert (rep.value, rep.achieved_at, rep.points_scanned) == _mld_scan(a, DEFAULT_ENUMERATION_CAP), entries
+        assert mld_global(a) == scan_report(a), entries
     for entries in coprime_sorted_tuples(2, 80):
         a = WeightVector(entries)
         for cone in (1, 2):
@@ -171,7 +193,7 @@ def test_n2_mld_runs_in_logarithmic_steps(entries, value, at):
 
 def test_n2_never_enumerates(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("n = 2 mld enumerated a region")
+        raise AssertionError("n = 2 or n = 3 mld enumerated a region")
 
     monkeypatch.setattr(toric_mld, "_slices", refuse)
     for entries in [(1, 1), (1, 7), (2, 3), (5, 8), (10093, 10424)]:
@@ -179,6 +201,9 @@ def test_n2_never_enumerates(monkeypatch):
         mld_global(a)
         mld_at_fixed_point(a, 1)
         mld_at_fixed_point(a, 2)
+    # nor does n = 3, which counts and lists each cone's box points by slices
+    for entries in [(1, 1, 1), (2, 3, 5), (1052, 1204, 1239), (2, 3, 100001), (1, 1, 200000)]:
+        mld_global(WeightVector(entries))
 
 
 def test_fixed_point_never_enumerates(monkeypatch):

@@ -496,15 +496,22 @@ def test_fixed_point_mld_rejects_cap_below_one():
 
 
 def test_budget_errors_report_work():
-    # n >= 3 scans stop on their count of visited prefixes, even before a
-    # refuter they would reach, and the fixed-point pass refuses its
-    # n * a_i box steps up front; n = 2 takes no budget
-    a = WeightVector((1000, 1001, 1003))
+    # scans stop on their count of visited prefixes, even before a refuter
+    # they would reach, n = 3 mld on its count of lattice slices, and the
+    # fixed-point pass refuses its n * a_i box steps up front; n = 2 takes
+    # no budget
+    c = WeightVector((1000, 1001, 1003, 1007))
     with pytest.raises(BudgetExceeded) as err:
-        mld_global(a, enumeration_cap=1000)
+        mld_global(c, enumeration_cap=1000)
     assert err.value.cap == 1000 < err.value.work
     assert "visited prefixes" in str(err.value) and "estimated" not in str(err.value)
-    assert mld_global(a, enumeration_cap=2505) == mld_global(a)
+    assert mld_global(c, enumeration_cap=3177) == mld_global(c)
+    a = WeightVector((1000, 1001, 1003))
+    with pytest.raises(BudgetExceeded) as err:
+        mld_global(a, enumeration_cap=13)
+    assert (err.value.work, err.value.cap) == (14, 13)
+    assert str(err.value) == "14 slices exceed budget 13"
+    assert mld_global(a, enumeration_cap=14) == mld_global(a)
     with pytest.raises(BudgetExceeded):
         is_eps_lc(a, Fraction(1, 2), enumeration_cap=1)
     with pytest.raises(BudgetExceeded) as err:
