@@ -11,12 +11,16 @@ variable WBLOWUP_BUDGET overrides the default budget of 10^7 visited prefixes
 per scan (lattice slices for n = 3 mld, box steps for a fixed-point pass);
 at about 1-3.5 us per prefix a scan stopped there has run some 10-35 s,
 and at about 20-26 us per slice an n = 3 mld some 200-260 s.
+
+The argument parser is built on the first cli_dispatch call and reused by
+every later call in the process, so in-process callers pay for it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -453,7 +457,9 @@ def _handle_selftest(ns, config) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; every caller shares it, so none may modify it."""
     parser = argparse.ArgumentParser(
         prog="wblowup",
         description="Exact eps-lc checks and interior-point certificates for weighted blowups.",
@@ -533,9 +539,15 @@ _HANDLERS = {
 
 
 def cli_dispatch(argv) -> int:
-    parser = build_parser()
+    """Run one CLI invocation in-process and return its exit code.
+
+    The parser is built once per process, on the first call. Parsing never
+    mutates it: parse_args writes only into a fresh Namespace, help and
+    usage text read the terminal width when printed, and the budget and
+    the config file are read per call.
+    """
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     config = {}

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from wblowup.harness import (
     SweepSpec,
+    build_parser,
     cli_dispatch,
     default_budget,
     iter_weight_tuples,
@@ -395,6 +397,58 @@ def test_config_out_is_read_and_unread_out_flags_are_refused(tmp_path, capsys):
 def test_missing_config_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "mld", "--weights", "2,3")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# parser reuse
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    cfg = tmp_path / "wblowup.cfg"
+    cfg.write_text("cap = 10\n")
+    calls = [
+        ("mld", "--weights", "1000,1001,1003"),
+        ("mld", "--weights", "2,3", "--bogus"),
+        ("--help",),
+        # a budget the later mld would exhaust, were it left behind
+        ("--config", str(cfg), "mld", "--weights", "1000,1001,1003"),
+        ("sweep", "--no-timing", "--a1-min", "2", "--a1-max", "4", "--tail-cap", "5"),
+        ("check", "--weights", "1,12", "--eps", "1"),
+        ("mld", "--weights", "1000,1001,1003"),
+    ]
+    build_parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 3, 0, 0, 0]
+    assert reused[0] == reused[-1]
+
+
+def test_cli_dispatch_builds_its_parser_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "wblowup":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    argvs = [
+        ("mld", "--weights", "2,3"),
+        ("check", "--weights", "2,3", "--eps", "1"),
+        ("witness", "--weights", "26,27", "--eps", "1/2"),
+        ("mld", "--weights", "2,x"),
+        ("frobnicate",),
+    ]
+    for argv in argvs * 4:
+        run_cli(capsys, *argv)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
