@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,13 +37,14 @@ class DirichletWitness:
     """Simultaneous approximation p_j/q to alphas, searched over q <= Z.
 
     q is the least denominator meeting max_j |q*alpha_j - p_j| ** d <= 1/Z,
-    which is the bound |alpha_j - p_j/q| <= 1 / (q * Z**(1/d)).
+    which is the bound |alpha_j - p_j/q| <= 1 / (q * Z**(1/d)). The
+    residuals p_j/q - alpha_j are computed when first read.
     """
 
     q: int
     p: tuple[int, ...]
     Z: int
-    residuals: tuple[Fraction, ...]  # p_j/q - alpha_j
+    alphas: tuple[Fraction, ...]
     # Always true: the box {|x_0| <= Z, |x_0*alpha_j - x_j| <= Z**(-1/d)} has
     # volume 2**(d+1), so by Minkowski's convex body theorem it holds a
     # nonzero lattice point, and for Z >= 2 its x_0 is nonzero (q = 1 meets
@@ -52,6 +54,10 @@ class DirichletWitness:
     @property
     def d(self) -> int:
         return len(self.p)
+
+    @cached_property
+    def residuals(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(pj, self.q) - aj for pj, aj in zip(self.p, self.alphas))
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,19 +94,33 @@ def dirichlet_1d(num: int, den: int, Z: int) -> Approx1D:
     return Approx1D(p, q)
 
 
-def _nearest(t: int, D: int) -> tuple[int, int]:
-    """Nearest integer p to t/D and the error |t - p*D|; half-integral ties go to even."""
+def _nearest(t: int, D: int) -> int:
+    """Nearest integer to t/D; half-integral ties go to even."""
     p, rem = divmod(t, D)
     double = 2 * rem
     if double > D or (double == D and p % 2 == 1):
         p += 1
-    return p, abs(t - p * D)
+    return p
 
 
-def _scan(cs, D: int, R: int, qs) -> int | None:
-    # the first q in qs meeting the bound
-    for q in qs:
-        if max(_nearest(q * c, D)[1] for c in cs) <= R:
+def _scan(cs, D: int, R: int, stop: int) -> int | None:
+    # the first q in 1..stop meeting the bound. Each remainder t_j = q*c_j
+    # mod D steps by c_j mod D; the nearest-integer error of q*c_j / D is
+    # min(t_j, D - t_j) whatever the tie rule, so q misses the bound exactly
+    # when some R < t_j < D - R
+    steps = [c % D for c in cs]
+    ts = [0] * len(cs)
+    hi = D - R
+    for q in range(1, stop + 1):
+        hit = True
+        for j, c in enumerate(steps):
+            t = ts[j] + c
+            if t >= D:
+                t -= D
+            ts[j] = t
+            if R < t < hi:
+                hit = False
+        if hit:
             return q
     return None
 
@@ -164,17 +184,15 @@ def dirichlet_simultaneous(alphas, Z: int) -> DirichletWitness:
     D = math.lcm(*(a.denominator for a in alphas))
     cs = [a.numerator * (D // a.denominator) for a in alphas]
     R = integer_nth_root(D**d // Z, d)
-    # One lattice search costs as much as scanning about 290, 600, 1,500 and
-    # 14,000 denominators at d = 2, 3, 4 and 6 (weights near 10^30, Intel
-    # Xeon, Python 3.11), some 3x more per target, since its ball holds about
-    # V_{d+1}*(d+1)^((d+1)/2) points. Scanning 2*4**d first stays below one
-    # search (32 at d = 2, 128 at d = 3) and keeps short scans short at every
-    # d. A longer prefix is mostly waste on large weights: the n = 3 answers
-    # of the bench witness pool have median q 4,282.
+    # One lattice search costs as much as scanning about 900, 1,700, 3,900
+    # and 50,000 denominators at d = 2, 3, 4 and 6 (weights near 10^30, Intel
+    # Xeon, Python 3.11), some 2x to 4x more per target, since its ball holds
+    # about V_{d+1}*(d+1)^((d+1)/2) points. Scanning 2*4**d first stays far
+    # below one search (32 at d = 2, 128 at d = 3) and keeps short scans
+    # short at every d. A longer prefix is mostly waste on large weights: the
+    # n = 3 answers of the bench witness pool have median q 4,282.
     prefix = 2 * 4**d
-    q = _scan(cs, D, R, range(1, min(Z, prefix) + 1))
+    q = _scan(cs, D, R, min(Z, prefix))
     if q is None:
         q = D if R == 0 else _least_q_in_box(cs, D, R, Z)
-    ps = tuple(_nearest(q * c, D)[0] for c in cs)
-    residuals = tuple(Fraction(pj, q) - aj for pj, aj in zip(ps, alphas))
-    return DirichletWitness(q, ps, Z, residuals)
+    return DirichletWitness(q, tuple(_nearest(q * c, D) for c in cs), Z, alphas)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import mul
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -81,24 +82,29 @@ def pow_cmp(x, d: int, y) -> int:
 
 
 def integer_nth_root(x: int, n: int) -> int:
-    """Largest integer r with r**n <= x, by exact integer binary search."""
+    """Largest integer r with r**n <= x, exactly.
+
+    math.isqrt for n = 2; otherwise integer Newton steps from 1 << ceil(bits/n),
+    which is above the root. The step r -> ((n - 1)*r + x // r**(n - 1)) // n
+    is the floor of the mean of n - 1 copies of r and x / r**(n - 1), so by
+    the arithmetic-geometric mean inequality it never falls below the root;
+    while r is above the root, x / r**(n - 1) < r and the step falls. The
+    first step that does not fall therefore starts at the root.
+    """
     if not isinstance(x, int) or x < 0:
         raise ValueError(f"need a nonnegative integer, got {x!r}")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"root index must be a positive integer, got {n!r}")
     if n == 1 or x < 2:
         return x
-    hi = 1
-    while hi**n <= x:
-        hi <<= 1
-    lo = hi >> 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**n <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if n == 2:
+        return math.isqrt(x)
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -118,48 +124,54 @@ def _lll(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     with Lovasz constant 3/4. Returns (d, lam): d[i] is the Gram determinant
     of the first i reduced rows (d[0] = 1) and lam[k][j] = d[j + 1] * mu_kj
     for j < k, so that the Gram-Schmidt data |b_k*|^2 = d[k + 1] / d[k] and
-    mu_kj stay integral and every division below is exact.
+    mu_kj stay integral and every division below is exact. Size reduction
+    subtracts rows in place; a swap exchanges the row lists of b and lam.
     """
     n = len(b)
     d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
     lam = [[0] * n for _ in range(n)]
-
-    def reduce(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            r = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - r * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= r * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= r * lam[l][i]
-
     k, kmax = 1, 0
     while k < n:
+        bk, lk = b[k], lam[k]
         if k > kmax:
             kmax = k
             for j in range(k + 1):
-                u = sum(x * y for x, y in zip(b[k], b[j]))
+                lj = lam[j]
+                u = sum(map(mul, bk, b[j]))
                 for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
                 if j < k:
-                    lam[k][j] = u
+                    lk[j] = u
                 else:
                     d[k + 1] = u
-        reduce(k, k - 1)
-        m = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * m * m:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            for j in range(k - 1):
-                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-            new = (d[k - 1] * d[k + 1] + m * m) // d[k]
-            for i in range(k + 1, kmax + 1):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
-                lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
-            d[k] = new
-            k = max(1, k - 1)
+        # size-reduce row k against rows k-1, ..., 0, but right after row
+        # k-1 test Lovasz's condition: if it fails, swap rows k-1 and k and
+        # step back before reducing against the rest
+        for l in range(k - 1, -1, -1):
+            m, dl = lk[l], d[l + 1]
+            if 2 * abs(m) > dl:
+                r = (2 * m + dl) // (2 * dl)
+                bl, ll = b[l], lam[l]
+                for i in range(len(bk)):
+                    bk[i] -= r * bl[i]
+                for i in range(l):
+                    lk[i] -= r * ll[i]
+                m = lk[l] = m - r * dl
+            if l == k - 1 and 4 * d[k + 1] * d[k - 1] < 3 * dl * dl - 4 * m * m:
+                b[k], b[k - 1] = b[k - 1], bk
+                lam[k], lam[k - 1] = lam[k - 1], lk
+                lam[k][k - 1], lk[k - 1] = m, 0
+                dk1 = d[k + 1]
+                new = (d[k - 1] * dk1 + m * m) // dl
+                for i in range(k + 1, kmax + 1):
+                    li = lam[i]
+                    t = li[k]
+                    li[k] = (dk1 * li[k - 1] - m * t) // dl
+                    li[k - 1] = (new * t + m * li[k]) // dk1
+                d[k] = new
+                k = max(1, k - 1)
+                break
         else:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
             k += 1
     return d, lam
 
@@ -172,17 +184,24 @@ def _short_vectors(b, d, lam, bound: int) -> list[list[int]]:
     the coefficients x_{n-1}, ..., x_0 of the rows with x_{n-1} >= 0, which
     lists each pair +-v at least once. At level i the Gram-Schmidt term is
     m^2 / (d[i] * d[i + 1]) with m = d[i + 1] * x_i + sum_{j > i}
-    lam[j][i] * x_j, so the exact range of x_i is |m| <= isqrt(floor(rest
-    * d[i] * d[i + 1])), rest being what the levels above left of bound.
+    lam[j][i] * x_j. Every term above level i has its denominator dividing
+    P_i = d[i + 1] * ... * d[n], so what they left of bound is an integer
+    num / P_i, and in integers alone the exact range of x_i is |m| <=
+    isqrt(num * d[i] // P_{i+1}), and level i - 1 is left num * d[i] - m^2 *
+    P_{i+1} over P_{i-1} = d[i] * P_i.
     """
     n = len(b)
     found = []
     x = [0] * n
+    P = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        P[i] = d[i + 1] * P[i + 1]
 
-    def descend(i, rest, v):
+    def descend(i, num, v):
         shift = sum(lam[j][i] * x[j] for j in range(i + 1, n))
-        scale = d[i] * d[i + 1]
-        s = math.isqrt(math.floor(rest * scale))
+        num *= d[i]
+        den = P[i + 1]
+        s = math.isqrt(num // den)
         step = d[i + 1]
         lo = ceil_div(-s - shift, step)
         for xi in range(max(lo, 0) if i == n - 1 else lo, (s - shift) // step + 1):
@@ -190,9 +209,9 @@ def _short_vectors(b, d, lam, bound: int) -> list[list[int]]:
             w = [c + xi * r for c, r in zip(v, b[i])]
             if i:
                 m = step * xi + shift
-                descend(i - 1, rest - Fraction(m * m, scale), w)
+                descend(i - 1, num - m * m * den, w)
             else:
                 found.append(w)
 
-    descend(n - 1, Fraction(bound), [0] * len(b[0]))
+    descend(n - 1, bound * P[n - 1], [0] * len(b[0]))
     return found

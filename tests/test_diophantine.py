@@ -170,9 +170,8 @@ def reference_scan(alphas, Z):
                 p += 1
             ps.append(p)
             errs.append(Fraction(abs(t - p * v), v))
-        residuals = tuple(Fraction(p, q) - a for p, a in zip(ps, alphas))
         if all(e.numerator**d * Z <= e.denominator**d for e in errs):
-            return DirichletWitness(q, tuple(ps), Z, residuals)
+            return DirichletWitness(q, tuple(ps), Z, alphas)
     raise AssertionError(f"no q <= {Z} meets the bound for {alphas}")
 
 
@@ -202,6 +201,11 @@ def simultaneous_inputs(draw):
 @example(((Fraction(829, 45), Fraction(334, 35), Fraction(551, 27)), 2431))  # q = 199, R = 70
 @example(((Fraction(56, 53), Fraction(63, 53), Fraction(403, 35), Fraction(14, 3)), 18374))  # q = 636, R = 477
 @example(((Fraction(978, 31), Fraction(95, 16)), 1018))  # q = 496, R = 15; q = 144 misses it by one
+# answers of the prefix scan at its boundaries
+@example(((Fraction(57, 28), Fraction(46, 21)), 31))  # q = 5, D = 84: remainder 15 = R
+@example(((Fraction(11, 5), Fraction(13, 15), Fraction(37, 27)), 124))  # q = 14, D = 135: remainder 108 = D - R
+@example(((Fraction(0), Fraction(14, 5), Fraction(31, 20)), 27))  # c_1 = 0, c_2 = 56 >= D = 20; q = 4
+@example(((Fraction(17, 5), Fraction(0), Fraction(2, 7)), 1))  # Z = 1 scans a prefix of one q
 def test_dirichlet_simultaneous_matches_reference_scan(inputs):
     alphas, Z = inputs
     assert dirichlet_simultaneous(alphas, Z) == reference_scan(alphas, Z)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wblowup.exact_lattice import (
     BudgetExceeded,
@@ -104,12 +104,36 @@ def test_integer_nth_root_examples():
     assert integer_nth_root(10**4, 4) == 10
 
 
-@given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=7))
-def test_integer_nth_root_is_exact_floor(x, n):
+@st.composite
+def radicands(draw):
+    # any x up to 10**300, or an exact power r**n or one either side of it
+    n = draw(st.integers(min_value=1, max_value=8))
+    offset = draw(st.sampled_from([None, -1, 0, 1]))
+    if offset is None:
+        return draw(st.integers(min_value=0, max_value=10**300)), n, None
+    r = draw(st.integers(min_value=1, max_value=10 ** (300 // n)))
+    return r**n + offset, n, r - 1 if offset < 0 else r if offset == 0 else None
+
+
+@settings(max_examples=300)
+@given(radicands())
+@example((10**300, 8, None))
+@example((2**1000 - 1, 3, None))
+@example((3**320, 8, 3**40))
+@example(((10**37 + 1) ** 8 - 1, 8, 10**37))
+@example((2, 5, 1))
+def test_integer_nth_root_is_exact_floor(case):
+    x, n, expected = case
     r = integer_nth_root(x, n)
     assert r**n <= x < (r + 1) ** n
-    if n == 2:
-        assert r == math.isqrt(x)
+    if expected is not None:
+        assert r == expected
+
+
+def test_integer_nth_root_rejects_bad_input():
+    for x, n in ((-1, 2), (8.0, 3), ("8", 3), (8, 0), (8, -2), (8, 1.5), (None, 2)):
+        with pytest.raises(ValueError):
+            integer_nth_root(x, n)
 
 
 def test_ceil_div():
@@ -154,6 +178,64 @@ def test_short_vectors_match_a_box_scan():
         found = _short_vectors(reduced, *_lll(reduced), bound)
         assert all(sum(t * t for t in v) <= bound for v in found)
         assert {max(tuple(v), tuple(-t for t in v)) for v in found} == expected
+
+
+def _gram_schmidt(rows):
+    # d[i] = det of the Gram matrix of the first i rows and lam[k][j] =
+    # d[j + 1] * mu_kj (zero for j >= k), from scratch over the rationals
+    n = len(rows)
+    stars, norms, lam = [], [], [[0] * n for _ in range(n)]
+    d = [Fraction(1)]
+    for k, row in enumerate(rows):
+        star = [Fraction(x) for x in row]
+        for j in range(k):
+            mu = sum(x * y for x, y in zip(row, stars[j])) / norms[j]
+            lam[k][j] = d[j + 1] * mu
+            star = [x - mu * y for x, y in zip(star, stars[j])]
+        stars.append(star)
+        norms.append(sum(x * x for x in star))
+        d.append(d[-1] * norms[-1])
+    return d, lam
+
+
+def _lll_cases():
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        size = rng.choice([3, 50, 10**6])
+        yield [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+    # the lattices of the simultaneous Dirichlet search, rows (R, Z*c_1, ...)
+    # and Z*D*e_j, with D near 10**18 and R the integer radius for Z
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        D = rng.randint(10**18 - 10**6, 10**18 + 10**6)
+        Z = rng.randint(2, 10**6)
+        R = integer_nth_root(D**d // Z, d)
+        cs = [rng.randrange(D) for _ in range(d)]
+        yield [[R] + [Z * c for c in cs]] + [[0] * j + [Z * D] + [0] * (d - j) for j in range(1, d + 1)]
+
+
+def test_lll_returns_a_reduced_basis_of_the_same_lattice():
+    for basis in _lll_cases():
+        inverse = _inverse(basis)
+        if inverse is None:
+            continue
+        n = len(basis)
+        reduced = [list(row) for row in basis]
+        d, lam = _lll(reduced)
+        # d and lam are the Gram-Schmidt data of the returned rows
+        assert (d, lam) == _gram_schmidt(reduced)
+        for k in range(1, n):
+            # size-reduced, and Lovasz's condition with constant 3/4
+            assert all(2 * abs(lam[k][j]) <= d[j + 1] for j in range(k))
+            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+        # the same lattice: equal |det|, and integer transforms both ways
+        assert d[n] == _gram_schmidt(basis)[0][n]
+        back = _inverse(reduced)
+        for rows, inv in ((reduced, inverse), (basis, back)):
+            assert all(
+                sum(row[m] * inv[m][c] for m in range(n)).denominator == 1 for row in rows for c in range(n)
+            )
 
 
 def _inverse(rows):
