@@ -37,10 +37,13 @@ Conventions used throughout the package:
   age numerator k + r_j + r_l, so its box points of age <= S are its
   points in a simplex. They are counted one plane at a time along a short
   dual vector from LLL (in the spirit of Lenstra, Math. Oper. Res. 8,
-  1983), each plane's points by floor sums in O(log a_i) steps, and the
-  least age is found by doubling and bisecting S on those counts. A count
-  at S = a_i reads about a_i^(1/3) planes: (15701, 28340, 29766) reads 67
-  of them in all for its 12,307 points, and a_1 near 10^9 about 2,500.
+  1983). Each row of a plane runs from the greatest of its lower bounds to
+  the least of its upper ones, so a plane's count is one sum along the
+  envelope of each chain of bounds, a floor sum in O(log a_i) steps per
+  piece, and the least age is found by doubling and bisecting S on those
+  counts. A count at S = a_i reads about a_i^(1/3) planes: (15701, 28340,
+  29766) reads 67 of them in all for its 12,307 points, and a_1 near 10^9
+  about 2,500.
 * For n >= 4 the global mld enumerates {psi <= 1}: a pass over every box
   point costs O(n * sum(a)) whatever that region holds, and skewed weights
   such as (1, 1, 1, N) have only the n + 1 generators in it.
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice, repeat
 from math import gcd
 from operator import mod
@@ -393,70 +397,74 @@ def _cone_frame(p, q1, q2, f=(1, 1, 1)):
     # slicing data for the points of the lattice L = {x : x_1 = -x_0*q1 and
     # x_2 = -x_0*q2 (mod p)}, p > 1, in the simplex {x >= 0, f.x <= T}, f > 0.
     # The dual of L, times p, has the rows (p, 0, 0), (q1, 1, 0), (q2, 0, 1);
-    # after LLL the slicing row w is a reduced row or a sum or difference of
-    # two, whichever has the least range max(0, w) - min(0, w) on the
-    # simplex, and (w, b_j, b_k) is still a basis. With c_m the columns of
-    # its adjugate, signed so that B c_m = p e_m, L is every x = s*c_0 +
-    # u*c_1 + v*c_2 with integer s, u, v, and s = w.x / p.
+    # after LLL the slicing row w is, of b_i, b_i + b_j and b_i - b_j with
+    # b_j = b_{i-2}, i = 0, 1, 2, the first with the least range max(0, w) -
+    # min(0, w) on the simplex, and (w, b_j, b_k) is still a basis. With c_m
+    # the columns of its adjugate, signed so that B c_m = p e_m, L is every
+    # x = s*c_0 + u*c_1 + v*c_2 with integer s, u, v, and s = w.x / p.
     b = [[p, 0, 0], [q1 % p, 1, 0], [q2 % p, 0, 1]]
     _lll(b)
-    cands = []
+    least = None
     for i in range(3):
-        bj, bk = b[i - 2], b[i - 1]
-        for w in (b[i], [x + y for x, y in zip(b[i], bj)], [x - y for x, y in zip(b[i], bj)]):
-            cands.append((max(0, *w) - min(0, *w), w, bj, bk))
-    _, w, bj, bk = min(cands, key=lambda c: c[0])
-    rows = (w, bj, bk)
-    cols = [[x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
-            for x, y in ((rows[m - 2], rows[m - 1]) for m in range(3))]
-    if sum(x * y for x, y in zip(w, cols[0])) < 0:
-        cols = [[-x for x in c] for c in cols]
+        bj = b[i - 2]
+        (x0, x1, x2), (y0, y1, y2) = b[i], bj
+        for w in ((x0, x1, x2), (x0 + y0, x1 + y1, x2 + y2), (x0 - y0, x1 - y1, x2 - y2)):
+            r = max(0, *w) - min(0, *w)
+            if least is None or r < least:
+                least, rows = r, (w, bj, b[i - 1])
+    w, (y0, y1, y2), (z0, z1, z2) = rows
+    x0, x1, x2 = w
+    cols = [(y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0),
+            (z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0),
+            (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)]
+    if x0 * cols[0][0] + x1 * cols[0][1] + x2 * cols[0][2] < 0:
+        cols = [(-c0, -c1, -c2) for c0, c1, c2 in cols]
     # the simplex rows x_m >= 0 and T - f.x >= 0, as A*s + B*u + G*v + h*T
-    # >= 0: G = 0 bounds u, G < 0 bounds v above (the upper rows) and G > 0
-    # below (the lower rows); each is kept as (B, A, h, |G|), read as the
-    # line (B*u + A*s + h*T) / |G|, of which v <= floor(the least upper) and
-    # v >= -floor(the least lower)
-    cons = [(*(c[m] for c in cols), 0) for m in range(3)]
-    cons.append((*(-sum(x * y for x, y in zip(f, c)) for c in cols), 1))
+    # >= 0: G = 0 bounds u, G < 0 bounds v above (the upper chain) and G > 0
+    # below (the lower chain); each is kept as the line (B*u + A*s + h*T) /
+    # |G|, of which v <= floor(the least upper) and v >= -floor(the least
+    # lower). The two chains are summed apart (see walk)
+    f0, f1, f2 = f
+    cons = [(*col, 0) for col in zip(*cols)]
+    cons.append((*(-f0 * c0 - f1 * c1 - f2 * c2 for c0, c1, c2 in cols), 1))
     up = [(B, A, h, -G) for A, B, G, h in cons if G < 0]
     lo = [(B, A, h, G) for A, B, G, h in cons if G > 0]
-    # the u-range needs the rows G = 0 and, for each upper and lower row, that
-    # the upper line plus the lower one stays >= 0: D*u + Es*s + ET*T >= 0
+    # the u-range needs the rows G = 0 and, for each upper and lower line,
+    # that their sum stays >= 0: D*u + Es*s + ET*T >= 0
     conds = [(B, A, h) for A, B, G, h in cons if G == 0]
     conds += [(B * Q + B2 * q, A * Q + A2 * q, h * Q + h2 * q) for B, A, h, q in up for B2, A2, h2, Q in lo]
-    # two lines of one group cross where K*u + Ks*s + KT*T = 0
-    cuts = []
-    for g in (up, lo):
-        for i, (B, A, h, q) in enumerate(g):
-            for B2, A2, h2, Q in g[i + 1:]:
-                if B * Q != B2 * q:
-                    cuts.append((B * Q - B2 * q, A * Q - A2 * q, h * Q - h2 * q))
-    return [(wm, fm * p) for wm, fm in zip(w, f)], cols, conds, up, lo, cuts
+    return [(wm, fm * p) for wm, fm in zip(w, f)], cols, conds, _chain(up), _chain(lo)
 
 
-def _span_count(up, lo, cu, cl, cuts, x0, x1) -> int:
-    # lattice points of one slice with x0 <= u <= x1, given the constants cu
-    # and cl of its upper and lower lines and the sorted u of their
-    # crossings: on each piece between crossings one line of each group is
-    # least (read at the piece's middle), and two floor sums count it
+def _chain(lines):
+    # the lines (B, A, h, q), q > 0, in descending slope B/q, each with its
+    # crossings K*u + Ks*s + KT*T = 0, K >= 0, with the lines after it
+    g = sorted(lines, key=cmp_to_key(lambda l, m: l[3] * m[0] - l[0] * m[3]))
+    return tuple((B, A, h, q, tuple((B * Q - B2 * q, A * Q - A2 * q, h * Q - h2 * q) for B2, A2, h2, Q in g[i + 1:]))
+                 for i, (B, A, h, q) in enumerate(g))
+
+
+def _chain_sum(chain, s, T, x0, x1) -> int:
+    # sum over x0 <= u <= x1 of the least (B*u + A*s + h*T) // q over the
+    # lines of one chain (see _chain). Line i is at or below line j > i up
+    # to u = floor(-(Ks*s + KT*T) / K) and above it after, or, when the two
+    # are parallel (K = 0), for every u or for none. So the first least line
+    # at u is line i on one run of u, the runs follow in chain order, a line
+    # that never reaches the envelope has none, and each run takes one
+    # floor sum
     total = 0
-    for t in cuts + [x1]:
-        if t < x0:
-            continue
-        t = min(t, x1)
-        n, m2 = t - x0 + 1, x0 + t
-        for g, c in ((up, cu), (lo, cl)):
-            best = None
-            for (B, _, _, q), ci in zip(g, c):
-                num = B * m2 + 2 * ci
-                if best is None or num * best[0] < best[1] * q:
-                    best = (q, num, B, ci)
-            q, _, B, ci = best
-            total += _floor_sum(n, B, B * x0 + ci, q)
-        total += n
-        x0 = t + 1
-        if x0 > x1:
-            return total
+    for B, A, h, q, cuts in chain:
+        end = x1
+        for K, Ks, KT in cuts:
+            E = Ks * s + KT * T
+            t = -E // K if K else x1 if E <= 0 else x0 - 1
+            if t < end:
+                end = t
+        if end >= x0:
+            total += _floor_sum(end - x0 + 1, B, B * x0 + A * s + h * T, q)
+            if end == x1:
+                return total
+            x0 = end + 1
     return total
 
 
@@ -472,7 +480,7 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
 
     def walk(frame, T, listing=False):
         nonlocal work
-        ws, cols, conds, up, lo, cuts = frame
+        ws, cols, conds, up, lo = frame
         # s = w.x / p over the simplex's vertices 0 and T / f_m * e_m
         slo = min(0, *(-(T * wm // -d) for wm, d in ws))
         shi = max(0, *(T * wm // d for wm, d in ws))
@@ -495,11 +503,11 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
                     ulo, uhi = 1, 0
             if ulo > uhi:
                 continue
-            cu = [A * s + h * T for _, A, h, _ in up]
-            cl = [A * s + h * T for _, A, h, _ in lo]
-            at = sorted(-(Ks * s + KT * T) // K for K, Ks, KT in cuts)
+            # the slice holds, per u, floor(least upper) + floor(least lower)
+            # + 1 points, and the two chains are summed apart, each cut only
+            # at its own crossings
             if not listing:
-                total += _span_count(up, lo, cu, cl, at, ulo, uhi)
+                total += _chain_sum(up, s, T, ulo, uhi) + _chain_sum(lo, s, T, ulo, uhi) + uhi - ulo + 1
                 continue
             # list u by u, halving a u-range longer than 16 and dropping the
             # halves that count no point, so a long thin slice costs its
@@ -508,13 +516,13 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
             while spans:
                 x0, x1 = spans.pop()
                 if x1 - x0 > 16:
-                    if _span_count(up, lo, cu, cl, at, x0, x1):
+                    if _chain_sum(up, s, T, x0, x1) + _chain_sum(lo, s, T, x0, x1) + x1 - x0 + 1:
                         mid = (x0 + x1) // 2
                         spans += [(x0, mid), (mid + 1, x1)]
                     continue
                 for u in range(x0, x1 + 1):
-                    top = min((B * u + c) // q for (B, _, _, q), c in zip(up, cu))
-                    bot = -min((B * u + c) // q for (B, _, _, q), c in zip(lo, cl))
+                    top = min((B * u + A * s + h * T) // q for B, A, h, q, _ in up)
+                    bot = -min((B * u + A * s + h * T) // q for B, A, h, q, _ in lo)
                     points += ([s * x + u * y + v * z for x, y, z in zip(*cols)] for v in range(bot, top + 1))
         return points if listing else total
 

@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import barycentric, random_weight_vector
 from wblowup.exact_lattice import DEFAULT_ENUMERATION_CAP, BudgetExceeded
@@ -13,7 +15,10 @@ from wblowup.toric_mld import (
     CLASS_KLT,
     CLASS_TERMINAL,
     WeightVector,
+    _chain,
+    _chain_sum,
     _column_min,
+    _floor_sum,
     _psi,
     _slices,
     argmin_cones,
@@ -23,6 +28,7 @@ from wblowup.toric_mld import (
     mld_global,
     psi_value,
 )
+from wblowup import toric_mld
 from wblowup.witness import build_polytope
 
 
@@ -542,3 +548,95 @@ def test_ones_family_is_one_lc(c, extra):
     entries = tuple(sorted((1, c, c + extra)))
     a = WeightVector(entries)
     assert mld_global(a).value == 1
+
+
+# ---------------------------------------------------------------------------
+# the n = 3 lattice slicer
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_floor_sum_matches_direct_sum(n, a, b, m):
+    assert _floor_sum(n, a, b, m) == sum((a * x + b) // m for x in range(n))
+
+
+line = st.tuples(
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=12),
+)
+
+
+# with s = 1 and T = 0 each line below reads (B*u + A) / q
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(line, min_size=1, max_size=3),
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=0, max_value=60),
+)
+@example([(1, 0, 0, 1), (2, 3, 0, 2)], 1, 0, -5, 10)  # parallel, the first always lower
+@example([(1, 5, 0, 1), (2, 2, 0, 2)], 1, 0, -5, 10)  # parallel, the second always lower
+@example([(1, 0, 0, 1), (2, 0, 0, 2)], 1, 0, -5, 10)  # parallel and equal
+@example([(3, 1, 2, 1), (3, 7, 0, 1), (-1, 0, 0, 1)], 1, 1, -9, 20)  # a parallel pair above a third line
+@example([(1, 0, 0, 1), (0, 0, 0, 1)], 1, 0, 1, 6)  # crossing at u = 0 = x0 - 1
+@example([(1, 0, 0, 1), (0, 0, 0, 1)], 1, 0, 0, 6)  # crossing at x0
+@example([(1, 0, 0, 1), (0, 0, 0, 1)], 1, 0, -6, 7)  # crossing at x1 - 1
+@example([(1, 0, 0, 1), (0, 0, 0, 1)], 1, 0, -6, 6)  # crossing at x1
+@example([(1, 0, 0, 1), (0, 5, 0, 1), (-1, 0, 0, 1)], 1, 0, -8, 16)  # the middle line stays above
+@example([(2, 0, 0, 2), (0, 1, 0, 2), (-2, 2, 0, 2)], 1, 0, -8, 16)  # ... and touches only at u = 1/2
+def test_chain_sum_matches_per_u_minimum(lines, s, T, x0, length):
+    x1 = x0 + length
+    chain = _chain(lines)
+    slopes = [Fraction(B, q) for B, _, _, q, _ in chain]
+    assert slopes == sorted(slopes, reverse=True)
+    want = sum(min((B * u + A * s + h * T) // q for B, A, h, q in lines) for u in range(x0, x1 + 1))
+    assert _chain_sum(chain, s, T, x0, x1) == want
+
+
+def test_cone_frames_keep_chains_in_descending_slope(monkeypatch):
+    # every frame built for the mld-n3 bench pool, and the tie-break frame of
+    # (29, 140, 336): each chain holds one to three lines, in descending
+    # slope B/q
+    pool = json.loads((Path(__file__).parents[1] / "bench" / "data" / "mld_pool.json").read_text())["mld-n3"]
+    pool.append({"weights": [29, 140, 336], "mld": "1/2", "points_scanned": 148})
+    frames = []
+    build = toric_mld._cone_frame
+
+    def record(*args):
+        frames.append(build(*args))
+        return frames[-1]
+
+    monkeypatch.setattr(toric_mld, "_cone_frame", record)
+    for entry in pool:
+        report = mld_global(WeightVector(tuple(entry["weights"])))
+        assert (str(report.value), report.points_scanned) == (entry["mld"], entry["points_scanned"])
+    assert len(frames) == 3 * len(pool) + 1
+    for *_, up, lo in frames:
+        assert 1 <= len(up) <= 3 and 1 <= len(lo) <= 3 and len(up) + len(lo) <= 4
+        for chain in (up, lo):
+            for (B, _, _, q, _), (B2, _, _, Q, _) in zip(chain, chain[1:]):
+                assert B * Q >= B2 * q
+
+
+@pytest.mark.parametrize("entries,slices", [
+    ((1000, 1001, 1003), 14),
+    ((2, 3, 100001), 23),
+    ((29, 140, 336), 49),  # takes the tie-break frame
+    ((15701, 28340, 29766), 67),
+    ((10**9 + 7, 10**9 + 9, 10**9 + 21), 105),
+])
+def test_n3_slice_schedule_is_pinned(entries, slices):
+    # the slices n = 3 mld charges to its budget, over every frame and T
+    a = WeightVector(entries)
+    assert mld_global(a, enumeration_cap=slices) == mld_global(a)
+    with pytest.raises(BudgetExceeded) as err:
+        mld_global(a, enumeration_cap=slices - 1)
+    assert (err.value.work, err.value.cap) == (slices, slices - 1)
