@@ -10,7 +10,6 @@ from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
     format_rational,
-    gcd_all,
     integer_nth_root,
     parse_rational,
     pow_cmp,

@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_lattice import _lll, _short_vectors, format_rational, integer_nth_root
+from .exact_lattice import _lll, _short_vectors, exact, format_rational, integer_nth_root
 
 
 class Approx1D(NamedTuple):
@@ -77,6 +77,8 @@ def dirichlet_1d(num: int, den: int, Z: int) -> Approx1D:
     or the next convergent has q_{k+1} > Z and the classical bound
     |q_k*alpha - p_k| <= 1/q_{k+1} <= 1/(Z + 1) holds.
     """
+    if not isinstance(num, int) or not isinstance(den, int):
+        raise ValueError(f"alpha's numerator and denominator must be integers, got {num!r}/{den!r}")
     if num < 0 or den < 1:
         raise ValueError(f"alpha must be a nonnegative rational, got {num}/{den}")
     if not isinstance(Z, int) or Z < 1:
@@ -173,7 +175,7 @@ def dirichlet_simultaneous(alphas, Z: int) -> DirichletWitness:
     Some q <= Z always meets the bound (Minkowski's convex body theorem, see
     DirichletWitness.satisfied), so the search never comes back empty.
     """
-    alphas = tuple(Fraction(x) for x in alphas)
+    alphas = tuple(exact(x, "target") for x in alphas)
     if not alphas:
         raise ValueError("need at least one target value")
     if any(x < 0 for x in alphas):

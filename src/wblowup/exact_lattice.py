@@ -52,15 +52,21 @@ def format_ratio(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def gcd_all(values) -> int:
-    """Greatest common divisor of one or more positive integers."""
-    vals = tuple(values)
-    if not vals:
-        raise ValueError("gcd_all needs at least one value")
-    for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"gcd_all expects positive integers, got {v!r}")
-    return math.gcd(*vals)
+def exact(x, what: str) -> Fraction:
+    """x as a Fraction. A float is refused: its binary expansion is seldom
+    the number meant (0.1 would be read as 3602879701896397/2**55)."""
+    if isinstance(x, float):
+        raise ValueError(f"{what} must be exact (an int, Fraction or string), got the float {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def check_eps(eps) -> Fraction:
+    """eps as a Fraction in (0, 1], the only range an eps-lc question takes here."""
+    if not isinstance(eps, Fraction):
+        eps = exact(eps, "eps")
+    if not 0 < eps.numerator <= eps.denominator:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    return eps
 
 
 def pow_cmp(x, d: int, y) -> int:

@@ -6,11 +6,10 @@ polarity (not eps-lc, no witness), 2 usage error, 3 budget exhausted.
 
 Configuration precedence is CLI flag over config-file entry over built-in
 default; the config file (--config PATH) is line oriented, `key = value`,
-and each key must be a flag of the chosen subcommand. The environment
-variable WBLOWUP_BUDGET overrides the default budget of 10^7 visited prefixes
-per scan (lattice slices for n = 3 mld, box steps for a fixed-point pass);
-at about 1-3.5 us per prefix a scan stopped there has run some 10-35 s,
-and at about 20-26 us per slice an n = 3 mld some 200-260 s.
+and each line is parsed as the flag --key=value of the chosen subcommand.
+The environment variable WBLOWUP_BUDGET overrides the default budget of
+10^7 visited prefixes per scan (lattice slices for n = 3 mld, box steps for
+a fixed-point pass); README gives what a scan stopped there has cost.
 
 The argument parser is built on the first cli_dispatch call and reused by
 every later call in the process, so in-process callers pay for it once.
@@ -21,6 +20,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
+import itertools
 import json
 import math
 import os
@@ -32,9 +33,9 @@ from fractions import Fraction
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
+    check_eps,
     format_ratio,
     format_rational,
-    gcd_all,
     parse_rational,
 )
 from .oracle import enumerate_lattice_points, mld_bruteforce, verify_interior_psi_equivalence
@@ -109,8 +110,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("sweep dimension must be at least 2")
-        if not 0 < self.eps <= 1:
-            raise ValueError("eps must lie in (0, 1]")
+        check_eps(self.eps)
         if self.a1_min < 1 or self.a1_max < self.a1_min:
             raise ValueError("empty a1 range")
         if len(self.tail_caps) != self.n - 1:
@@ -206,19 +206,6 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    return _sweep(spec, writer.writerow)
-
-
-def Pool(processes: int):
-    """A multiprocessing pool, imported on first use: queries never need one,
-    and the module costs about 1 MiB. bench/tracing.py swaps this name."""
-    from multiprocessing import Pool as pool
-
-    return pool(processes)
-
-
-def _sweep(spec: SweepSpec, emit) -> FrontierReport:
-    # certify every tuple of the spec, passing each row to emit in order
     eps_text = format_rational(spec.eps)
     tasks = [
         (entries, spec.eps, eps_text, spec.theta, spec.enumeration_cap, spec.include_timing, spec.method)
@@ -228,13 +215,13 @@ def _sweep(spec: SweepSpec, emit) -> FrontierReport:
     if spec.workers == 1 or len(tasks) < 2:
         for task in tasks:
             row = _sweep_task(task)
-            emit(row)
+            writer.writerow(row)
             _tally(counts, task[0][0], row)
     else:
         chunk = max(1, len(tasks) // (spec.workers * 8))
         with Pool(spec.workers) as pool:
             for task, row in zip(tasks, pool.imap(_sweep_task, tasks, chunksize=chunk)):
-                emit(row)
+                writer.writerow(row)
                 _tally(counts, task[0][0], row)
     per_a1 = tuple(sorted((a1, c[0], c[1]) for a1, c in counts.items()))
     empirical = None
@@ -243,6 +230,14 @@ def _sweep(spec: SweepSpec, emit) -> FrontierReport:
             break
         empirical = a1
     return FrontierReport(spec.eps, per_a1, empirical)
+
+
+def Pool(processes: int):
+    """A multiprocessing pool, imported on first use: queries never need one,
+    and the module costs about 1 MiB. bench/tracing.py swaps this name."""
+    from multiprocessing import Pool as pool
+
+    return pool(processes)
 
 
 def _tally(counts, a1, row):
@@ -271,22 +266,21 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _effective(ns, config, key, builtin, convert):
-    cli = getattr(ns, key, None)
-    if cli is not None:
-        return convert(cli) if isinstance(cli, str) else cli
-    if key in config:
-        return convert(config[key])
-    return builtin
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
+
+
+def _given(value, default):
+    # a flag's value from the command line or config file, else the built-in
+    # default; a callable default is called only when it is needed
+    if value is not None:
+        return value
+    return default() if callable(default) else default
 
 
 # ---------------------------------------------------------------------------
@@ -302,86 +296,68 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _handle_mld(ns, config) -> int:
-    a = parse_weights(_effective(ns, config, "weights", None, str))
-    cap = _effective(ns, config, "cap", default_budget(), int)
-    report = mld_global(a, cap)
-    _emit(report.to_json_dict(), _effective(ns, config, "out", None, str))
+def _handle_mld(ns) -> int:
+    report = mld_global(parse_weights(ns.weights), _given(ns.cap, default_budget))
+    _emit(report.to_json_dict(), ns.out)
     return 0
 
 
-def _handle_check(ns, config) -> int:
-    a = parse_weights(_effective(ns, config, "weights", None, str))
-    eps = _effective(ns, config, "eps", None, parse_rational)
-    if eps is None:
+def _handle_check(ns) -> int:
+    a = parse_weights(ns.weights)
+    if ns.eps is None:
         raise ValueError("check requires --eps")
-    cap = _effective(ns, config, "cap", default_budget(), int)
-    ok, refuter = is_eps_lc(a, eps, cap)
+    ok, refuter = is_eps_lc(a, ns.eps, _given(ns.cap, default_budget))
     payload = {
         "weights": list(a.entries),
-        "eps": format_rational(eps),
+        "eps": format_rational(ns.eps),
         "verdict": "eps-lc" if ok else "not-eps-lc",
     }
     if refuter is not None:
         payload["refuting_point"] = list(refuter)
         payload["refuting_psi"] = format_rational(psi_value(a, refuter))
-    _emit(payload, _effective(ns, config, "out", None, str))
+    _emit(payload, ns.out)
     return 0 if ok else 1
 
 
-def _handle_witness(ns, config) -> int:
-    a = parse_weights(_effective(ns, config, "weights", None, str))
-    eps = _effective(ns, config, "eps", None, parse_rational)
-    if eps is None:
+def _handle_witness(ns) -> int:
+    a = parse_weights(ns.weights)
+    if ns.eps is None:
         raise ValueError("witness requires --eps")
-    theta = _effective(ns, config, "theta", None, parse_rational)
-    cap = _effective(ns, config, "cap", default_budget(), int)
-    out = _effective(ns, config, "out", None, str)
-    result = certify_not_eps_lc(a, eps, theta, cap)
+    result = certify_not_eps_lc(a, ns.eps, ns.theta, _given(ns.cap, default_budget))
     if isinstance(result, Certificate):
-        _emit(result.to_json_dict(), out)
+        _emit(result.to_json_dict(), ns.out)
         return 0
-    _emit({"weights": list(a.entries), "eps": format_rational(eps), "verdict": result}, out)
+    _emit({"weights": list(a.entries), "eps": format_rational(ns.eps), "verdict": result}, ns.out)
     return 1 if result == VERDICT_EPS_LC else 3
 
 
-def _handle_sweep(ns, config) -> int:
-    n = _effective(ns, config, "n", 2, int)
-    eps = _effective(ns, config, "eps", Fraction(1), parse_rational)
-    theta = _effective(ns, config, "theta", None, parse_rational)
-    a1_min = _effective(ns, config, "a1_min", 1, int)
-    a1_max = _effective(ns, config, "a1_max", a1_min, int)
-    raw_caps = _effective(ns, config, "tail_cap", "100", str)
-    caps = tuple(int(part) for part in str(raw_caps).split(","))
+def _handle_sweep(ns) -> int:
+    n = _given(ns.n, 2)
+    caps = tuple(int(part) for part in _given(ns.tail_cap, "100").split(","))
     if len(caps) == 1:
         caps = caps * (n - 1)
-    workers = _effective(ns, config, "workers", 1, int)
-    cap = _effective(ns, config, "cap", default_budget(), int)
-    no_timing = bool(_effective(ns, config, "no_timing", False, _parse_bool))
-    fmt = _effective(ns, config, "format", "csv", str)
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    method = _effective(ns, config, "method", "auto", str)
-    out = _effective(ns, config, "out", None, str)
+    a1_min = _given(ns.a1_min, 1)
     spec = SweepSpec(
         n=n,
-        eps=eps,
+        eps=_given(ns.eps, Fraction(1)),
         a1_min=a1_min,
-        a1_max=a1_max,
+        a1_max=_given(ns.a1_max, a1_min),
         tail_caps=caps,
-        theta=theta,
-        workers=workers,
-        enumeration_cap=cap,
-        include_timing=not no_timing,
-        method=method,
+        theta=ns.theta,
+        workers=_given(ns.workers, 1),
+        enumeration_cap=_given(ns.cap, default_budget),
+        include_timing=not ns.no_timing,
+        method=_given(ns.method, "auto"),
     )
-    if fmt == "json":
-        rows = []
-        report = _sweep(spec, lambda row: rows.append(dict(zip(CSV_COLUMNS, row))))
-        _emit({"rows": rows, "frontier": report.to_json_dict()}, out)
+    if ns.format == "json":
+        # the JSON rows are the CSV rows, read back cell for cell
+        text = io.StringIO()
+        report = run_sweep(spec, text)
+        text.seek(0)
+        _emit({"rows": list(csv.DictReader(text)), "frontier": report.to_json_dict()}, ns.out)
         return 0
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8", newline="") as handle:
             report = run_sweep(spec, handle)
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -390,10 +366,10 @@ def _handle_sweep(ns, config) -> int:
     return 0
 
 
-def _handle_verify_example(ns, config) -> int:
-    limit = _effective(ns, config, "limit", 500, int)
-    mld_limit = _effective(ns, config, "mld_limit", 100, int)
-    cap = _effective(ns, config, "cap", default_budget(), int)
+def _handle_verify_example(ns) -> int:
+    limit = _given(ns.limit, 500)
+    mld_limit = _given(ns.mld_limit, 100)
+    cap = _given(ns.cap, default_budget)
     failures = 0
     for k in range(1, limit + 1):
         ok, refuter = is_eps_lc(WeightVector((1, k)), 1, cap)
@@ -417,25 +393,15 @@ def _handle_verify_example(ns, config) -> int:
     return 0 if failures == 0 and mld_failures == 0 else 1
 
 
-def _handle_selftest(ns, config) -> int:
-    max_entry = _effective(ns, config, "max_entry", 10, int)
-    cap = _effective(ns, config, "cap", default_budget(), int)
+def _handle_selftest(ns) -> int:
+    max_entry = _given(ns.max_entry, 10)
+    cap = _given(ns.cap, default_budget)
     failures = []
-
-    def tuples(n):
-        def rec(prefix):
-            if len(prefix) == n:
-                if gcd_all(prefix) == 1:
-                    yield prefix
-                return
-            for v in range(prefix[-1] if prefix else 1, max_entry + 1):
-                yield from rec(prefix + (v,))
-
-        yield from rec(())
-
     checked = 0
     for n in (2, 3):
-        for entries in tuples(n):
+        for entries in itertools.combinations_with_replacement(range(1, max_entry + 1), n):
+            if math.gcd(*entries) != 1:
+                continue
             a = WeightVector(entries)
             checked += 1
             if mld_global(a, cap).value != mld_bruteforce(a, cap):
@@ -471,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
         if weights:
             p.add_argument("--weights", help="comma-separated positive integers, sorted, coprime")
         if eps:
-            p.add_argument("--eps", help="rational in (0,1], e.g. 1/2")
+            p.add_argument("--eps", type=parse_rational, help="rational in (0,1], e.g. 1/2")
         if theta:
-            p.add_argument("--theta", help="theta-construction exponent, rational in (0, 1/(2n^2))")
+            p.add_argument("--theta", type=parse_rational, help="theta-construction exponent, rational in (0, 1/(2n^2))")
         p.add_argument(
             "--cap",
             type=int,
@@ -494,13 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep coprime weight tuples, emitting CSV")
     common(p_sweep, weights=False, theta=True)
     p_sweep.add_argument("--n", type=int, help="tuple length (default 2)")
-    p_sweep.add_argument("--a1-min", dest="a1_min", type=int, help="smallest a1")
-    p_sweep.add_argument("--a1-max", dest="a1_max", type=int, help="largest a1")
-    p_sweep.add_argument(
-        "--tail-cap",
-        dest="tail_cap",
-        help="offsets above a1 bounding a2..an, single int or comma list",
-    )
+    p_sweep.add_argument("--a1-min", type=int, help="smallest a1")
+    p_sweep.add_argument("--a1-max", type=int, help="largest a1")
+    p_sweep.add_argument("--tail-cap", help="offsets above a1 bounding a2..an, single int or comma list")
     p_sweep.add_argument("--workers", type=int, help="worker processes (default 1)")
     p_sweep.add_argument(
         "--method",
@@ -510,20 +472,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("csv", "json"), help="output format")
     p_sweep.add_argument(
         "--no-timing",
-        dest="no_timing",
-        action="store_const",
+        nargs="?",
         const=True,
-        help="blank the wall_micros column for byte-stable output",
+        type=_parse_bool,
+        metavar="BOOL",
+        help="blank the wall_micros column for byte-stable output (bare flag: yes)",
     )
 
     p_ver = sub.add_parser("verify-example", help="check the (1,k) family is 1-lc")
     common(p_ver, weights=False, eps=False, out=False)
     p_ver.add_argument("--limit", type=int, help="largest k for the 1-lc scan (default 500)")
-    p_ver.add_argument("--mld-limit", dest="mld_limit", type=int, help="largest k for fixed-point mlds")
+    p_ver.add_argument("--mld-limit", type=int, help="largest k for fixed-point mlds")
 
     p_self = sub.add_parser("selftest", help="cross-check engine against the brute-force oracle")
     common(p_self, weights=False, eps=False, out=False)
-    p_self.add_argument("--max-entry", dest="max_entry", type=int, help="largest weight entry (default 10)")
+    p_self.add_argument("--max-entry", type=int, help="largest weight entry (default 10)")
 
     return parser
 
@@ -541,24 +504,34 @@ _HANDLERS = {
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation in-process and return its exit code.
 
+    Every option is resolved here, once: the command line's flag, else the
+    config file's entry, else None, which the handler replaces by its
+    built-in default. Each `key = value` line of the file is parsed as the
+    flag --key=value of the same subcommand by the same parser, so the file's
+    values are converted and checked as flags are, and a key that is no flag
+    of the subcommand is a usage error.
+
     The parser is built once per process, on the first call. Parsing never
     mutates it: parse_args writes only into a fresh Namespace, help and
     usage text read the terminal width when printed, and the budget and
     the config file are read per call.
     """
+    parser = build_parser()
     try:
-        ns = build_parser().parse_args(argv)
+        ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = {}
     try:
         if ns.config:
-            config = load_config(ns.config)
-            # a key is a flag of the chosen subcommand, or a usage error
-            unknown = sorted(set(config) - (set(vars(ns)) - {"config", "command"}))
-            if unknown:
-                raise ValueError(f"{ns.config}: no {ns.command} flag reads {', '.join(unknown)}")
-        return _HANDLERS[ns.command](ns, config)
+            tokens = [f"--{key.replace('_', '-')}={value}" for key, value in load_config(ns.config).items()]
+            try:
+                entries = parser.parse_args([ns.command, *tokens])
+            except SystemExit:
+                raise ValueError(f"{ns.config}: not a valid {ns.command} config file") from None
+            for key, value in vars(entries).items():
+                if getattr(ns, key) is None:
+                    setattr(ns, key, value)
+        return _HANDLERS[ns.command](ns)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

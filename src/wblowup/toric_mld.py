@@ -78,6 +78,8 @@ from .exact_lattice import (
     BudgetExceeded,
     _lll,
     ceil_div,
+    check_eps,
+    exact,
     format_rational,
     integer_nth_root,
     require_same_dimension,
@@ -223,7 +225,7 @@ def _slices(a: WeightVector, scale, strict: bool, budget: int):
     # lo, rows m and i < m give hi, and the bound of each i < m is
     # (x_i * tl + a_i * (r - sd * t) - d) // (a_i * sd) = C_i - t, so the
     # rows above m cost one C = min C_i per prefix.
-    s = Fraction(scale)
+    s = exact(scale, "scale")
     if s <= 0:
         raise ValueError("scale must be positive")
     sn, sd = s.numerator, s.denominator
@@ -731,9 +733,7 @@ def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_C
     over lattice points settles the question. BudgetExceeded stops the scan
     before its visited prefixes pass enumeration_cap, which must be >= 1.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    eps = check_eps(eps)
     if enumeration_cap < 1:
         raise ValueError("enumeration cap must be positive")
     refuter = _first_refuter(a, eps, enumeration_cap)

@@ -46,6 +46,8 @@ from .diophantine import DirichletWitness, dirichlet_1d, dirichlet_simultaneous
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
+    check_eps,
+    exact,
     format_rational,
     format_ratio,
     integer_nth_root,
@@ -150,14 +152,6 @@ def _jsonify(obj):
     return obj
 
 
-def _check_eps(eps) -> Fraction:
-    if not isinstance(eps, Fraction):
-        eps = Fraction(eps)
-    if not 0 < eps.numerator <= eps.denominator:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return eps
-
-
 @cache
 def default_theta(n: int) -> Fraction:
     """Default exponent strictly inside the admissible range (0, 1/(2 n^2))."""
@@ -167,7 +161,7 @@ def default_theta(n: int) -> Fraction:
 def _check_theta(theta, n: int) -> Fraction:
     if theta is None:
         return default_theta(n)
-    theta = theta if isinstance(theta, Fraction) else Fraction(theta)
+    theta = exact(theta, "theta")
     if not 0 < 2 * n * n * theta.numerator < theta.denominator:
         raise ValueError(f"theta must lie in (0, 1/{2 * n * n}), got {theta}")
     return theta
@@ -175,7 +169,7 @@ def _check_theta(theta, n: int) -> Fraction:
 
 def build_polytope(a: WeightVector, eps) -> CEpsPolytope:
     """Construct C(a, eps) in integer facet form."""
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     ed = eps.denominator
     return CEpsPolytope(a, eps, eps.numerator, ed, (a.total - 1) * ed)
 
@@ -209,7 +203,7 @@ def certificate_threshold(n: int, eps):
     """
     if n < 2:
         raise ValueError("need dimension >= 2")
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if n != 2:
         return None
     return int((2 / eps + 1) ** 2) + 1
@@ -260,7 +254,7 @@ def witness_n2(a: WeightVector, eps) -> Certificate | None:
     tilted facet when p/q <= a_2/a_1 (case 1), the upper one otherwise
     (case 2). When a_1 = 1 the candidate is a itself, with psi(a) = 1.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if a.n != 2:
         raise ValueError("witness_n2 requires exactly two weights")
     a1, a2 = a.entries
@@ -298,7 +292,7 @@ def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | Non
     C(a, eps) at x1_0 = eps*q/psi(w). The hypothesis a_j/a_2 <= a_1**theta
     is recorded in the trace but not required.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     n = a.n
     theta = _check_theta(theta, n)
     ent = a.entries
@@ -327,7 +321,7 @@ def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
     integer above x3_lo, judged by psi < eps, which holds exactly when
     m < x3_hi.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if a.n != 3:
         raise ValueError("witness_n3 requires exactly three weights")
     theta = _check_theta(theta, a.n)
@@ -363,7 +357,7 @@ def certify_not_eps_lc(
     A wrong verdict is never returned: every certificate is re-checked
     exactly by _verified, and "eps-lc" only comes from a completed scan.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if theta is not None:
         theta = _check_theta(theta, a.n)
     if method not in CERTIFY_METHODS:

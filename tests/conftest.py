@@ -9,12 +9,13 @@ cross-check the package against them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from wblowup import WeightVector
-from wblowup.exact_lattice import gcd_all, require_same_dimension
+from wblowup.exact_lattice import require_same_dimension
 from wblowup.toric_mld import argmin_cones
 
 
@@ -23,7 +24,7 @@ def coprime_sorted_tuples(n: int, max_entry: int, min_entry: int = 1):
 
     def rec(prefix):
         if len(prefix) == n:
-            if gcd_all(prefix) == 1:
+            if math.gcd(*prefix) == 1:
                 yield prefix
             return
         lo = prefix[-1] if prefix else min_entry
@@ -36,7 +37,7 @@ def coprime_sorted_tuples(n: int, max_entry: int, min_entry: int = 1):
 def random_weight_vector(rng: random.Random, n: int, max_entry: int) -> WeightVector:
     while True:
         entries = tuple(sorted(rng.randint(1, max_entry) for _ in range(n)))
-        if gcd_all(entries) == 1:
+        if math.gcd(*entries) == 1:
             return WeightVector(entries)
 
 

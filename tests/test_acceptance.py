@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from conftest import barycentric, coprime_sorted_tuples, facets, interior_by_subsimplex, vertices
 from wblowup.diophantine import dirichlet_1d, dirichlet_simultaneous
-from wblowup.exact_lattice import gcd_all, integer_nth_root, pow_cmp
+from wblowup.exact_lattice import integer_nth_root, pow_cmp
 from wblowup.oracle import mld_bruteforce, verify_interior_psi_equivalence
 from wblowup.toric_mld import (
     WeightVector,
@@ -88,7 +88,7 @@ def test_criterion_3_oracle_equivalence():
     samples = 0
     while samples < 200:
         entries = tuple(sorted(rng.randint(1, 15) for _ in range(4)))
-        if gcd_all(entries) != 1:
+        if math.gcd(*entries) != 1:
             continue
         a = WeightVector(entries)
         assert mld_global(a).value == mld_bruteforce(a), entries
@@ -182,7 +182,7 @@ def test_criterion_6_dirichlet_contracts():
 def _random_weights(rng, n, cap):
     while True:
         entries = tuple(sorted(rng.randint(1, cap) for _ in range(n)))
-        if gcd_all(entries) == 1:
+        if math.gcd(*entries) == 1:
             return WeightVector(entries)
 
 
@@ -273,7 +273,7 @@ def test_criterion_8_theta_case_soundness():
         a3 = rng.randint(a2, cap)
         a4 = rng.randint(a3, cap)
         entries = (a1, a2, a3, a4)
-        if gcd_all(entries) != 1:
+        if math.gcd(*entries) != 1:
             continue
         a = WeightVector(entries)
         total += 1

@@ -57,9 +57,32 @@ def test_dirichlet_1d_examples():
 
 
 def test_dirichlet_1d_rejects_bad_input():
-    for num, den, Z in ((-1, 2, 3), (1, 0, 3), (1, -2, 3), (1, 2, 0), (1, 2, 1.5)):
+    # a float numerator or denominator would walk its binary expansion
+    for num, den, Z in ((-1, 2, 3), (1, 0, 3), (1, -2, 3), (1, 2, 0), (1, 2, 1.5), (2.5, 1, 3), (5, 2.0, 3)):
         with pytest.raises(ValueError):
             dirichlet_1d(num, den, Z)
+
+
+@pytest.mark.parametrize(
+    "alphas,Z,message",
+    [
+        ((), 10, "at least one target"),
+        ((Fraction(1, 2), Fraction(-1, 3)), 10, "nonnegative"),
+        ((Fraction(1, 2),), 0, "Z must be a positive integer"),
+        ((Fraction(1, 2),), 2.0, "Z must be a positive integer"),
+        ((0.1, 0.3), 10, "float"),
+        ((Fraction(1, 10), 0.3), 10, "float"),
+    ],
+    ids=["empty", "negative", "Z-zero", "Z-float", "floats", "one-float"],
+)
+def test_dirichlet_simultaneous_rejects_bad_input(alphas, Z, message):
+    with pytest.raises(ValueError, match=message):
+        dirichlet_simultaneous(alphas, Z)
+    # the exact forms of the same targets are read exactly
+    if message == "float":
+        exact = dirichlet_simultaneous((Fraction(1, 10), Fraction(3, 10)), Z)
+        assert dirichlet_simultaneous(("1/10", "3/10"), Z) == exact
+        assert exact.alphas == (Fraction(1, 10), Fraction(3, 10))
 
 
 @given(nonneg_rationals, st.integers(min_value=1, max_value=1000))

@@ -12,7 +12,6 @@ from wblowup.exact_lattice import (
     _short_vectors,
     ceil_div,
     format_rational,
-    gcd_all,
     integer_nth_root,
     parse_rational,
     pow_cmp,
@@ -21,23 +20,6 @@ from wblowup.exact_lattice import (
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 small_nonneg = st.fractions(min_value=0, max_value=100, max_denominator=1000)
-
-
-def test_gcd_all_examples():
-    assert gcd_all((2, 3, 5)) == 1
-    assert gcd_all((4, 6)) == 2
-    assert gcd_all((7,)) == 7
-
-
-def test_gcd_all_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gcd_all(())
-    with pytest.raises(ValueError):
-        gcd_all((0, 3))
-    with pytest.raises(ValueError):
-        gcd_all((-4, 6))
-    with pytest.raises(ValueError):
-        gcd_all((Fraction(4), 6))
 
 
 def test_pow_cmp_examples():

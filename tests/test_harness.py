@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -177,6 +179,32 @@ def test_env_budget_override(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "raw,message",
+    [("junk", "must be an integer"), ("0", "must be positive"), ("-3", "must be positive")],
+    ids=["junk", "zero", "negative"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mld", "--weights", "2,3"),
+        ("check", "--weights", "1,12", "--eps", "1"),
+        ("witness", "--weights", "26,27", "--eps", "1/2"),
+        ("sweep", "--a1-min", "2", "--a1-max", "4", "--tail-cap", "3", "--no-timing"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_env_budget_is_read_only_when_no_cap_is_given(tmp_path, capsys, monkeypatch, argv, raw, message):
+    monkeypatch.setenv("WBLOWUP_BUDGET", raw)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert run_cli(capsys, *argv, "--cap", "10000")[0] == 0
+    cfg = tmp_path / "wblowup.cfg"
+    cfg.write_text("cap = 10000\n")
+    assert run_cli(capsys, "--config", str(cfg), *argv)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -304,6 +332,26 @@ def test_sweep_rejects_unknown_method():
         make_spec(method="telepathy")
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        (dict(n=1, tail_caps=()), "dimension must be at least 2"),
+        (dict(eps=Fraction(0)), "eps must lie in"),
+        (dict(eps=Fraction(3, 2)), "eps must lie in"),
+        (dict(eps=0.5), "float"),
+        (dict(a1_min=0), "empty a1 range"),
+        (dict(a1_min=5, a1_max=4), "empty a1 range"),
+        (dict(tail_caps=(8, 8)), "need 1 tail caps, got 2"),
+        (dict(tail_caps=(-1,)), "tail caps must be nonnegative"),
+        (dict(workers=0), "worker count must be positive"),
+    ],
+    ids=["n-1", "eps-0", "eps-3/2", "eps-float", "a1-min-0", "a1-max-below-min", "caps-count", "caps-negative", "workers-0"],
+)
+def test_sweep_spec_rejects_bad_parameters(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        make_spec(**overrides)
+
+
 def test_sweep_cli_no_timing_blank_column(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -336,6 +384,17 @@ def test_sweep_cli_json_format(capsys):
     payload = json.loads(out)
     assert payload["frontier"]["empirical_m"] == 26
     assert all(row["verdict"] == "certificate" for row in payload["rows"])
+
+
+def test_sweep_json_rows_are_the_csv_rows(capsys):
+    argv = ("sweep", "--n", "3", "--eps", "1/2", "--a1-min", "2", "--a1-max", "5", "--tail-cap", "4,5", "--no-timing")
+    code, csv_out, csv_err = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(json_out)
+    assert payload["rows"] == list(csv.DictReader(io.StringIO(csv_out)))
+    assert payload["frontier"] == json.loads(csv_err)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +451,37 @@ def test_config_out_is_read_and_unread_out_flags_are_refused(tmp_path, capsys):
     for command in ("verify-example", "selftest"):
         assert run_cli(capsys, "--config", str(cfg), command)[0] == 2
         assert run_cli(capsys, command, "--out", str(target))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "text,code,message",
+    [
+        ("no_timing = yes\n", 0, None),
+        ("no-timing = off\n", 0, None),
+        ("no_timing = maybe\n", 2, "not a boolean: 'maybe'"),
+        ("format = xml\n", 2, "invalid choice: 'xml'"),
+        ("workers = two\n", 2, "invalid int value: 'two'"),
+        ("eps = 0.5\n", 2, "invalid parse_rational value: '0.5'"),
+    ],
+    ids=["no-timing-yes", "no-timing-off", "no-timing-maybe", "format-xml", "workers-two", "eps-float"],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, text, code, message):
+    cfg = tmp_path / "wblowup.cfg"
+    cfg.write_text(text)
+    argv = ("sweep", "--eps", "1", "--a1-min", "2", "--a1-max", "3", "--tail-cap", "2")
+    got, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert got == code
+    if message is not None:
+        assert out == ""
+        assert message in err and str(cfg) in err
+        return
+    rows = [line for line in out.splitlines() if line[:1].isdigit()]
+    assert rows and all(row.endswith(",") == ("yes" in text) for row in rows)
+    # a flag on the command line wins over the file, a bare one meaning yes
+    for flag, blank in (("--no-timing", True), ("--no-timing=yes", True), ("--no-timing=no", False)):
+        out = run_cli(capsys, "--config", str(cfg), *argv, flag)[1]
+        rows = [line for line in out.splitlines() if line[:1].isdigit()]
+        assert rows and all(row.endswith(",") == blank for row in rows)
 
 
 def test_missing_config_file_is_usage_error(capsys):

@@ -35,7 +35,6 @@ PUBLIC_NAMES = {
     "dirichlet_simultaneous",
     "enumerate_lattice_points",
     "format_rational",
-    "gcd_all",
     "integer_nth_root",
     "is_eps_lc",
     "mld_at_fixed_point",

@@ -441,6 +441,25 @@ def test_is_eps_lc_examples():
     ok, refuter = is_eps_lc(WeightVector((2, 3)), Fraction(3, 4))
     assert not ok and refuter == (1, 1)
     assert psi_value(WeightVector((2, 3)), refuter) < Fraction(3, 4)
+    assert is_eps_lc(WeightVector((2, 3)), "3/4") == (False, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda a: mld_at_fixed_point(a, 0), "cone index out of range"),
+        (lambda a: mld_at_fixed_point(a, 4), "cone index out of range"),
+        (lambda a: list(_slices(a, 0, False, 100)), "scale must be positive"),
+        (lambda a: list(_slices(a, Fraction(-1, 2), True, 100)), "scale must be positive"),
+        (lambda a: list(iter_region_points(a, 0.9)), "float"),
+        (lambda a: is_eps_lc(a, 0.5), "float"),
+    ],
+    ids=["cone-0", "cone-4", "scale-0", "scale-negative", "scale-float", "eps-float"],
+)
+def test_input_checks_raise(call, message):
+    # a float would be read as its binary expansion: 0.9 is not 9/10
+    with pytest.raises(ValueError, match=message):
+        call(WeightVector((2, 3, 5)))
 
 
 def test_is_eps_lc_rejects_eps_out_of_range():

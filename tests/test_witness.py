@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import coprime_sorted_tuples, facets, interior_by_subsimplex, random_weight_vector, vertices
-from wblowup.exact_lattice import gcd_all, integer_nth_root, pow_cmp
+from wblowup.exact_lattice import integer_nth_root, pow_cmp
 from wblowup.toric_mld import WeightVector, is_eps_lc, psi_value
 from wblowup.witness import (
     METHOD_ENUMERATION,
@@ -122,7 +122,7 @@ def test_multiples_of_a_positive_point_are_interior_exactly_below_eps_over_psi()
             a1 = rng.randint(1, 10 ** rng.randint(1, 6))
             spread = rng.choice([1, 3, a1])
             entries = sorted([a1] + [a1 + rng.randint(0, spread) for _ in range(n - 1)])
-            while gcd_all(entries) != 1:
+            while math.gcd(*entries) != 1:
                 entries[-1] += 1
             a = WeightVector(tuple(entries))
             m = rng.randint(1, 3)
@@ -150,7 +150,7 @@ def _huge_weights_eps_point(draw):
     entries = [draw(st.integers(10 ** (e - 1), 10**e // 2))]
     for _ in range(n - 1):
         entries.append(entries[-1] + draw(st.integers(0, spread)))
-    assume(gcd_all(entries) == 1)
+    assume(math.gcd(*entries) == 1)
     a = WeightVector(tuple(entries))
     c = draw(st.integers(1, 60))
     shift = draw(st.integers(-2, 2))
@@ -412,6 +412,29 @@ def test_certify_examples():
     assert isinstance(res, Certificate)
     assert res.point == (1, 1) and res.method == METHOD_N2_CASE1
 
+    # eps given as a string is read exactly
+    res = certify_not_eps_lc(WeightVector((26, 27)), "1/10")
+    assert res.to_json_dict() == certify_not_eps_lc(WeightVector((26, 27)), Fraction(1, 10)).to_json_dict()
+    assert res.eps == Fraction(1, 10)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: certify_not_eps_lc(WeightVector((26, 27)), 0.1), "float"),
+        (lambda: build_polytope(WeightVector((26, 27)), 0.5), "float"),
+        (lambda: witness_n2(WeightVector((26, 27)), 0.5), "float"),
+        (lambda: certify_not_eps_lc(WeightVector((5, 6, 61)), 1, 0.01), "float"),
+        (lambda: witness_n3(WeightVector((2, 3)), Fraction(1, 2)), "exactly three weights"),
+        (lambda: witness_n3(WeightVector((2, 3, 5, 7)), Fraction(1, 2)), "exactly three weights"),
+    ],
+    ids=["certify-eps-float", "polytope-eps-float", "n2-eps-float", "theta-float", "n3-on-n2", "n3-on-n4"],
+)
+def test_input_checks_raise(call, message):
+    # a float would be read as its binary expansion: 0.1 is not 1/10
+    with pytest.raises(ValueError, match=message):
+        call()
+
 
 def test_certify_enumeration_path_when_construction_fails():
     # a1 = 1 skips the plane construction; the refutation must come from scans
@@ -546,7 +569,7 @@ def _sorted_coprime_weights_and_eps(draw):
     n = draw(st.integers(2, 5))
     top = draw(st.sampled_from([6, 30, 200, 10**4])) if n <= 3 else draw(st.sampled_from([5, 12, 40]))
     entries = sorted(draw(st.lists(st.integers(1, top), min_size=n, max_size=n)))
-    assume(gcd_all(entries) == 1)
+    assume(math.gcd(*entries) == 1)
     return WeightVector(tuple(entries)), draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]))
 
 
