@@ -78,8 +78,8 @@ def pow_cmp(x, d: int, y) -> int:
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"exponent must be a positive integer, got {d!r}")
-    x = Fraction(x)
-    y = Fraction(y)
+    x = exact(x, "x")
+    y = exact(y, "y")
     if x < 0 or y < 0:
         raise ValueError("pow_cmp requires nonnegative operands")
     left = x.numerator**d * y.denominator

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_lattice import BudgetExceeded
+from .exact_lattice import BudgetExceeded, check_eps
 from .toric_mld import WeightVector
 from .witness import CEpsPolytope, build_polytope
 
@@ -114,7 +114,7 @@ def verify_interior_psi_equivalence(a: WeightVector, eps, budget: int = ORACLE_B
     [some nonzero lattice vector has psi < eps], both sides computed by
     exhaustive scans.
     """
-    eps = Fraction(eps)
+    eps = check_eps(eps)
     interior = enumerate_lattice_points(build_polytope(a, eps), "open", budget)
     has_interior_point = len(interior) > 0
     has_small_psi = mld_bruteforce(a, budget) < eps

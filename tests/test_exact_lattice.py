@@ -42,6 +42,12 @@ def test_pow_cmp_rejects_negative_and_bad_exponent():
         pow_cmp(Fraction(-1, 2), 2, Fraction(1, 4))
     with pytest.raises(ValueError):
         pow_cmp(Fraction(1, 2), 0, Fraction(1, 4))
+    # 0.1**2 == 0.01 in decimals, but not in the floats' binary expansions
+    with pytest.raises(ValueError, match="float"):
+        pow_cmp(0.1, 2, Fraction(1, 100))
+    with pytest.raises(ValueError, match="float"):
+        pow_cmp(Fraction(1, 10), 2, 0.01)
+    assert pow_cmp("1/10", 2, "1/100") == 0
 
 
 def test_parse_and_format_round_trip():

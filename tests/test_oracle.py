@@ -75,6 +75,9 @@ def test_verify_interior_psi_equivalence_examples():
     assert verify_interior_psi_equivalence(WeightVector((2, 3)), Fraction(1, 2))
     for k in (1, 5, 40):
         assert verify_interior_psi_equivalence(WeightVector((1, k)), 1)
+    assert verify_interior_psi_equivalence(WeightVector((2, 3)), "1/2")
+    with pytest.raises(ValueError, match="float"):
+        verify_interior_psi_equivalence(WeightVector((2, 3)), 0.5)
 
 
 def test_verify_interior_psi_equivalence_small_family():
