@@ -51,10 +51,6 @@ class DirichletWitness:
     # the bound at Z = 1). Kept so the JSON form keeps its "satisfied" key.
     satisfied = True
 
-    @property
-    def d(self) -> int:
-        return len(self.p)
-
     @cached_property
     def residuals(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(pj, self.q) - aj for pj, aj in zip(self.p, self.alphas))

@@ -72,9 +72,9 @@ def check_eps(eps) -> Fraction:
 def pow_cmp(x, d: int, y) -> int:
     """Compare x**d against y exactly, without extracting any roots.
 
-    Both x and y must be nonnegative and d >= 1. This is how comparisons
-    against irrational bounds of the form Z**(1/d) are carried out: compare
-    d-th powers instead.
+    Both x and y must be nonnegative and d >= 1. The package's own
+    Dirichlet search does not call it: dirichlet_simultaneous compares
+    integer errors against the integer radius integer_nth_root(D**d // Z, d).
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"exponent must be a positive integer, got {d!r}")

@@ -117,15 +117,6 @@ class WeightVector:
     def total(self) -> int:
         return sum(self.entries)
 
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class MldReport:

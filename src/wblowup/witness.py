@@ -110,10 +110,6 @@ class Certificate:
     theta: Fraction | None = None
     dirichlet: DirichletWitness | None = None
 
-    @cached_property
-    def psi_at_point(self) -> Fraction:
-        return Fraction(*self.psi)
-
     @property
     def hypothesis_ok(self) -> bool | None:
         """Whether a_j / a_2 <= a_1 ** theta, for a general-theta certificate."""

@@ -52,7 +52,7 @@ def test_criterion_1_n2_threshold_sweep():
             a = WeightVector((a1, a2))
             result = certify_not_eps_lc(a, eps)
             assert isinstance(result, Certificate), (a1, a2, result)
-            assert result.psi_at_point < eps
+            assert Fraction(*result.psi) < eps
             assert contains_interior(build_polytope(a, eps), result.point)
     _report(
         "criterion 1: eps=1/2 sweep 26<=a1<=126, a2<=a1+500 fully certified",
@@ -123,7 +123,7 @@ def test_criterion_5_n3_projection_construction():
 
     cert = witness_n3(WeightVector((5, 6, 61)), 1, theta)
     assert cert.point == (1, 1, 7)
-    assert cert.psi_at_point == Fraction(52, 61)
+    assert Fraction(*cert.psi) == Fraction(52, 61)
     assert cert.method == METHOD_N3_PROJECTION
 
     rng = random.Random(5061)
@@ -141,7 +141,7 @@ def test_criterion_5_n3_projection_construction():
         assert cert is not None, a.entries
         assert cert.method == METHOD_N3_PROJECTION
         assert contains_interior(build_polytope(a, 1), cert.point)
-        assert psi_value(a, cert.point) == cert.psi_at_point < 1
+        assert psi_value(a, cert.point) == Fraction(*cert.psi) < 1
         assert cert.trace["x3_lo"] < cert.point[2] < cert.trace["x3_hi"]
         made += 1
     _report("criterion 5: n=3 projection certificates on 100 tall instances", started)
@@ -283,7 +283,7 @@ def test_criterion_8_theta_case_soundness():
         certified += 1
         assert cert.trace["hypothesis_ok"] is True
         assert contains_interior(build_polytope(a, eps), cert.point)
-        assert psi_value(a, cert.point) == cert.psi_at_point < eps
+        assert psi_value(a, cert.point) == Fraction(*cert.psi) < eps
     _report(
         "criterion 8: theta-case certificates exactly verified",
         started,

@@ -173,7 +173,7 @@ def test_nearest_choice_minimises_residual():
 
 def test_witness_shape_and_serialisation():
     w = dirichlet_simultaneous((Fraction(3, 2), Fraction(7, 3)), 4)
-    assert w.d == 2
+    assert len(w.p) == 2
     payload = w.to_json_dict()
     assert payload["q"] == 1 and payload["Z"] == 4
     assert payload["satisfied"] is True

@@ -2,10 +2,12 @@ import argparse
 import csv
 import io
 import json
+import types
 from fractions import Fraction
 
 import pytest
 
+from wblowup import harness
 from wblowup.harness import (
     SweepSpec,
     build_parser,
@@ -225,6 +227,25 @@ def make_spec(**overrides):
     return SweepSpec(**base)
 
 
+def test_sweep_draws_tuples_only_as_rows_are_written(monkeypatch):
+    # with one worker, the k-th data row is written after at most k tuples are drawn
+    drawn = []
+    real = harness.iter_weight_tuples
+
+    def counting(spec):
+        for entries in real(spec):
+            drawn.append(entries)
+            yield entries
+
+    drawn_at_write = []
+    stream = types.SimpleNamespace(write=lambda text: drawn_at_write.append(len(drawn)))
+    monkeypatch.setattr(harness, "iter_weight_tuples", counting)
+    run_sweep(make_spec(a1_min=2, a1_max=6, tail_caps=(6,)), stream)
+    data_rows = drawn_at_write[1:]
+    assert len(data_rows) == len(drawn) > 10
+    assert all(count <= k for k, count in enumerate(data_rows, start=1))
+
+
 def test_iter_weight_tuples_sorted_coprime():
     spec = make_spec(a1_min=2, a1_max=4, tail_caps=(3,))
     tuples = list(iter_weight_tuples(spec))
@@ -440,6 +461,32 @@ def test_config_keys_no_flag_reads_are_usage_errors(tmp_path, capsys):
     assert run_cli(capsys, "--config", str(cfg), "selftest")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "text,argv,code",
+    [
+        # argparse alone would read --weight=2,3 as --weights and --a1-mi=3 as --a1-min
+        ("weight = 2,3\n", ("mld",), 2),
+        ("a1-mi = 3\n", ("sweep",), 2),
+        ("a1_mi = 3\n", ("sweep",), 2),
+        ("a1-min = 3\n", ("sweep",), 0),
+        ("a1_min = 3\n", ("sweep",), 0),
+    ],
+    ids=["weight", "a1-mi", "a1_mi", "a1-min", "a1_min"],
+)
+def test_config_keys_must_name_a_flag_exactly(tmp_path, capsys, text, argv, code):
+    cfg = tmp_path / "wblowup.cfg"
+    cfg.write_text(text)
+    if argv == ("sweep",):
+        argv += ("--a1-max", "4", "--tail-cap", "2", "--no-timing")
+    got, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert f"{cfg}: not a valid {argv[0]} config file" in err
+    else:
+        assert {row.split(",")[1].split(";")[0] for row in out.splitlines()[1:]} == {"3", "4"}
+
+
 def test_config_out_is_read_and_unread_out_flags_are_refused(tmp_path, capsys):
     target = tmp_path / "mld.json"
     cfg = tmp_path / "wblowup.cfg"
@@ -556,6 +603,34 @@ def test_selftest_subcommand(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--max-entry", "6")
     assert code == 0
     assert "0 failures" in out
+
+
+@pytest.mark.parametrize(
+    "argv,patches,code,line",
+    [
+        (("check", "--weights", "2,3"), {}, 2, "error: check requires --eps"),
+        (("witness", "--weights", "2,3"), {}, 2, "error: witness requires --eps"),
+        (("verify-example", "--limit", "2", "--mld-limit", "1"), {"is_eps_lc": (False, (1, 1))}, 1,
+         "FAIL weights (1,1): expected 1-lc, refuted by (1, 1)"),
+        (("verify-example", "--limit", "1", "--mld-limit", "2"), {"mld_at_fixed_point": 0}, 1,
+         "FAIL weights (1,2): fixed-point mlds 0, 0"),
+        (("selftest", "--max-entry", "2"), {"mld_bruteforce": -1}, 1, "FAIL mld mismatch at (1, 2)"),
+        (("selftest", "--max-entry", "2"), {"verify_interior_psi_equivalence": False}, 1,
+         "FAIL interior/psi equivalence fails at (1, 1, 2), eps=1/2"),
+        # every tuple up to entry 2 is 1-lc; an oracle that always finds an interior point disagrees
+        (("selftest", "--max-entry", "2"), {"enumerate_lattice_points": [(1, 1)]}, 1,
+         "FAIL certify/oracle disagreement at (1, 1), eps=1"),
+    ],
+    ids=["check-no-eps", "witness-no-eps", "verify-1-lc", "verify-mld", "selftest-mld", "selftest-psi",
+         "selftest-certify"],
+)
+def test_failure_paths_exit_with_their_message(capsys, monkeypatch, argv, patches, code, line):
+    # each patched engine function returns a fixed value the subcommand does not expect
+    for name, value in patches.items():
+        monkeypatch.setattr(harness, name, lambda *args, value=value: value)
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert line in (out + err).splitlines()
 
 
 def test_parse_weights_validation():

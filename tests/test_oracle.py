@@ -57,6 +57,16 @@ def test_psi_bruteforce_agrees_with_engine():
         assert psi_bruteforce(a, v) == psi_value(a, v)
 
 
+@pytest.mark.parametrize(
+    "v,message",
+    [((1, 1, 1), "dimension mismatch"), ((1,), "dimension mismatch"), ((0, 0), "nonzero"), ((-1, 2), "nonnegative")],
+    ids=["too-long", "too-short", "zero", "negative"],
+)
+def test_psi_bruteforce_rejects_bad_vectors(v, message):
+    with pytest.raises(ValueError, match=message):
+        psi_bruteforce(WeightVector((2, 3)), v)
+
+
 def test_mld_bruteforce_examples():
     assert mld_bruteforce(WeightVector((2, 3))) == Fraction(2, 3)
     assert mld_bruteforce(WeightVector((1, 7))) == 1

@@ -231,7 +231,7 @@ def test_witness_n2_hand_trace():
     cert = witness_n2(WeightVector((26, 27)), Fraction(1, 2))
     assert cert.point == (1, 1)
     assert cert.method == METHOD_N2_CASE1
-    assert cert.psi_at_point == Fraction(2, 27)
+    assert Fraction(*cert.psi) == Fraction(2, 27)
     assert cert.trace["Z"] == 5
     assert (cert.trace["p"], cert.trace["q"]) == (1, 1)
     assert cert.trace["x0"] == Fraction(27, 4)
@@ -242,7 +242,7 @@ def test_witness_n2_case2_instance():
     cert = witness_n2(WeightVector((80, 89)), Fraction(1, 2))
     assert cert.method == METHOD_N2_CASE2
     assert cert.point == (8, 9)
-    assert cert.psi_at_point == Fraction(1, 5)
+    assert Fraction(*cert.psi) == Fraction(1, 5)
 
 
 def test_witness_n2_degenerate_and_lc_cases():
@@ -265,7 +265,7 @@ def test_witness_n2_complete_above_threshold(eps):
                 continue
             cert = witness_n2(WeightVector((a1, a2)), eps)
             assert cert is not None, (a1, a2)
-            assert cert.psi_at_point < eps
+            assert Fraction(*cert.psi) < eps
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ def test_general_theta_candidates_lie_on_the_line():
     assert x[0] % w.q == 0
     for j, pj in enumerate(w.p, start=1):
         assert x[j] * w.q == pj * x[0]
-    assert cert.psi_at_point < Fraction(1, 2)
+    assert Fraction(*cert.psi) < Fraction(1, 2)
     assert cert.trace["hypothesis_ok"] is True
 
 
@@ -317,7 +317,7 @@ def test_huge_n3_weights_cost_the_lattice_not_the_denominators(entries):
     cert = certify_not_eps_lc(a, Fraction(1, 2))
     assert time.perf_counter() - started < 1.0
     assert isinstance(cert, Certificate) and cert.method == METHOD_GENERAL_THETA
-    assert cert.psi_at_point < Fraction(1, 2) and contains_interior(build_polytope(a, Fraction(1, 2)), cert.point)
+    assert Fraction(*cert.psi) < Fraction(1, 2) and contains_interior(build_polytope(a, Fraction(1, 2)), cert.point)
     w = cert.trace["dirichlet"]
     assert w.Z == integer_nth_root(a.entries[0], 3) and 1 <= w.q <= w.Z and w.satisfied
     worst = max(abs(Fraction(w.q * aj, a.entries[0]) - pj) for aj, pj in zip(a.entries[1:], w.p))
@@ -330,7 +330,7 @@ def test_general_theta_flags_violated_hypothesis():
     cert = witness_general_theta(a, Fraction(1, 2))
     if cert is not None:
         assert cert.trace["hypothesis_ok"] is False
-        assert cert.psi_at_point < Fraction(1, 2)
+        assert Fraction(*cert.psi) < Fraction(1, 2)
 
 
 def test_general_theta_rejects_bad_theta():
@@ -360,7 +360,7 @@ def test_witness_n3_hand_trace():
     cert = witness_n3(WeightVector((5, 6, 61)), 1, Fraction(1, 100))
     assert cert.point == (1, 1, 7)
     assert cert.method == METHOD_N3_PROJECTION
-    assert cert.psi_at_point == Fraction(52, 61)
+    assert Fraction(*cert.psi) == Fraction(52, 61)
     assert (cert.trace["p"], cert.trace["q"]) == (1, 1)
     assert cert.trace["x3_lo"] == Fraction(61, 10)
     assert cert.trace["x3_hi"] == Fraction(65, 6)
@@ -393,7 +393,7 @@ def test_witness_n3_projection_point_between_bounds():
         q, p, m = cert.point
         assert cert.trace["x3_lo"] < m < cert.trace["x3_hi"]
         assert (q, p) == (cert.trace["q"], cert.trace["p"])
-        assert cert.psi_at_point < 1
+        assert Fraction(*cert.psi) < 1
         made += 1
 
 
@@ -404,7 +404,7 @@ def test_witness_n3_projection_point_between_bounds():
 def test_certify_examples():
     res = certify_not_eps_lc(WeightVector((2, 3)), Fraction(3, 4))
     assert isinstance(res, Certificate)
-    assert res.point == (1, 1) and res.psi_at_point == Fraction(2, 3)
+    assert res.point == (1, 1) and Fraction(*res.psi) == Fraction(2, 3)
 
     assert certify_not_eps_lc(WeightVector((1, 10**6)), 1) == VERDICT_EPS_LC
 
@@ -442,7 +442,7 @@ def test_certify_enumeration_path_when_construction_fails():
     assert res == VERDICT_EPS_LC
     res = certify_not_eps_lc(WeightVector((4, 5)), Fraction(1, 2))
     assert isinstance(res, Certificate)
-    assert res.psi_at_point < Fraction(1, 2)
+    assert Fraction(*res.psi) < Fraction(1, 2)
 
 
 def test_certify_inconclusive_on_tiny_budget():
@@ -561,7 +561,7 @@ def test_certificates_are_always_sound():
         if isinstance(res, Certificate):
             C = build_polytope(a, eps)
             assert contains_interior(C, res.point)
-            assert psi_value(a, res.point) == res.psi_at_point < eps
+            assert psi_value(a, res.point) == Fraction(*res.psi) < eps
 
 
 @st.composite
@@ -579,11 +579,15 @@ def test_sweep_row_certificate_and_trace_agree(case):
     # the sweep row reads the certificate's integers, never its trace; the
     # JSON form, psi_value and the n = 2 exit abscissa must tell the same story
     from wblowup.exact_lattice import format_rational
-    from wblowup.harness import CSV_COLUMNS, _sweep_task
+    from wblowup.harness import CSV_COLUMNS, SweepSpec, _sweep_task
 
     a, eps = case
     cap = 20000
-    row = dict(zip(CSV_COLUMNS, _sweep_task((a.entries, eps, format_rational(eps), None, cap, False, "auto"))))
+    spec = SweepSpec(
+        n=a.n, eps=eps, a1_min=1, a1_max=1, tail_caps=(0,) * (a.n - 1),
+        theta=None, workers=1, enumeration_cap=cap, include_timing=False,
+    )
+    row = dict(zip(CSV_COLUMNS, _sweep_task(spec, format_rational(eps), a.entries)))
     res = certify_not_eps_lc(a, eps, enumeration_cap=cap)
     if not isinstance(res, Certificate):
         assert row["verdict"] == res and row["point"] == row["psi"] == row["hypothesis_flags"] == ""
@@ -596,6 +600,6 @@ def test_sweep_row_certificate_and_trace_agree(case):
     hyp = payload["trace"].get("hypothesis_ok")
     assert row["hypothesis_flags"] == ("" if hyp is None else "theta-ok" if hyp else "theta-violated")
     assert (hyp is not None) == (res.method == METHOD_GENERAL_THETA)
-    assert psi_value(a, res.point) == res.psi_at_point == Fraction(payload["psi"]) < eps
+    assert psi_value(a, res.point) == Fraction(*res.psi) == Fraction(payload["psi"]) < eps
     if res.method in (METHOD_N2_CASE1, METHOD_N2_CASE2):
-        assert res.trace["x0"] == eps * res.point[0] / res.psi_at_point
+        assert res.trace["x0"] == eps * res.point[0] / Fraction(*res.psi)
