@@ -32,18 +32,17 @@ Conventions used throughout the package:
   Klein sail of that lattice, which the Hirzebruch-Jung continued fraction
   walks in O(log p) steps (Fulton, Introduction to Toric Varieties, 2.6);
   with Pick's theorem it gives the global mld of n = 2 without enumerating.
-* For n = 3 the global mld enumerates no region either. The box points of
-  cone i are the points (k, r_j, r_l) of a lattice of index a_i^2, with
-  age numerator k + r_j + r_l, so its box points of age <= S are its
-  points in a simplex. They are counted one plane at a time along a short
-  dual vector from LLL (in the spirit of Lenstra, Math. Oper. Res. 8,
-  1983). Each row of a plane runs from the greatest of its lower bounds to
-  the least of its upper ones, so a plane's count is one sum along the
-  envelope of each chain of bounds, a floor sum in O(log a_i) steps per
-  piece, and the least age is found by doubling and bisecting S on those
-  counts. A count at S = a_i reads about a_i^(1/3) planes: (15701, 28340,
-  29766) reads 67 of them in all for its 12,307 points, and a_1 near 10^9
-  about 2,500.
+* For n = 3 the global mld enumerates no region either. {psi <= 1} is the
+  unit simplex, whose only nonzero lattice points are the e_j, and
+  T = conv(e_1, e_2, e_3, a). With N = sum(a) - 1 a point x of T is
+  (k, z_1, z_2), k = sum(x) - 1 and z_j = N*x_j - a_j*k, in a lattice of
+  index N^2, where psi = 1 - min_j z_j / a_j with z_3 = N - k - z_1 - z_2,
+  so its points with psi <= s are those of a simplex. They are counted one
+  plane at a time along a short dual vector from LLL (in the spirit of
+  Lenstra, Math. Oper. Res. 8, 1983), each plane by floor sums along the
+  envelope of each chain of its row bounds, and the least psi is found by
+  doubling and bisecting s on those counts. T takes about N^(1/3) planes:
+  27 for the 12,307 points of (15701, 28340, 29766), 900-1,400 near 10^9.
 * For n >= 4 the global mld enumerates {psi <= 1}: a pass over every box
   point costs O(n * sum(a)) whatever that region holds, and skewed weights
   such as (1, 1, 1, N) have only the n + 1 generators in it.
@@ -70,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import mod
 
 from .exact_lattice import (
@@ -386,15 +385,16 @@ def _floor_sum(n, a, b, m) -> int:
         m, a = a, m
 
 
-def _cone_frame(p, q1, q2, f=(1, 1, 1)):
+def _cone_frame(p, q1, q2):
     # slicing data for the points of the lattice L = {x : x_1 = -x_0*q1 and
-    # x_2 = -x_0*q2 (mod p)}, p > 1, in the simplex {x >= 0, f.x <= T}, f > 0.
-    # The dual of L, times p, has the rows (p, 0, 0), (q1, 1, 0), (q2, 0, 1);
-    # after LLL the slicing row w is, of b_i, b_i + b_j and b_i - b_j with
-    # b_j = b_{i-2}, i = 0, 1, 2, the first with the least range max(0, w) -
-    # min(0, w) on the simplex, and (w, b_j, b_k) is still a basis. With c_m
-    # the columns of its adjugate, signed so that B c_m = p e_m, L is every
-    # x = s*c_0 + u*c_1 + v*c_2 with integer s, u, v, and s = w.x / p.
+    # x_2 = -x_0*q2 (mod p)}, p > 1, in a simplex {x >= l, x_0 + x_1 + x_2 <= T}
+    # whose l and T each walk supplies. The dual of L, times p, has the rows
+    # (p, 0, 0), (q1, 1, 0), (q2, 0, 1); after LLL the slicing row w is, of
+    # b_i, b_i + b_j and b_i - b_j with b_j = b_{i-2}, i = 0, 1, 2, the first
+    # with the least range max(0, w) - min(0, w) on the simplex, and
+    # (w, b_j, b_k) is still a basis. With c_m the columns of its adjugate,
+    # signed so that B c_m = p e_m, L is every x = s*c_0 + u*c_1 + v*c_2 with
+    # integer s, u, v, and s = w.x / p.
     b = [[p, 0, 0], [q1 % p, 1, 0], [q2 % p, 0, 1]]
     _lll(b)
     least = None
@@ -412,49 +412,59 @@ def _cone_frame(p, q1, q2, f=(1, 1, 1)):
             (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)]
     if x0 * cols[0][0] + x1 * cols[0][1] + x2 * cols[0][2] < 0:
         cols = [(-c0, -c1, -c2) for c0, c1, c2 in cols]
-    # the simplex rows x_m >= 0 and T - f.x >= 0, as A*s + B*u + G*v + h*T
-    # >= 0: G = 0 bounds u, G < 0 bounds v above (the upper chain) and G > 0
-    # below (the lower chain); each is kept as the line (B*u + A*s + h*T) /
-    # |G|, of which v <= floor(the least upper) and v >= -floor(the least
-    # lower). The two chains are summed apart (see walk)
-    f0, f1, f2 = f
-    cons = [(*col, 0) for col in zip(*cols)]
-    cons.append((*(-f0 * c0 - f1 * c1 - f2 * c2 for c0, c1, c2 in cols), 1))
-    up = [(B, A, h, -G) for A, B, G, h in cons if G < 0]
-    lo = [(B, A, h, G) for A, B, G, h in cons if G > 0]
-    # the u-range needs the rows G = 0 and, for each upper and lower line,
-    # that their sum stays >= 0: D*u + Es*s + ET*T >= 0
-    conds = [(B, A, h) for A, B, G, h in cons if G == 0]
-    conds += [(B * Q + B2 * q, A * Q + A2 * q, h * Q + h2 * q) for B, A, h, q in up for B2, A2, h2, Q in lo]
-    return [(wm, fm * p) for wm, fm in zip(w, f)], cols, conds, _chain(up), _chain(lo)
+    return (w, cols, *_bounds(cols, [(1, 1, 1)]))
+
+
+def _bounds(cols, tops):
+    # the rows x_m - l_m >= 0 and, for each f of tops, T_f - f.x >= 0, as
+    # A*s + B*u + G*v + c_r >= 0, where a walk supplies row r's constant c_r:
+    # G = 0 bounds u, G < 0 bounds v above (the upper chain) and G > 0 below
+    # (the lower chain); each is kept as the line (B*u + A*s + c_r) / |G|, of
+    # which v <= floor(the least upper) and v >= -floor(the least lower). The
+    # u-range needs the rows G = 0 and, for each upper line r and lower line
+    # r2, that their sum stays >= 0: D*u + Es*s + c_r*Q + c_r2*q >= 0
+    rows = [*zip(*cols)] + [tuple(-f0 * c0 - f1 * c1 - f2 * c2 for c0, c1, c2 in cols) for f0, f1, f2 in tops]
+    up = [(B, A, r, -G) for r, (A, B, G) in enumerate(rows) if G < 0]
+    lo = [(B, A, r, G) for r, (A, B, G) in enumerate(rows) if G > 0]
+    conds = [(B, A, r, 1, r, 0) for r, (A, B, G) in enumerate(rows) if G == 0]
+    conds += [(B * Q + B2 * q, A * Q + A2 * q, r, Q, r2, q) for B, A, r, q in up for B2, A2, r2, Q in lo]
+    return conds, _chain(up), _chain(lo)
 
 
 def _chain(lines):
-    # the lines (B, A, h, q), q > 0, in descending slope B/q, each with its
-    # crossings K*u + Ks*s + KT*T = 0, K >= 0, with the lines after it
+    # the lines (B, A, r, q), q > 0, in descending slope B/q, each with its
+    # crossings K*u + Ks*s + c_r*Q - c_r2*q = 0, K >= 0, with the lines
+    # (B2, A2, r2, Q) after it
     g = sorted(lines, key=cmp_to_key(lambda l, m: l[3] * m[0] - l[0] * m[3]))
-    return tuple((B, A, h, q, tuple((B * Q - B2 * q, A * Q - A2 * q, h * Q - h2 * q) for B2, A2, h2, Q in g[i + 1:]))
-                 for i, (B, A, h, q) in enumerate(g))
+    return tuple((B, A, r, q, tuple((B * Q - B2 * q, A * Q - A2 * q, r2, Q) for B2, A2, r2, Q in g[i + 1:]))
+                 for i, (B, A, r, q) in enumerate(g))
 
 
-def _chain_sum(chain, s, T, x0, x1) -> int:
-    # sum over x0 <= u <= x1 of the least (B*u + A*s + h*T) // q over the
-    # lines of one chain (see _chain). Line i is at or below line j > i up
-    # to u = floor(-(Ks*s + KT*T) / K) and above it after, or, when the two
-    # are parallel (K = 0), for every u or for none. So the first least line
-    # at u is line i on one run of u, the runs follow in chain order, a line
-    # that never reaches the envelope has none, and each run takes one
-    # floor sum
+def _fold(chain, c):
+    # the chain with the row constants c folded in, once per walk: each line
+    # reads (B*u + A*s + h) // q and each crossing K*u + Ks*s + Kc = 0
+    return [(B, A, c[r], q, [(K, Ks, c[r] * Q - c[r2] * q) for K, Ks, r2, Q in cuts]) for B, A, r, q, cuts in chain]
+
+
+def _chain_sum(chain, s, x0, x1) -> int:
+    # sum over x0 <= u <= x1 of the least (B*u + A*s + h) // q over the lines
+    # of one folded chain. Line i is at or below line j > i up to
+    # u = floor(-(Ks*s + Kc) / K) and above it after, or, when the two are
+    # parallel (K = 0), for every u or for none. So the first least line at u
+    # is line i on one run of u, the runs follow in chain order, a line that
+    # never reaches the envelope has none, and each run takes one floor sum,
+    # or one floor when it is one u long
     total = 0
     for B, A, h, q, cuts in chain:
         end = x1
-        for K, Ks, KT in cuts:
-            E = Ks * s + KT * T
+        for K, Ks, Kc in cuts:
+            E = Ks * s + Kc
             t = -E // K if K else x1 if E <= 0 else x0 - 1
             if t < end:
                 end = t
         if end >= x0:
-            total += _floor_sum(end - x0 + 1, B, B * x0 + A * s + h * T, q)
+            b = B * x0 + A * s + h
+            total += b // q if end == x0 else _floor_sum(end - x0 + 1, B, b, q)
             if end == x1:
                 return total
             x0 = end + 1
@@ -462,30 +472,35 @@ def _chain_sum(chain, s, T, x0, x1) -> int:
 
 
 def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], int]:
-    # cone by cone, on the box-point lattice L_i of cone i (see _cone_frame,
-    # with x = (k, r_j, r_l) and psi = sum(x) / a_i): the points of L_i in
-    # {x >= 0, sum(x) <= S} are the origin, the vertices a_i*e_m when
-    # S = a_i, and the box points of age numerator <= S. walk counts the
-    # points of L_i in {x >= 0, f.x <= T}, or lists them, one slice
-    # s = w.x / p at a time, charging each slice to the budget before reading it
-    ent = a.entries
+    # T's lattice points (see the module docstring) are the points (k, z_1,
+    # z_2) of the lattice of _cone_frame(N, a_1, a_2) with k, z_1, z_2 >= 0
+    # and k + z_1 + z_2 <= N. walk counts, or lists, the points with every
+    # x_m >= -c_m and, for the tops f of _bounds, f.x <= c_3, c_4, ..., one
+    # slice s = w.x / N at a time, charging each slice to the budget first
+    a1, a2, a3 = ent = a.entries
+    N = a1 + a2 + a3 - 1
+    w, cols, *frame = _cone_frame(N, a1, a2)
+    wlo, whi = min(0, *w), max(0, *w)
     work = 0
 
-    def walk(frame, T, listing=False):
+    def walk(bounds, c, listing=False):
         nonlocal work
-        ws, cols, conds, up, lo = frame
-        # s = w.x / p over the simplex's vertices 0 and T / f_m * e_m
-        slo = min(0, *(-(T * wm // -d) for wm, d in ws))
-        shi = max(0, *(T * wm // d for wm, d in ws))
+        R = c[0] + c[1] + c[2] + c[3]
+        if R < 0:
+            return [] if listing else 0
+        # s over the vertices l and l + R*e_m of the simplex of the first four rows
+        W = -w[0] * c[0] - w[1] * c[1] - w[2] * c[2]
+        slo, shi = -((-W - R * wlo) // N), (W + R * whi) // N
         work += shi - slo + 1
         if work > budget:
             raise BudgetExceeded(work, budget, "slices")
-        total = 0
-        points = []
+        conds = [(D, Es, c[r] * Q + c[r2] * q) for D, Es, r, Q, r2, q in bounds[0]]
+        up, lo = _fold(bounds[1], c), _fold(bounds[2], c)
+        total, points = 0, []
         for s in range(slo, shi + 1):
             ulo = uhi = None
-            for D, Es, ET in conds:
-                E = Es * s + ET * T
+            for D, Es, Ec in conds:
+                E = Es * s + Ec
                 if D > 0:
                     if ulo is None or -(E // D) > ulo:
                         ulo = -(E // D)
@@ -500,7 +515,7 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
             # + 1 points, and the two chains are summed apart, each cut only
             # at its own crossings
             if not listing:
-                total += _chain_sum(up, s, T, ulo, uhi) + _chain_sum(lo, s, T, ulo, uhi) + uhi - ulo + 1
+                total += _chain_sum(up, s, ulo, uhi) + _chain_sum(lo, s, ulo, uhi) + uhi - ulo + 1
                 continue
             # list u by u, halving a u-range longer than 16 and dropping the
             # halves that count no point, so a long thin slice costs its
@@ -509,70 +524,56 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
             while spans:
                 x0, x1 = spans.pop()
                 if x1 - x0 > 16:
-                    if _chain_sum(up, s, T, x0, x1) + _chain_sum(lo, s, T, x0, x1) + x1 - x0 + 1:
+                    if _chain_sum(up, s, x0, x1) + _chain_sum(lo, s, x0, x1) + x1 - x0 + 1:
                         mid = (x0 + x1) // 2
                         spans += [(x0, mid), (mid + 1, x1)]
                     continue
                 for u in range(x0, x1 + 1):
-                    top = min((B * u + A * s + h * T) // q for B, A, h, q, _ in up)
-                    bot = -min((B * u + A * s + h * T) // q for B, A, h, q, _ in lo)
+                    top = min((B * u + A * s + h) // q for B, A, h, q, _ in up)
+                    bot = -min((B * u + A * s + h) // q for B, A, h, q, _ in lo)
                     points += ([s * x + u * y + v * z for x, y, z in zip(*cols)] for v in range(bot, top + 1))
         return points if listing else total
 
-    frames = [_cone_frame(p, ent[i - 2], ent[i - 1]) if p > 1 else None for i, p in enumerate(ent)]
-    counts = [walk(frame, p) if frame else 4 for frame, p in zip(frames, ent)]
-    # 4 generators plus each cone's box points of age <= 1, less those on the
-    # triangle conv(0, e_l, a) that two cones share: by Pick's theorem it
-    # holds (gcd(a_i, a_j) + gcd(a_i, a_j, a_l - 1)) / 2 - 1 of them
-    scanned = 4 + sum(counts) - 12
-    for i in range(3):
-        ai, aj, al = ent[i - 2], ent[i - 1], ent[i]
-        scanned -= (gcd(ai, aj) + gcd(ai, aj, al - 1)) // 2 - 1
-    best = (1, 1, (0, 0, 1))
-    for i, frame in enumerate(frames):
-        if counts[i] == 4:
-            continue  # no box point of age <= 1
-        p = ent[i]
-        # least age numerator S with best[0] / best[1] >= S / p: double a start
-        # near where one point is expected until a box point shows, then
-        # bisect until at most 16 remain and list them
-        smax = min(p - 1, best[0] * p // best[1])
-        lo, s = 0, min(max(1, integer_nth_root(6 * p * p, 3) // 2), smax)
-        while (c := walk(frame, s)) == 1 and s < smax:
-            lo, s = s, min(2 * s, smax)
-        hi = s
-        while c > 17 and hi - lo > 1:
+    def narrow(lo, hi, n, count):  # n > 0 points at hi and none at lo
+        while n > 16 and hi - lo > 1:
             mid = (lo + hi) // 2
-            if (cm := walk(frame, mid)) > 1:
-                hi, c = mid, cm
+            if c := count(mid):
+                hi, n = mid, c
             else:
                 lo = mid
-        if c == 1:
-            continue
-        if c > 17:
-            # the c - 1 box points all have age hi / p: the least of
-            # F = M*M*sum(x) + M*p*v_1 + p*v_2, with M above p*v_1 and p*v_2,
-            # is their lex-first, so bisect on F instead
-            M = (max(ent) + 1) * p + 1
-            pv = [[p, 0, 0] if m == i else [ent[m], 1, 0] if m == (i + 1) % 3 else [ent[m], 0, 1] for m in (0, 1)]
-            frame = _cone_frame(p, ent[i - 2], ent[i - 1], [M * M + M * y + z for y, z in zip(*pv)])
-            lo, hi = M * M * hi - 1, M * M * (hi + 1) - 1
-            while c > 17:
-                mid = (lo + hi) // 2
-                if (cm := walk(frame, mid)) > 1:
-                    hi, c = mid, cm
-                else:
-                    lo = mid
-        for x in walk(frame, hi, True):
-            v = [0, 0, 0]
-            v[i] = k = x[0]
-            v[i - 2] = (k * ent[i - 2] + x[1]) // p
-            v[i - 1] = (k * ent[i - 1] + x[2]) // p
-            cand = (sum(x), p, tuple(v))
-            lhs, rhs = cand[0] * best[1], best[0] * p
-            if cand[0] and (lhs < rhs or lhs == rhs and cand[2] < best[2]):
-                best = cand
-    return Fraction(best[0], best[1]), best[2], scanned
+        return hi, n
+
+    scanned = walk(frame, [0, 0, 0, N])
+    # the least m with a point at psi <= m / den < 1, where one step of m
+    # parts any two psi = 1 - z_j / a_j: double a start near where a point is
+    # expected until one shows, then bisect
+    den = lcm(*ent)
+
+    def below(m):
+        # psi <= m / den exactly where every z_j >= a_j - floor(m*a_j / den)
+        return [0, m * a1 // den - a1, m * a2 // den - a2, N - a3 + m * a3 // den]
+
+    lo, m = 0, min(max(1, integer_nth_root(6 * a1 * a1, 3) // 2) * (den // a1), den - 1)
+    while not (n := walk(frame, below(m))) and m < den - 1:
+        lo, m = m, min(2 * m, den - 1)
+    m, n = narrow(lo, m, n, lambda m: walk(frame, below(m)))
+    if not n:
+        return Fraction(1), (0, 0, 1), scanned
+    c, bounds = below(m), frame
+    if n > 16:
+        # the n points tie at psi = m / den: the least of F = M*M*x_1 + M*x_2 +
+        # x_3, with M above every x_2 and x_3 of T, is their lex-first, and
+        # N*(F - 1) = g.(k, z_1, z_2) with g > 0, so bisect on g.x <= t
+        M = a3 + 1
+        g = (M * M * a1 + M * a2 + a3 - 1, M * M - 1, M - 1)
+        bounds = _bounds(cols, [(1, 1, 1), g])
+        lo = -g[1] * c[1] - g[2] * c[2] - 1
+        t, n = narrow(lo, lo + 1 + g[0] * (c[0] + c[1] + c[2] + c[3]), n, lambda t: walk(bounds, c + [t]))
+        c.append(t)
+    # the least psi among the listed points, then the lex-first x
+    points = ((k + 1, (z1 + a1 * k) // N, (z2 + a2 * k) // N) for k, z1, z2 in walk(bounds, c, True))
+    value, at = min((Fraction(*_psi(ent, N, v)), v) for v in ((x1, x2, s - x1 - x2) for s, x1, x2 in points))
+    return value, at, scanned
 
 
 def _column_min(ent, T1, p, lo, hi) -> tuple[int, int, int]:
@@ -664,15 +665,14 @@ def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) 
     For n = 2 nothing is enumerated: the value is min(1, least box-point
     age), found by the Klein sail walk, and the count comes from Pick's
     theorem, in O(log a_2) steps, with no budget. For n = 3 nothing is
-    enumerated either: each cone's box points of age <= S are counted,
-    and the few of least age listed, one lattice plane at a time, and the
-    cones' shared triangles are taken off the count by Pick's theorem; it
-    reads about a_i^(1/3) planes per cone, and BudgetExceeded stops it
-    before the planes read pass enumeration_cap. For n >= 4 {psi <= 1} is
-    enumerated as columns along the last coordinate, each counted and
-    minimised in closed form, so it costs the visited prefixes rather than
-    sum(a) or the points; BudgetExceeded stops it before they pass
-    enumeration_cap. A cap below 1 is rejected at every n.
+    enumerated either: the lattice points of conv(e_1, e_2, e_3, a) with
+    psi <= s are counted, and the few of least psi listed, one lattice
+    plane at a time; counting them all reads about sum(a)^(1/3) planes, and
+    BudgetExceeded stops it before the planes read pass enumeration_cap.
+    For n >= 4 {psi <= 1} is enumerated as columns along the last
+    coordinate, each counted and minimised in closed form, so it costs the
+    visited prefixes rather than sum(a) or the points; BudgetExceeded stops
+    it before they pass enumeration_cap. A cap below 1 is rejected at every n.
     """
     if enumeration_cap < 1:
         raise ValueError("enumeration cap must be positive")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import barycentric, random_weight_vector
+from conftest import barycentric, coprime_sorted_tuples, random_weight_vector
 from wblowup.exact_lattice import DEFAULT_ENUMERATION_CAP, BudgetExceeded
 from wblowup.oracle import enumerate_lattice_points, psi_bruteforce
 from wblowup.toric_mld import (
@@ -19,6 +19,7 @@ from wblowup.toric_mld import (
     _chain_sum,
     _column_min,
     _floor_sum,
+    _fold,
     _psi,
     _slices,
     argmin_cones,
@@ -533,10 +534,10 @@ def test_budget_errors_report_work():
     assert mld_global(c, enumeration_cap=3177) == mld_global(c)
     a = WeightVector((1000, 1001, 1003))
     with pytest.raises(BudgetExceeded) as err:
-        mld_global(a, enumeration_cap=13)
-    assert (err.value.work, err.value.cap) == (14, 13)
-    assert str(err.value) == "14 slices exceed budget 13"
-    assert mld_global(a, enumeration_cap=14) == mld_global(a)
+        mld_global(a, enumeration_cap=4)
+    assert (err.value.work, err.value.cap) == (5, 4)
+    assert str(err.value) == "5 slices exceed budget 4"
+    assert mld_global(a, enumeration_cap=5) == mld_global(a)
     with pytest.raises(BudgetExceeded):
         is_eps_lc(a, Fraction(1, 2), enumeration_cap=1)
     with pytest.raises(BudgetExceeded) as err:
@@ -592,7 +593,9 @@ line = st.tuples(
 )
 
 
-# with s = 1 and T = 0 each line below reads (B*u + A) / q
+# each line (B, A, h, q) reads (B*u + A*s + h*T) // q, so with s = 1 and
+# T = 0 the lines below read (B*u + A) // q; the row constants h*T are
+# folded into the chain once, as a walk does
 @settings(max_examples=400, deadline=None)
 @given(
     st.lists(line, min_size=1, max_size=3),
@@ -613,17 +616,17 @@ line = st.tuples(
 @example([(2, 0, 0, 2), (0, 1, 0, 2), (-2, 2, 0, 2)], 1, 0, -8, 16)  # ... and touches only at u = 1/2
 def test_chain_sum_matches_per_u_minimum(lines, s, T, x0, length):
     x1 = x0 + length
-    chain = _chain(lines)
+    chain = _fold(_chain([(B, A, r, q) for r, (B, A, _, q) in enumerate(lines)]), [h * T for _, _, h, _ in lines])
     slopes = [Fraction(B, q) for B, _, _, q, _ in chain]
     assert slopes == sorted(slopes, reverse=True)
     want = sum(min((B * u + A * s + h * T) // q for B, A, h, q in lines) for u in range(x0, x1 + 1))
-    assert _chain_sum(chain, s, T, x0, x1) == want
+    assert _chain_sum(chain, s, x0, x1) == want
 
 
 def test_cone_frames_keep_chains_in_descending_slope(monkeypatch):
-    # every frame built for the mld-n3 bench pool, and the tie-break frame of
-    # (29, 140, 336): each chain holds one to three lines, in descending
-    # slope B/q
+    # the one frame built per query of the mld-n3 bench pool and of
+    # (29, 140, 336): of its four rows, one to three bound v above and one
+    # to three below, each chain in descending slope B/q
     pool = json.loads((Path(__file__).parents[1] / "bench" / "data" / "mld_pool.json").read_text())["mld-n3"]
     pool.append({"weights": [29, 140, 336], "mld": "1/2", "points_scanned": 148})
     frames = []
@@ -637,7 +640,7 @@ def test_cone_frames_keep_chains_in_descending_slope(monkeypatch):
     for entry in pool:
         report = mld_global(WeightVector(tuple(entry["weights"])))
         assert (str(report.value), report.points_scanned) == (entry["mld"], entry["points_scanned"])
-    assert len(frames) == 3 * len(pool) + 1
+    assert len(frames) == len(pool)
     for *_, up, lo in frames:
         assert 1 <= len(up) <= 3 and 1 <= len(lo) <= 3 and len(up) + len(lo) <= 4
         for chain in (up, lo):
@@ -645,15 +648,48 @@ def test_cone_frames_keep_chains_in_descending_slope(monkeypatch):
                 assert B * Q >= B2 * q
 
 
+def test_n3_points_of_psi_at_most_one_are_the_tetrahedron_lattice():
+    # on every coprime triple with entries <= 12 (287 of them): the nonzero
+    # points with psi <= 1, found by psi_value over the box x_j <= a_j, map
+    # one to one onto the points (k, z_1, z_2) of the lattice z_j = -a_j*k
+    # (mod N) with k, z_1, z_2 >= 0 and k + z_1 + z_2 <= N, where
+    # N = sum(a) - 1, k = sum(x) - 1 and z_j = N*x_j - a_j*k; psi is
+    # 1 - min_j z_j / a_j there, and mld_global counts them and finds their
+    # least (psi, x)
+    triples = list(coprime_sorted_tuples(3, 12))
+    assert len(triples) == 287
+    for ent in triples:
+        a = WeightVector(ent)
+        N = sum(ent) - 1
+        region = {}
+        for x in itertools.product(*(range(aj + 1) for aj in ent)):
+            if any(x) and psi_value(a, x) <= 1:
+                k = sum(x) - 1
+                z = [N * xj - aj * k for xj, aj in zip(x, ent)]
+                assert k >= 0 and min(z) >= 0 and sum(z) == N - k, (ent, x)
+                assert psi_value(a, x) == 1 - min(Fraction(zj, aj) for zj, aj in zip(z, ent)), (ent, x)
+                region[x] = (k, z[0], z[1])
+        lattice = {
+            (k, z1, z2)
+            for k in range(N + 1)
+            for z1 in range(-ent[0] * k % N, N - k + 1, N)
+            for z2 in range(-ent[1] * k % N, N - k - z1 + 1, N)
+        }
+        assert sorted(region.values()) == sorted(lattice), ent
+        report = mld_global(a)
+        assert report.points_scanned == len(region), ent
+        assert (report.value, report.achieved_at) == min((psi_value(a, x), x) for x in region), ent
+
+
 @pytest.mark.parametrize("entries,slices", [
-    ((1000, 1001, 1003), 14),
-    ((2, 3, 100001), 23),
-    ((29, 140, 336), 49),  # takes the tie-break frame
-    ((15701, 28340, 29766), 67),
-    ((10**9 + 7, 10**9 + 9, 10**9 + 21), 105),
-])
+    ((1000, 1001, 1003), 5),
+    ((2, 3, 100001), 15),
+    ((29, 140, 336), 27),  # bisects its tie on the weighted row
+    ((15701, 28340, 29766), 32),
+    ((10**9 + 7, 10**9 + 9, 10**9 + 21), 17),
+], ids=["1000,1001,1003", "2,3,100001", "29,140,336", "15701,28340,29766", "1e9+7,1e9+9,1e9+21"])
 def test_n3_slice_schedule_is_pinned(entries, slices):
-    # the slices n = 3 mld charges to its budget, over every frame and T
+    # the slices n = 3 mld charges to its budget, over every walk
     a = WeightVector(entries)
     assert mld_global(a, enumeration_cap=slices) == mld_global(a)
     with pytest.raises(BudgetExceeded) as err:
