@@ -13,11 +13,13 @@ a fixed-point pass); README gives what a scan stopped there has cost.
 
 The argument parser is built on the first cli_dispatch call and reused by
 every later call in the process, so in-process callers pay for it once.
+Pooled sweeps likewise share one worker pool per process (see Pool).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import csv
 import functools
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,10 +201,11 @@ def _sweep_task(spec: SweepSpec, eps_text: str, entries) -> list[str]:
     ]
 
 
-# Tuples per pool task. On sweep-n3 (blocks of about 1,050 tuples, 2 workers;
-# Intel Xeon, 2 vCPUs) bench ops/s, median of 3 runs, read 26,700 at 16,
-# 31,300 at 32, 33,300 at 64, 31,500 at 128 and 31,900 at 256.
-_CHUNK = 64
+# Tuples per pool task. On sweep-n3 (blocks of about 1,050 tuples, 2 workers
+# on the kept pool; Intel Xeon, 2 vCPUs) bench ops/s, median of 3 to 7 runs,
+# read 21,600 at 16, 25,300 at 32, 27,100 at 64, 29,600 at 128, 32,500 at 256
+# and 30,500 at 512, where a block's two or three tasks leave a worker idle.
+_CHUNK = 256
 
 
 def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
@@ -210,6 +214,12 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     Tuples are drawn only as rows are written (a pool reads ahead by its
     chunks), so memory does not grow with the sweep. Rows come in
     lexicographic order of weights, identical at any worker count.
+
+    A sweep with more than one worker runs on the process's one kept pool
+    (see Pool): the first such sweep starts it, forking the workers then,
+    and later sweeps with the same worker count reuse it. A single CLI
+    sweep therefore gets no faster; a process that runs many sweeps pays
+    the pool's start-up once.
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -235,12 +245,53 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     return FrontierReport(spec.eps, tuple(per_a1), empirical)
 
 
-def Pool(processes: int):
-    """A multiprocessing pool, imported on first use: queries never need one,
-    and the module costs about 1 MiB. bench/tracing.py swaps this name."""
-    from multiprocessing import Pool as pool
+_kept_pool = None  # (processes, pool): the pool every sweep of this process shares
+_pool_lock = threading.Lock()  # held by the sweep using the kept pool
 
-    return pool(processes)
+
+@contextlib.contextmanager
+def Pool(processes: int):
+    """The process's one kept pool of `processes` workers, as a context.
+
+    The first call starts the pool, and later calls with the same worker
+    count hand out the same pool; a call with another count terminates it
+    and starts a new one. The workers are forked when the pool starts, so
+    they see module state as of that moment: each sweep task carries its
+    spec and eps with it, so sweeps do not depend on later changes to that
+    state. Leaving the context normally keeps the pool running; an exception
+    leaving it (a task error, a failed write, KeyboardInterrupt) terminates
+    the pool and forgets it, so the unfinished job of an abandoned sweep
+    never reaches a later one. An atexit hook terminates the kept pool at
+    interpreter exit. Sweeps from several threads take the pool in turn.
+    A one-shot CLI sweep starts the pool once either way and gets no
+    faster; in-process callers that run many sweeps gain.
+
+    multiprocessing is imported on first use: queries never need it, and
+    the module costs about 1 MiB. bench/tracing.py swaps this name.
+    """
+    global _kept_pool
+    with _pool_lock:
+        if _kept_pool is not None and _kept_pool[0] != processes:
+            _drop_pool()
+        if _kept_pool is None:
+            from multiprocessing import Pool as pool
+
+            _kept_pool = (processes, pool(processes))
+            atexit.register(_drop_pool)
+        try:
+            yield _kept_pool[1]
+        except BaseException:
+            _drop_pool()
+            raise
+
+
+def _drop_pool() -> None:
+    """Terminate the kept pool, if any, and forget it."""
+    global _kept_pool
+    if _kept_pool is not None:
+        atexit.unregister(_drop_pool)
+        _kept_pool[1].terminate()
+        _kept_pool = None
 
 
 # ---------------------------------------------------------------------------

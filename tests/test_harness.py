@@ -1,9 +1,17 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +304,115 @@ def test_sweep_deterministic_and_worker_independent(tmp_path):
         rep2 = run_sweep(spec2, h)
     assert out1.read_bytes() == out2.read_bytes()
     assert rep1 == rep2
+
+
+SWEEP_N3 = ("sweep", "--n", "3", "--eps", "1/2", "--a1-min", "2", "--a1-max", "8", "--tail-cap", "8,8", "--no-timing")
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Worker counts of the pools started during the test, which starts with
+    no kept pool and leaves none behind."""
+    harness._drop_pool()
+    built = []
+    real = multiprocessing.Pool
+
+    def counting(processes):
+        built.append(processes)
+        return real(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting)
+    yield built
+    harness._drop_pool()
+
+
+def test_pooled_sweeps_share_one_pool(capsys, pools_built):
+    formats = ((), ("--format", "json"))
+    expected = {fmt: run_cli(capsys, *SWEEP_N3, *fmt) for fmt in formats}
+    assert pools_built == []
+    for workers in ("2", "2", "3", "2"):
+        for fmt in formats:
+            assert run_cli(capsys, *SWEEP_N3, *fmt, "--workers", workers) == expected[fmt]
+    # back-to-back sweeps on 2 workers share one pool; a new count replaces it
+    assert pools_built == [2, 3, 2]
+    assert len(multiprocessing.active_children()) == 2
+
+
+class _ClosedPipe:
+    """A stream that raises once `rows` lines are written, as a closed pipe does."""
+
+    def __init__(self, rows, error):
+        self.rows, self.error = rows, error
+
+    def write(self, text):
+        if self.rows == 0:
+            raise self.error
+        self.rows -= 1
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"), KeyboardInterrupt()],
+                         ids=["broken-pipe", "interrupt"])
+def test_abandoned_sweep_drops_the_kept_pool(pools_built, error):
+    spec = make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=8, tail_caps=(8, 8), workers=2)
+    expected = io.StringIO()
+    run_sweep(dataclasses.replace(spec, workers=1), expected)
+    # ten rows in, the pool has tasks queued and running
+    with pytest.raises(type(error)):
+        run_sweep(spec, _ClosedPipe(10, error))
+    assert pools_built == [2]
+    assert multiprocessing.active_children() == []
+    out = io.StringIO()
+    run_sweep(spec, out)
+    assert pools_built == [2, 2]
+    assert out.getvalue() == expected.getvalue()
+
+
+def test_threads_take_the_kept_pool_in_turn(pools_built):
+    # each thread starts while the one before it is mid-sweep and asks for
+    # another worker count: it must wait, not terminate the pool in use
+    spec = make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=16, tail_caps=(16, 16))
+    expected = io.StringIO()
+    run_sweep(spec, expected)
+    outs = [io.StringIO() for _ in range(4)]
+    threads = [
+        threading.Thread(target=run_sweep, args=(dataclasses.replace(spec, workers=2 + k % 2), out), daemon=True)
+        for k, out in enumerate(outs)
+    ]
+    for thread in threads:
+        thread.start()
+        time.sleep(0.05)
+    deadline = time.monotonic() + 60
+    for thread in threads:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not thread.is_alive()
+    assert all(out.getvalue() == expected.getvalue() for out in outs)
+    assert len(multiprocessing.active_children()) in (2, 3)
+
+
+def test_kept_pool_ends_with_the_interpreter():
+    script = (
+        "import multiprocessing\n"
+        "from wblowup.harness import cli_dispatch\n"
+        f"for _ in range(2): assert cli_dispatch({list(SWEEP_N3) + ['--workers', '2']!r}) == 0\n"
+        "print(' '.join(str(p.pid) for p in multiprocessing.active_children()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    # a pool left running at exit warns "unclosed running multiprocessing pool"
+    proc = subprocess.run([sys.executable, "-W", "always::ResourceWarning", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.splitlines()[-1].split()]
+    assert len(pids) == 2
+    # stderr holds the two frontier documents and nothing else
+    docs, rest = [], proc.stderr.strip()
+    while rest:
+        doc, end = json.JSONDecoder().raw_decode(rest)
+        docs.append(doc)
+        rest = rest[end:].lstrip()
+    assert [doc["eps"] for doc in docs] == ["1/2", "1/2"]
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_sweep_all_certified_above_threshold(tmp_path):
