@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_lattice import _lll, _short_vectors, exact, format_rational, integer_nth_root
+from .exact_lattice import _lll, _short_vectors, check_int, exact, format_rational, integer_nth_root
 
 
 class Approx1D(NamedTuple):
@@ -73,12 +73,9 @@ def dirichlet_1d(num: int, den: int, Z: int) -> Approx1D:
     or the next convergent has q_{k+1} > Z and the classical bound
     |q_k*alpha - p_k| <= 1/q_{k+1} <= 1/(Z + 1) holds.
     """
-    if not isinstance(num, int) or not isinstance(den, int):
-        raise ValueError(f"alpha's numerator and denominator must be integers, got {num!r}/{den!r}")
-    if num < 0 or den < 1:
-        raise ValueError(f"alpha must be a nonnegative rational, got {num}/{den}")
-    if not isinstance(Z, int) or Z < 1:
-        raise ValueError(f"Z must be a positive integer, got {Z!r}")
+    check_int(num, "alpha's numerator", 0)
+    check_int(den, "alpha's denominator")
+    check_int(Z, "Z")
     # (p, q) is the current convergent and (p0, q0) the one before it; the
     # first, floor(alpha)/1, always fits
     p0, q0, p, q = 1, 0, num // den, 1
@@ -176,8 +173,7 @@ def dirichlet_simultaneous(alphas, Z: int) -> DirichletWitness:
         raise ValueError("need at least one target value")
     if any(x < 0 for x in alphas):
         raise ValueError("targets must be nonnegative")
-    if not isinstance(Z, int) or Z < 1:
-        raise ValueError(f"Z must be a positive integer, got {Z!r}")
+    check_int(Z, "Z")
     d = len(alphas)
     D = math.lcm(*(a.denominator for a in alphas))
     cs = [a.numerator * (D // a.denominator) for a in alphas]

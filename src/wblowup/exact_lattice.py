@@ -43,7 +43,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x) -> str:
     """Render a rational as "p" or "p/q", the inverse of parse_rational."""
-    x = Fraction(x)
+    x = exact(x, "x")
     return format_ratio(x.numerator, x.denominator)
 
 
@@ -58,6 +58,16 @@ def exact(x, what: str) -> Fraction:
     if isinstance(x, float):
         raise ValueError(f"{what} must be exact (an int, Fraction or string), got the float {x!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def check_int(x, what: str, least: int = 1) -> int:
+    """x, checked to be an int >= least: the integer twin of exact and check_eps.
+
+    A bool, a float or a string is refused, even one equal to an integer.
+    """
+    if not isinstance(x, int) or isinstance(x, bool) or x < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
+    return x
 
 
 def check_eps(eps) -> Fraction:
@@ -76,8 +86,7 @@ def pow_cmp(x, d: int, y) -> int:
     Dirichlet search does not call it: dirichlet_simultaneous compares
     integer errors against the integer radius integer_nth_root(D**d // Z, d).
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"exponent must be a positive integer, got {d!r}")
+    check_int(d, "exponent")
     x = exact(x, "x")
     y = exact(y, "y")
     if x < 0 or y < 0:
@@ -97,10 +106,8 @@ def integer_nth_root(x: int, n: int) -> int:
     while r is above the root, x / r**(n - 1) < r and the step falls. The
     first step that does not fall therefore starts at the root.
     """
-    if not isinstance(x, int) or x < 0:
-        raise ValueError(f"need a nonnegative integer, got {x!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"root index must be a positive integer, got {n!r}")
+    check_int(x, "radicand", 0)
+    check_int(n, "root index")
     if n == 1 or x < 2:
         return x
     if n == 2:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
-    check_eps,
+    check_int,
     format_ratio,
     format_rational,
     parse_rational,
@@ -48,7 +48,7 @@ from .witness import (
     CERTIFY_METHODS,
     VERDICT_EPS_LC,
     Certificate,
-    _check_theta,
+    _certify_request,
     build_polytope,
     certify_not_eps_lc,
 )
@@ -84,9 +84,7 @@ def default_budget() -> int:
         value = int(raw)
     except ValueError:
         raise ValueError(f"WBLOWUP_BUDGET must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("WBLOWUP_BUDGET must be positive")
-    return value
+    return check_int(value, "WBLOWUP_BUDGET")
 
 
 @dataclass(frozen=True)
@@ -112,23 +110,14 @@ class SweepSpec:
     method: str = "auto"
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("sweep dimension must be at least 2")
-        check_eps(self.eps)
-        if self.a1_min < 1 or self.a1_max < self.a1_min:
-            raise ValueError("empty a1 range")
+        check_int(self.n, "sweep dimension", 2)
+        _certify_request(self.n, self.eps, self.theta, self.method, self.enumeration_cap)
+        check_int(self.a1_max, "a1_max", check_int(self.a1_min, "a1_min"))
         if len(self.tail_caps) != self.n - 1:
             raise ValueError(f"need {self.n - 1} tail caps, got {len(self.tail_caps)}")
-        if any(c < 0 for c in self.tail_caps):
-            raise ValueError("tail caps must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
-        if self.enumeration_cap < 1:
-            raise ValueError("enumeration cap must be positive")
-        if self.theta is not None:
-            _check_theta(self.theta, self.n)
-        if self.method not in CERTIFY_METHODS:
-            raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {self.method!r}")
+        for c in self.tail_caps:
+            check_int(c, "tail cap", 0)
+        check_int(self.workers, "worker count")
 
 
 @dataclass(frozen=True)
@@ -414,8 +403,8 @@ def _handle_sweep(ns) -> int:
 
 
 def _handle_verify_example(ns) -> int:
-    limit = _given(ns.limit, 500)
-    mld_limit = _given(ns.mld_limit, 100)
+    limit = check_int(_given(ns.limit, 500), "--limit")
+    mld_limit = check_int(_given(ns.mld_limit, 100), "--mld-limit")
     cap = _given(ns.cap, default_budget)
     failures = 0
     for k in range(1, limit + 1):
@@ -441,7 +430,7 @@ def _handle_verify_example(ns) -> int:
 
 
 def _handle_selftest(ns) -> int:
-    max_entry = _given(ns.max_entry, 10)
+    max_entry = check_int(_given(ns.max_entry, 10), "--max-entry")
     cap = _given(ns.cap, default_budget)
     failures = []
     checked = 0

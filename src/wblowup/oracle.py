@@ -2,8 +2,8 @@
 
 Everything here scans full bounding boxes and tests every point against
 every facet form, with no slicing tricks; the point is to stay simple
-enough to trust. Budgets are enforced up front and a budget hit is an
-error, never a silently truncated result.
+enough to trust. Budgets are integers >= 1, enforced up front, and a
+budget hit is an error, never a silently truncated result.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_lattice import BudgetExceeded, check_eps
+from .exact_lattice import BudgetExceeded, check_eps, check_int
 from .toric_mld import WeightVector
 from .witness import CEpsPolytope, build_polytope
 
@@ -27,6 +27,7 @@ def enumerate_lattice_points(C: CEpsPolytope, mode: str = "closed", budget: int 
     """
     if mode not in ("closed", "open"):
         raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
+    check_int(budget, "budget")
     ent = C.a.entries
     n = C.n
     en, ed = C.eps.numerator, C.eps.denominator
@@ -80,7 +81,9 @@ def psi_bruteforce(a: WeightVector, v) -> Fraction:
     """
     if len(v) != a.n:
         raise ValueError("dimension mismatch")
-    if any(c < 0 for c in v) or not any(v):
+    for c in v:
+        check_int(c, "coordinate", 0)
+    if not any(v):
         raise ValueError("need a nonnegative nonzero vector")
     values = []
     for i in range(a.n):
@@ -104,7 +107,8 @@ def _mld_bruteforce_cached(entries: tuple, budget: int) -> Fraction:
 
 def mld_bruteforce(a: WeightVector, budget: int = ORACLE_BUDGET_DEFAULT) -> Fraction:
     """Exhaustive minimum of psi over nonzero lattice points of {psi <= 1}."""
-    return _mld_bruteforce_cached(a.entries, budget)
+    # checked before the cache sees it: True and 2.0 hash as 1 and 2 do
+    return _mld_bruteforce_cached(a.entries, check_int(budget, "budget"))
 
 
 def verify_interior_psi_equivalence(a: WeightVector, eps, budget: int = ORACLE_BUDGET_DEFAULT) -> bool:

@@ -78,6 +78,7 @@ from .exact_lattice import (
     _lll,
     ceil_div,
     check_eps,
+    check_int,
     exact,
     format_rational,
     integer_nth_root,
@@ -100,11 +101,10 @@ class WeightVector:
         object.__setattr__(self, "entries", e)
         if len(e) < 2:
             raise ValueError("need at least two weights")
+        # each weight is at least the one before it: positive and ascending
+        least = 1
         for x in e:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                raise ValueError(f"weights must be positive integers, got {x!r}")
-        if any(e[i] > e[i + 1] for i in range(len(e) - 1)):
-            raise ValueError(f"weights must be sorted ascending: {e}")
+            least = check_int(x, "weight (weights ascend)", least)
         if gcd(*e) != 1:
             raise ValueError(f"weights must be coprime: {e}")
 
@@ -145,13 +145,9 @@ class MldReport:
 
 def _check_vector(a: WeightVector, v) -> None:
     require_same_dimension(a.n, v)
-    nonzero = False
     for c in v:
-        if c < 0:
-            raise ValueError(f"coordinates must be nonnegative: {tuple(v)}")
-        if c != 0:
-            nonzero = True
-    if not nonzero:
+        check_int(c, "coordinate", 0)
+    if not any(v):
         raise ValueError("the zero vector has no log discrepancy")
 
 
@@ -193,7 +189,8 @@ def _slices(a: WeightVector, scale, strict: bool, budget: int):
     # as columns (prefix, lo, hi) along the last coordinate: the points are
     # prefix + (y,) for lo <= y <= hi. Prefixes come in lexicographic order
     # and empty columns are skipped. The closed region's first column is
-    # the origin's, (0, ..., 0, y) for 0 <= y <= hi.
+    # the origin's, (0, ..., 0, y) for 0 <= y <= hi. scale is a positive int
+    # or Fraction that the caller has checked.
     #
     # The budget counts visited prefixes: one per odometer step plus, at
     # level m, the hi - lo + 1 values of t. A level-m range that would pass
@@ -215,10 +212,7 @@ def _slices(a: WeightVector, scale, strict: bool, budget: int):
     # lo, rows m and i < m give hi, and the bound of each i < m is
     # (x_i * tl + a_i * (r - sd * t) - d) // (a_i * sd) = C_i - t, so the
     # rows above m cost one C = min C_i per prefix.
-    s = exact(scale, "scale")
-    if s <= 0:
-        raise ValueError("scale must be positive")
-    sn, sd = s.numerator, s.denominator
+    sn, sd = scale.numerator, scale.denominator
     ent = a.entries
     n = len(ent)
     m = n - 2
@@ -318,6 +312,9 @@ def iter_region_points(a: WeightVector, scale, strict: bool = False):
     counted against the default budget of 10^7, and BudgetExceeded is
     raised before the count passes it.
     """
+    scale = exact(scale, "scale")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
     columns = _slices(a, scale, strict, DEFAULT_ENUMERATION_CAP)
     points = (prefix + (y,) for prefix, lo, hi in columns for y in range(lo, hi + 1))
     # the closed region's lexicographically first point is the origin
@@ -674,8 +671,7 @@ def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) 
     visited prefixes rather than sum(a) or the points; BudgetExceeded stops
     it before they pass enumeration_cap. A cap below 1 is rejected at every n.
     """
-    if enumeration_cap < 1:
-        raise ValueError("enumeration cap must be positive")
+    check_int(enumeration_cap, "enumeration cap")
     if a.n == 2:
         value, at, scanned = _mld_n2(a)
     else:
@@ -703,10 +699,9 @@ def mld_at_fixed_point(a: WeightVector, cone: int, enumeration_cap: int = DEFAUL
     n * a_i steps, and BudgetExceeded is raised before the pass when that
     exceeds enumeration_cap. A cap below 1 is rejected at every n.
     """
-    if not 1 <= cone <= a.n:
+    if check_int(cone, "cone index") > a.n:
         raise ValueError(f"cone index out of range: {cone}")
-    if enumeration_cap < 1:
-        raise ValueError("enumeration cap must be positive")
+    check_int(enumeration_cap, "enumeration cap")
     p = a.entries[cone - 1]
     if a.n > 2 and a.n * p > enumeration_cap:
         raise BudgetExceeded(a.n * p, enumeration_cap, "box steps")
@@ -725,7 +720,6 @@ def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_C
     before its visited prefixes pass enumeration_cap, which must be >= 1.
     """
     eps = check_eps(eps)
-    if enumeration_cap < 1:
-        raise ValueError("enumeration cap must be positive")
+    check_int(enumeration_cap, "enumeration cap")
     refuter = _first_refuter(a, eps, enumeration_cap)
     return (refuter is None, refuter)

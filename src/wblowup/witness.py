@@ -47,6 +47,7 @@ from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
     check_eps,
+    check_int,
     exact,
     format_rational,
     format_ratio,
@@ -163,6 +164,19 @@ def _check_theta(theta, n: int) -> Fraction:
     return theta
 
 
+def _certify_request(n: int, eps, theta, method: str, enumeration_cap: int):
+    # the arguments of certify_not_eps_lc for n weights, each checked
+    # whatever route will run; returns eps as a Fraction and theta as one,
+    # or None. SweepSpec checks its certify arguments here too
+    eps = check_eps(eps)
+    if theta is not None:
+        theta = _check_theta(theta, n)
+    if method not in CERTIFY_METHODS:
+        raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {method!r}")
+    check_int(enumeration_cap, "enumeration cap")
+    return eps, theta
+
+
 def build_polytope(a: WeightVector, eps) -> CEpsPolytope:
     """Construct C(a, eps) in integer facet form."""
     eps = check_eps(eps)
@@ -197,8 +211,7 @@ def certificate_threshold(n: int, eps):
     For n = 2 this is floor((2/eps + 1)**2) + 1; no closed form is
     implemented for n >= 3.
     """
-    if n < 2:
-        raise ValueError("need dimension >= 2")
+    check_int(n, "dimension", 2)
     eps = check_eps(eps)
     if n != 2:
         return None
@@ -345,21 +358,15 @@ def certify_not_eps_lc(
     lexicographically first of them, the first lattice point with
     psi < eps, is the certificate; a scan that finds none returns "eps-lc".
     A scan whose visited prefixes would pass enumeration_cap before it finds
-    a point returns "inconclusive"; a cap below 1 is rejected, and so is a
-    theta outside (0, 1/(2 n^2)), whatever the route.
+    a point returns "inconclusive"; a cap that is no integer >= 1 is
+    rejected, and so is a theta outside (0, 1/(2 n^2)), whatever the route.
     method "construction" stops after the construction, returning
     "no-witness" if it fails; "enumeration" runs only the scan.
 
     A wrong verdict is never returned: every certificate is re-checked
     exactly by _verified, and "eps-lc" only comes from a completed scan.
     """
-    eps = check_eps(eps)
-    if theta is not None:
-        theta = _check_theta(theta, a.n)
-    if method not in CERTIFY_METHODS:
-        raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {method!r}")
-    if enumeration_cap < 1:
-        raise ValueError("enumeration cap must be positive")
+    eps, theta = _certify_request(a.n, eps, theta, method, enumeration_cap)
     if method != "enumeration":
         if a.n == 2:
             cert = witness_n2(a, eps)

@@ -68,8 +68,8 @@ def test_dirichlet_1d_rejects_bad_input():
     [
         ((), 10, "at least one target"),
         ((Fraction(1, 2), Fraction(-1, 3)), 10, "nonnegative"),
-        ((Fraction(1, 2),), 0, "Z must be a positive integer"),
-        ((Fraction(1, 2),), 2.0, "Z must be a positive integer"),
+        ((Fraction(1, 2),), 0, "Z must be an integer >= 1"),
+        ((Fraction(1, 2),), 2.0, "Z must be an integer >= 1"),
         ((0.1, 0.3), 10, "float"),
         ((Fraction(1, 10), 0.3), 10, "float"),
     ],

@@ -6,17 +6,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wblowup.diophantine import dirichlet_1d, dirichlet_simultaneous
 from wblowup.exact_lattice import (
     BudgetExceeded,
     _lll,
     _short_vectors,
     ceil_div,
+    check_int,
     format_rational,
     integer_nth_root,
     parse_rational,
     pow_cmp,
     require_same_dimension,
 )
+from wblowup.harness import SweepSpec
+from wblowup.oracle import (
+    enumerate_lattice_points,
+    mld_bruteforce,
+    psi_bruteforce,
+    verify_interior_psi_equivalence,
+)
+from wblowup.toric_mld import WeightVector, is_eps_lc, mld_at_fixed_point, mld_global, psi_value
+from wblowup.witness import build_polytope, certificate_threshold, certify_not_eps_lc
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 small_nonneg = st.fractions(min_value=0, max_value=100, max_denominator=1000)
@@ -122,6 +133,77 @@ def test_integer_nth_root_rejects_bad_input():
     for x, n in ((-1, 2), (8.0, 3), ("8", 3), (8, 0), (8, -2), (8, 1.5), (None, 2)):
         with pytest.raises(ValueError):
             integer_nth_root(x, n)
+
+
+def _sweep(**overrides):
+    spec = dict(n=2, eps=Fraction(1, 2), a1_min=1, a1_max=3, tail_caps=(2,), theta=None, workers=1,
+                enumeration_cap=100, include_timing=False)
+    return SweepSpec(**{**spec, **overrides})
+
+
+A = WeightVector((2, 3, 5))
+C = build_polytope(WeightVector((2, 3)), 1)
+
+# every public integer argument: (call, least, a value the call accepts)
+INTEGER_ARGUMENTS = {
+    "check_int": (lambda v: check_int(v, "x", 2), 2, 2),
+    "pow_cmp-exponent": (lambda v: pow_cmp(2, v, 4), 1, 2),
+    "nth_root-radicand": (lambda v: integer_nth_root(v, 2), 0, 9),
+    "nth_root-index": (lambda v: integer_nth_root(8, v), 1, 3),
+    "dirichlet_1d-num": (lambda v: dirichlet_1d(v, 7, 3), 0, 3),
+    "dirichlet_1d-den": (lambda v: dirichlet_1d(3, v, 3), 1, 7),
+    "dirichlet_1d-Z": (lambda v: dirichlet_1d(3, 7, v), 1, 3),
+    "dirichlet_simultaneous-Z": (lambda v: dirichlet_simultaneous((Fraction(1, 3),), v), 1, 3),
+    "weight": (lambda v: WeightVector((v, 7)), 1, 2),
+    "weight-after-5": (lambda v: WeightVector((5, v)), 5, 7),
+    "psi-coordinate": (lambda v: psi_value(WeightVector((2, 3)), (v, 1)), 0, 1),
+    "mld_global-cap": (lambda v: mld_global(A, v), 1, 10),
+    "fixed_point-cone": (lambda v: mld_at_fixed_point(A, v), 1, 2),
+    "fixed_point-cap": (lambda v: mld_at_fixed_point(A, 1, v), 1, 10),
+    "is_eps_lc-cap": (lambda v: is_eps_lc(A, Fraction(1, 2), v), 1, 100),
+    "certify-cap": (lambda v: certify_not_eps_lc(A, Fraction(1, 2), None, v), 1, 100),
+    "threshold-n": (lambda v: certificate_threshold(v, 1), 2, 2),
+    "sweep-n": (lambda v: _sweep(n=v), 2, 2),
+    "sweep-a1_min": (lambda v: _sweep(a1_min=v), 1, 1),
+    "sweep-a1_max": (lambda v: _sweep(a1_min=2, a1_max=v), 2, 2),
+    "sweep-tail_cap": (lambda v: _sweep(tail_caps=(v,)), 0, 0),
+    "sweep-workers": (lambda v: _sweep(workers=v), 1, 1),
+    "sweep-cap": (lambda v: _sweep(enumeration_cap=v), 1, 1),
+    "oracle-psi-coordinate": (lambda v: psi_bruteforce(WeightVector((2, 3)), (v, 1)), 0, 1),
+    "oracle-budget": (lambda v: enumerate_lattice_points(C, "open", v), 1, 12),
+    "oracle-mld-budget": (lambda v: mld_bruteforce(WeightVector((2, 3)), v), 1, 12),
+    "oracle-equivalence-budget": (lambda v: verify_interior_psi_equivalence(WeightVector((2, 3)), 1, v), 1, 12),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_every_public_integer_argument_takes_only_an_int(name):
+    # one rule everywhere: an int of at least the least value, never a bool,
+    # a float or a string, even one equal to an allowed integer
+    call, least, good = INTEGER_ARGUMENTS[name]
+    call(good)
+    for bad in (True, 2.0, "3", least - 1):
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert repr(bad) in str(err.value)
+
+
+def test_oracle_budget_is_checked_before_its_cache():
+    # 2.0 hashes as 2 does, so a cache keyed on it would answer for the int
+    a = WeightVector((2, 3))
+    assert mld_bruteforce(a, 100) == Fraction(2, 3)
+    with pytest.raises(ValueError, match="budget"):
+        mld_bruteforce(a, 100.0)
+    # a nonsense budget is an error, not an exhausted budget
+    for bad in (-1, 0, 2.5, True):
+        with pytest.raises(ValueError, match="budget must be an integer >= 1"):
+            enumerate_lattice_points(C, "open", bad)
+
+
+def test_format_rational_refuses_floats():
+    with pytest.raises(ValueError, match="float"):
+        format_rational(0.1)
+    assert format_rational("1/10") == format_rational(Fraction(1, 10)) == "1/10"
 
 
 def test_ceil_div():

@@ -102,7 +102,7 @@ def test_cap_below_one_is_usage_error(capsys, argv, cap):
     code, out, err = run_cli(capsys, *argv, "--cap", cap)
     assert code == 2
     assert out == ""
-    assert "enumeration cap must be positive" in err
+    assert "enumeration cap must be an integer >= 1" in err
 
 
 @pytest.mark.parametrize(
@@ -191,7 +191,7 @@ def test_env_budget_override(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "raw,message",
-    [("junk", "must be an integer"), ("0", "must be positive"), ("-3", "must be positive")],
+    [("junk", "must be an integer"), ("0", "must be an integer >= 1"), ("-3", "must be an integer >= 1")],
     ids=["junk", "zero", "negative"],
 )
 @pytest.mark.parametrize(
@@ -473,15 +473,15 @@ def test_sweep_rejects_unknown_method():
 @pytest.mark.parametrize(
     "overrides,message",
     [
-        (dict(n=1, tail_caps=()), "dimension must be at least 2"),
+        (dict(n=1, tail_caps=()), "sweep dimension must be an integer >= 2"),
         (dict(eps=Fraction(0)), "eps must lie in"),
         (dict(eps=Fraction(3, 2)), "eps must lie in"),
         (dict(eps=0.5), "float"),
-        (dict(a1_min=0), "empty a1 range"),
-        (dict(a1_min=5, a1_max=4), "empty a1 range"),
+        (dict(a1_min=0), "a1_min must be an integer >= 1"),
+        (dict(a1_min=5, a1_max=4), "a1_max must be an integer >= 5"),
         (dict(tail_caps=(8, 8)), "need 1 tail caps, got 2"),
-        (dict(tail_caps=(-1,)), "tail caps must be nonnegative"),
-        (dict(workers=0), "worker count must be positive"),
+        (dict(tail_caps=(-1,)), "tail cap must be an integer >= 0"),
+        (dict(workers=0), "worker count must be an integer >= 1"),
     ],
     ids=["n-1", "eps-0", "eps-3/2", "eps-float", "a1-min-0", "a1-max-below-min", "caps-count", "caps-negative", "workers-0"],
 )
@@ -720,6 +720,23 @@ def test_selftest_subcommand(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--max-entry", "6")
     assert code == 0
     assert "0 failures" in out
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("verify-example", "--limit", "0"), "--limit"),
+        (("verify-example", "--limit", "-3", "--mld-limit", "0"), "--limit"),
+        (("verify-example", "--mld-limit", "0"), "--mld-limit"),
+        (("selftest", "--max-entry", "0"), "--max-entry"),
+    ],
+    ids=["limit-0", "limit-negative", "mld-limit-0", "max-entry-0"],
+)
+def test_bundled_check_limits_below_one_are_usage_errors(capsys, argv, flag):
+    # an empty range of k or of entries would report every check passed
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: {flag} must be an integer >= 1" in err
 
 
 @pytest.mark.parametrize(

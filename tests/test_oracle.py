@@ -59,7 +59,7 @@ def test_psi_bruteforce_agrees_with_engine():
 
 @pytest.mark.parametrize(
     "v,message",
-    [((1, 1, 1), "dimension mismatch"), ((1,), "dimension mismatch"), ((0, 0), "nonzero"), ((-1, 2), "nonnegative")],
+    [((1, 1, 1), "dimension mismatch"), ((1,), "dimension mismatch"), ((0, 0), "nonzero"), ((-1, 2), "coordinate must be an integer >= 0")],
     ids=["too-long", "too-short", "zero", "negative"],
 )
 def test_psi_bruteforce_rejects_bad_vectors(v, message):

@@ -448,10 +448,10 @@ def test_is_eps_lc_examples():
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda a: mld_at_fixed_point(a, 0), "cone index out of range"),
+        (lambda a: mld_at_fixed_point(a, 0), "cone index must be an integer >= 1"),
         (lambda a: mld_at_fixed_point(a, 4), "cone index out of range"),
-        (lambda a: list(_slices(a, 0, False, 100)), "scale must be positive"),
-        (lambda a: list(_slices(a, Fraction(-1, 2), True, 100)), "scale must be positive"),
+        (lambda a: list(iter_region_points(a, 0)), "scale must be positive"),
+        (lambda a: list(iter_region_points(a, Fraction(-1, 2), True)), "scale must be positive"),
         (lambda a: list(iter_region_points(a, 0.9)), "float"),
         (lambda a: is_eps_lc(a, 0.5), "float"),
     ],
@@ -517,7 +517,7 @@ def test_is_eps_lc_agrees_with_oracle_at_high_n(n, max_entry, refuted, lc):
 
 
 def test_fixed_point_mld_rejects_cap_below_one():
-    with pytest.raises(ValueError, match="enumeration cap must be positive"):
+    with pytest.raises(ValueError, match="enumeration cap must be an integer >= 1"):
         mld_at_fixed_point(WeightVector((2, 3, 5)), 1, 0)
 
 
