@@ -38,10 +38,12 @@ Conventions used throughout the package:
   (k, z_1, z_2), k = sum(x) - 1 and z_j = N*x_j - a_j*k, in a lattice of
   index N^2, where psi = 1 - min_j z_j / a_j with z_3 = N - k - z_1 - z_2,
   so its points with psi <= s are those of a simplex. They are counted one
-  plane at a time along a short dual vector from LLL (in the spirit of
-  Lenstra, Math. Oper. Res. 8, 1983), each plane by floor sums along the
-  envelope of each chain of its row bounds, and the least psi is found by
-  doubling and bisecting s on those counts. T takes about N^(1/3) planes:
+  plane at a time along a short dual vector: of the three rows of the
+  LLL-reduced dual basis (in the spirit of Lenstra, Math. Oper. Res. 8,
+  1983), the first whose range on the simplex is least. Each plane is
+  counted by floor sums along the envelope of each chain of its row
+  bounds, and the least psi is found by doubling and bisecting s on those
+  counts. T takes about N^(1/3) planes:
   27 for the 12,307 points of (15701, 28340, 29766), 900-1,400 near 10^9.
 * For n >= 4 the global mld enumerates {psi <= 1}: a pass over every box
   point costs O(n * sum(a)) whatever that region holds, and skewed weights
@@ -151,31 +153,23 @@ def _check_vector(a: WeightVector, v) -> None:
         raise ValueError("the zero vector has no log discrepancy")
 
 
-def argmin_cones(a: WeightVector, v) -> tuple[int, ...]:
-    """All 1-based i minimising v_i / a_i, i.e. the maximal cones containing v."""
-    ent = a.entries
-    best = [1]
+def _cone(ent, v) -> int:
+    # the 0-based index of the first i minimising v_i / a_i over the
+    # coordinates of v, which may be a prefix: the first maximal cone
+    # holding v, the one every psi caller reads
     bi = 0
-    for j in range(1, len(ent)):
-        lhs = v[j] * ent[bi]
-        rhs = v[bi] * ent[j]
-        if lhs < rhs:
-            best = [j + 1]
+    for j in range(1, len(v)):
+        if v[j] * ent[bi] < v[bi] * ent[j]:
             bi = j
-        elif lhs == rhs:
-            best.append(j + 1)
-    return tuple(best)
+    return bi
 
 
 def _psi(ent, T1, v) -> tuple[int, int]:
-    # psi(v) as (numerator, denominator) on the first cone i minimising
-    # v_i / a_i, with T1 = sum(a) - 1; the scans call this directly and
-    # skip psi_value's input checks
-    bi = 0
-    for j in range(1, len(ent)):
-        if v[j] * ent[bi] < v[bi] * ent[j]:
-            bi = j
-    return ent[bi] * sum(v) - v[bi] * T1, ent[bi]
+    # psi(v) as (numerator, denominator) on the cone _cone picks, with
+    # T1 = sum(a) - 1; the scans call this directly and skip psi_value's
+    # input checks
+    i = _cone(ent, v)
+    return ent[i] * sum(v) - v[i] * T1, ent[i]
 
 
 def psi_value(a: WeightVector, v) -> Fraction:
@@ -386,23 +380,15 @@ def _cone_frame(p, q1, q2):
     # slicing data for the points of the lattice L = {x : x_1 = -x_0*q1 and
     # x_2 = -x_0*q2 (mod p)}, p > 1, in a simplex {x >= l, x_0 + x_1 + x_2 <= T}
     # whose l and T each walk supplies. The dual of L, times p, has the rows
-    # (p, 0, 0), (q1, 1, 0), (q2, 0, 1); after LLL the slicing row w is, of
-    # b_i, b_i + b_j and b_i - b_j with b_j = b_{i-2}, i = 0, 1, 2, the first
-    # with the least range max(0, w) - min(0, w) on the simplex, and
-    # (w, b_j, b_k) is still a basis. With c_m the columns of its adjugate,
-    # signed so that B c_m = p e_m, L is every x = s*c_0 + u*c_1 + v*c_2 with
-    # integer s, u, v, and s = w.x / p.
+    # (p, 0, 0), (q1, 1, 0), (q2, 0, 1); after LLL the slicing row w = b_i is
+    # the first reduced row with the least range max(0, w) - min(0, w) on the
+    # simplex, and B = (b_i, b_{i+1}, b_{i+2}), indices mod 3. With c_m the
+    # columns of its adjugate, signed so that B c_m = p e_m, L is every
+    # x = s*c_0 + u*c_1 + v*c_2 with integer s, u, v, and s = w.x / p.
     b = [[p, 0, 0], [q1 % p, 1, 0], [q2 % p, 0, 1]]
     _lll(b)
-    least = None
-    for i in range(3):
-        bj = b[i - 2]
-        (x0, x1, x2), (y0, y1, y2) = b[i], bj
-        for w in ((x0, x1, x2), (x0 + y0, x1 + y1, x2 + y2), (x0 - y0, x1 - y1, x2 - y2)):
-            r = max(0, *w) - min(0, *w)
-            if least is None or r < least:
-                least, rows = r, (w, bj, b[i - 1])
-    w, (y0, y1, y2), (z0, z1, z2) = rows
+    i = min(range(3), key=lambda j: max(0, *b[j]) - min(0, *b[j]))
+    w, (y0, y1, y2), (z0, z1, z2) = b[i], b[i - 2], b[i - 1]
     x0, x1, x2 = w
     cols = [(y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0),
             (z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0),
@@ -585,10 +571,8 @@ def _column_min(ent, T1, p, lo, hi) -> tuple[int, int, int]:
     # among lo, clamp(floor(y*)) and clamp(floor(y*) + 1), in that order.
     an = ent[-1]
     S = sum(p)
-    pb, ab = p[0], ent[0]
-    for pj, aj in zip(p, ent):
-        if pj * ab < pb * aj:
-            pb, ab = pj, aj
+    b = _cone(ent, p)
+    pb, ab = p[b], ent[b]
     ys = an * pb // ab
     if lo == hi or ys < lo:
         candidates = (lo,)
@@ -682,7 +666,7 @@ def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) 
         classification = CLASS_CANONICAL
     else:
         classification = CLASS_TERMINAL
-    return MldReport(a, value, at, argmin_cones(a, at)[0], classification, scanned)
+    return MldReport(a, value, at, _cone(a.entries, at) + 1, classification, scanned)
 
 
 def mld_at_fixed_point(a: WeightVector, cone: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:

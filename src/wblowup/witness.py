@@ -56,6 +56,7 @@ from .exact_lattice import (
 )
 from .toric_mld import (
     WeightVector,
+    _cone,
     _first_refuter,
     _psi,
 )
@@ -280,12 +281,13 @@ def _theta_hypothesis(a: WeightVector, theta: Fraction) -> bool:
 
 
 def _theta_trace(cert: Certificate) -> dict:
-    # exit coefficient i is cone i's linear form at w divided by q
+    # exit coefficient i is cone i's linear form at the point divided by q;
+    # the first largest is that of _cone, the first cone holding the point
     w, pt, ent = cert.dirichlet, cert.point, cert.weights.entries
     S, T1 = sum(pt), sum(ent) - 1
     coeffs = tuple(Fraction(ai * S - xi * T1, ai * w.q) for ai, xi in zip(ent, pt))
     return {"Z": w.Z, "dirichlet": w, "theta": cert.theta, "hypothesis_ok": cert.hypothesis_ok,
-            "exit_coefficients": coeffs, "exit_facet": coeffs.index(max(coeffs)) + 1,
+            "exit_coefficients": coeffs, "exit_facet": _cone(ent, pt) + 1,
             "x1_0": _exit_abscissa(cert), "k": 1}
 
 

@@ -1,10 +1,11 @@
 """Shared generators and rational views for the test suite.
 
 The package holds C(a, eps) only as integer facet rows and computes psi
-with one integer kernel. The rational facets and vertices of C(a, eps),
-barycentric coordinates in a maximal cone and the sub-simplex membership
-test below are the textbook forms, kept here so that the tests can
-cross-check the package against them.
+with one integer kernel on the first maximal cone holding a point. The
+rational facets and vertices of C(a, eps), the list of every maximal cone
+holding a point, barycentric coordinates in a maximal cone and the
+sub-simplex membership test below are the textbook forms, kept here so
+that the tests can cross-check the package against them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from fractions import Fraction
 
 from wblowup import WeightVector
 from wblowup.exact_lattice import require_same_dimension
-from wblowup.toric_mld import argmin_cones
 
 
 def coprime_sorted_tuples(n: int, max_entry: int, min_entry: int = 1):
@@ -87,6 +87,22 @@ def vertices(C) -> tuple[tuple[Fraction, ...], ...]:
     basis = tuple(tuple(eps if j == i else Fraction(0) for j in range(n)) for i in range(n))
     apex = tuple(eps * ai for ai in C.a.entries)
     return (zero, *basis, apex)
+
+
+def argmin_cones(a: WeightVector, v) -> tuple[int, ...]:
+    """All 1-based i minimising v_i / a_i, i.e. the maximal cones containing v."""
+    ent = a.entries
+    best = [1]
+    bi = 0
+    for j in range(1, len(ent)):
+        lhs = v[j] * ent[bi]
+        rhs = v[bi] * ent[j]
+        if lhs < rhs:
+            best = [j + 1]
+            bi = j
+        elif lhs == rhs:
+            best.append(j + 1)
+    return tuple(best)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from wblowup.exact_lattice import integer_nth_root, pow_cmp
 from wblowup.oracle import mld_bruteforce, verify_interior_psi_equivalence
 from wblowup.toric_mld import (
     WeightVector,
-    argmin_cones,
     is_eps_lc,
     mld_at_fixed_point,
     mld_global,

@@ -131,7 +131,9 @@ def test_n2_branch_matches_generic_scan():
     # 17 to 31 points tie at psi 1/2 here, more than the slicer lists, so it
     # bisects on their lexicographic order
     ties = [(29, 140, 336), (4, 359, 724), (3, 408, 610)]
-    for entries in [*coprime_sorted_tuples(2, 150), *coprime_sorted_tuples(3, 25), *seeded, *ties]:
+    # the listing halves a u-range longer than 16 here, 11, 2, 1 and 1 times
+    long_slices = [(47, 287819, 287830), (50, 333981, 918031), (5039, 44314, 130929), (13623, 25153, 1578280)]
+    for entries in [*coprime_sorted_tuples(2, 150), *coprime_sorted_tuples(3, 40), *seeded, *ties, *long_slices]:
         a = WeightVector(entries)
         assert mld_global(a) == scan_report(a), entries
     for entries in coprime_sorted_tuples(2, 80):

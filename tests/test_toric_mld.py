@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import barycentric, coprime_sorted_tuples, random_weight_vector
+from conftest import argmin_cones, barycentric, coprime_sorted_tuples, random_weight_vector
 from wblowup.exact_lattice import DEFAULT_ENUMERATION_CAP, BudgetExceeded
 from wblowup.oracle import enumerate_lattice_points, psi_bruteforce
 from wblowup.toric_mld import (
@@ -18,11 +18,11 @@ from wblowup.toric_mld import (
     _chain,
     _chain_sum,
     _column_min,
+    _cone,
     _floor_sum,
     _fold,
     _psi,
     _slices,
-    argmin_cones,
     is_eps_lc,
     iter_region_points,
     mld_at_fixed_point,
@@ -145,6 +145,7 @@ def test_max_cones_cover_orthant_and_match_argmin():
             i + 1 for i in range(a.n) if all(v[j] * ent[i] >= ent[j] * v[i] for j in range(a.n))
         )
         assert containing == argmin_cones(a, v)
+        assert _cone(a.entries, v) + 1 == containing[0]
 
 
 # ---------------------------------------------------------------------------
