@@ -2,16 +2,22 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wblowup.diophantine import (
+    _RETURNS,
     DirichletWitness,
+    _first_hit,
+    _least_q_in_box,
+    _returns,
+    _walked,
     dirichlet_1d,
     dirichlet_simultaneous,
 )
-from wblowup.exact_lattice import pow_cmp
+from wblowup.exact_lattice import integer_nth_root, pow_cmp
 
 nonneg_rationals = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
 
@@ -198,15 +204,41 @@ def reference_scan(alphas, Z):
     raise AssertionError(f"no q <= {Z} meets the bound for {alphas}")
 
 
+def integer_form(alphas, Z):
+    # (c_j, D, R) of dirichlet_simultaneous: q meets the bound on target j
+    # exactly when q*c_j mod D lies within R of 0
+    d = len(alphas)
+    D = math.lcm(*(a.denominator for a in alphas))
+    return [a.numerator * (D // a.denominator) for a in alphas], D, integer_nth_root(D**d // Z, d)
+
+
+# (alphas, Z, q, n): the answer q is the n-th return of target 1, on either
+# side of the walk's last return
+WALK_BOUNDARY = (
+    ((Fraction(612, 61), Fraction(83735, 9232), Fraction(11519, 1351), Fraction(377, 324)), 20000, 2225, 400),
+    ((Fraction(3518, 1841), Fraction(82331, 1328), Fraction(75497, 9449), Fraction(16085, 1401)), 20000, 2380, 401),
+    ((Fraction(134, 5), Fraction(33767, 1648), Fraction(39936, 8081)), 30000, 2085, 417),
+    ((Fraction(214371, 27332), Fraction(9633213, 838529)), 10**5, 63460, 401),
+)
+
+
 @st.composite
 def simultaneous_inputs(draw):
     # denominators up to 2 and 6 force half-integral ties and D**d < Z (R = 0)
     # at large Z; near 10**2 and 10**4 errors land on the radius R itself;
-    # tiny Z gives 2R >= D, where q = 1 meets the bound; Z and q fall on
-    # both sides of the 2*4**d denominators scanned before the lattice search
+    # tiny Z gives 2R >= D, where q = 1 meets the bound. Target 1 returns
+    # within R of 0 about once in D/(2R + 1), about Z**(1/d)/2, denominators,
+    # and a return meets the other d - 1 targets about once in
+    # (Z**(1/d)/2)**(d - 1) returns. At d >= 3 a Z near
+    # (2*_RETURNS**(1/(d - 1)))**d puts that mean near _RETURNS, so with
+    # large denominators the answers fall on both sides of the walk's last
+    # return and the lattice search answers some of them
     d = draw(st.integers(1, 4))
-    prefix = 2 * 4**d
-    Z = draw(st.sampled_from([1, 2, 3, prefix, prefix + 1]) | st.integers(1, 10**5) | st.integers(10**4, 10**5))
+    if d >= 3 and draw(st.booleans()):
+        mean_at_k = (2 * integer_nth_root(_RETURNS, d - 1)) ** d
+        Z = draw(st.integers(mean_at_k // 2, 2 * mean_at_k))
+    else:
+        Z = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 10**5) | st.integers(10**4, 10**5))
     scale = draw(st.sampled_from([10**9, 10**6, 10**4, 10**2, 6, 2]))
     low = 1 if scale < 10 else scale // 10
     alphas = tuple(Fraction(draw(st.integers(low, 10 * scale)), draw(st.integers(low, scale))) for _ in range(d))
@@ -216,31 +248,115 @@ def simultaneous_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(simultaneous_inputs())
 @example(((Fraction(3, 2), Fraction(7, 3)), 4))  # a tie at q = 1
-@example(((Fraction(5, 97),), 10**5))  # R = 0 above the scanned prefix: q = D = 97
-@example(((Fraction(123456789, 987654321), Fraction(5, 7)), 99991))  # lattice search
-# lattice answers whose worst error is exactly R
+@example(((Fraction(5, 97),), 10**5))  # R = 0: q = D = 97
+@example(((Fraction(123456789, 987654321), Fraction(5, 7)), 99991))  # q = 56, the 7th return
+# answers whose worst error is exactly R
 @example(((Fraction(7685, 989),), 496))  # q = 61, R = 1
 @example(((Fraction(287, 10), Fraction(361, 37)), 1147))  # q = 70, R = 10
 @example(((Fraction(829, 45), Fraction(334, 35), Fraction(551, 27)), 2431))  # q = 199, R = 70
 @example(((Fraction(56, 53), Fraction(63, 53), Fraction(403, 35), Fraction(14, 3)), 18374))  # q = 636, R = 477
 @example(((Fraction(978, 31), Fraction(95, 16)), 1018))  # q = 496, R = 15; q = 144 misses it by one
-# answers of the prefix scan at its boundaries
 @example(((Fraction(57, 28), Fraction(46, 21)), 31))  # q = 5, D = 84: remainder 15 = R
 @example(((Fraction(11, 5), Fraction(13, 15), Fraction(37, 27)), 124))  # q = 14, D = 135: remainder 108 = D - R
-@example(((Fraction(0), Fraction(14, 5), Fraction(31, 20)), 27))  # c_1 = 0, c_2 = 56 >= D = 20; q = 4
-@example(((Fraction(17, 5), Fraction(0), Fraction(2, 7)), 1))  # Z = 1 scans a prefix of one q
+@example(((Fraction(0), Fraction(14, 5), Fraction(31, 20)), 27))  # c_1 = 0: every q returns; q = 4
+@example(((Fraction(17, 5), Fraction(0), Fraction(2, 7)), 1))  # Z = 1: 2R >= D, q = 1
+# answers at the walk's last return and past it, found by the lattice search
+@example(WALK_BOUNDARY[0][:2])
+@example(WALK_BOUNDARY[1][:2])
+@example(WALK_BOUNDARY[2][:2])
+@example(WALK_BOUNDARY[3][:2])
 def test_dirichlet_simultaneous_matches_reference_scan(inputs):
     alphas, Z = inputs
     assert dirichlet_simultaneous(alphas, Z) == reference_scan(alphas, Z)
 
 
+@settings(max_examples=100, deadline=None)
+@given(simultaneous_inputs())
+@example(WALK_BOUNDARY[0][:2])
+@example(((Fraction(123456789, 987654321), Fraction(5, 7)), 99991))
+# answers whose worst error is exactly R
+@example(((Fraction(7685, 989),), 496))
+@example(((Fraction(287, 10), Fraction(361, 37)), 1147))
+@example(((Fraction(829, 45), Fraction(334, 35), Fraction(551, 27)), 2431))
+@example(((Fraction(56, 53), Fraction(63, 53), Fraction(403, 35), Fraction(14, 3)), 18374))
+@example(((Fraction(978, 31), Fraction(95, 16)), 1018))
+def test_lattice_search_matches_reference_scan(inputs):
+    # the walk answers most inputs before the lattice search would run, so
+    # the search is checked on its own wherever it may run: 0 < 2R < D
+    alphas, Z = inputs
+    cs, D, R = integer_form(alphas, Z)
+    assume(0 < 2 * R < D)
+    assert _least_q_in_box(cs, D, R, Z) == reference_scan(alphas, Z).q
+
+
+@pytest.mark.parametrize("alphas,Z,q,n", WALK_BOUNDARY)
+def test_walk_gives_up_after_its_last_return(alphas, Z, q, n):
+    cs, D, R = integer_form(alphas, Z)
+    assert list(islice(_returns(cs[0], D, R), n))[-1] == q
+    assert _walked(cs, D, R) == (q if n <= _RETURNS else None)
+    assert dirichlet_simultaneous(alphas, Z).q == q
+
+
+def test_first_hit_matches_brute_force():
+    # every (A, M, lo, hi) with M <= 40, and A up to 2M so that A is reduced;
+    # k*A mod M runs through its values within k < M
+    for M in range(1, 41):
+        for A in range(2 * M):
+            first = {}
+            for k in range(M):
+                first.setdefault(k * A % M, k)
+            for lo in range(M):
+                least = None
+                for hi in range(lo, M):
+                    k = first.get(hi)
+                    if k is not None and (least is None or k < least):
+                        least = k
+                    assert _first_hit(A, M, lo, hi) == least
+            assert _first_hit(A, M, M - 1, M - 2) is None  # an empty interval
+
+
+def test_returns_match_a_remainder_scan():
+    # the three-gap walk visits exactly the q whose remainder q*c mod D lies
+    # within R of 0, in order; it repeats with period D, so 3*D covers it
+    rng = random.Random(23)
+    cases = [(0, 7, 2), (6, 9, 1), (5, 11, 0), (3, 10, 4), (4, 1, 0)]  # c = 0, gcd 3, R = 0, 2R + 1 = D - 1, D = 1
+    for _ in range(2000):
+        D = rng.randint(1, 300)
+        cases.append((rng.randint(0, 3 * D), D, rng.randint(0, (D - 1) // 2)))
+    for c, D, R in cases:
+        expected = [q for q in range(1, 3 * D + 1) if min(q * c % D, -q * c % D) <= R]
+        assert list(islice(_returns(c, D, R), len(expected))) == expected, (c, D, R)
+
+
+def test_a_thousand_digit_fibonacci_target_runs_in_a_loop():
+    # F_(k-1)/F_k has every partial quotient 1, so the first-hit search runs
+    # through about 4,780 Euclid steps, past Python's recursion limit.
+    # Cassini's identity F_(k-1)**2 - F_k*F_(k-2) = (-1)**k makes the least
+    # k' with k'*F_(k-1) = 1 mod F_k equal to F_(k-1) for even k, else F_(k-2)
+    fib = [0, 1]
+    while len(str(fib[-1])) < 1000:
+        fib.append(fib[-1] + fib[-2])
+    for k in (len(fib) - 2, len(fib) - 1):
+        assert _first_hit(fib[k - 1], fib[k], 1, 1) == fib[k - 1 if k % 2 == 0 else k - 2]
+    # the least q meeting the bound is a best approximation, so a
+    # convergent denominator F_j, and F_(j-1) misses the bound
+    alpha, Z = Fraction(fib[-2], fib[-1]), 10**400
+    w = dirichlet_simultaneous((alpha,), Z)
+    j = fib.index(w.q)
+    assert abs(w.q * alpha - w.p[0]) * Z <= 1
+    assert abs(fib[j - 1] * alpha - round(fib[j - 1] * alpha)) * Z > 1
+
+
 def test_a_very_short_lattice_vector_shrinks_the_search():
     # q = 97 nearly solves both targets, so its multiples crowd the ball
     # around the whole box [1, Z] x [-R, R]^2; listing them all would take
-    # time linear in Z
+    # time linear in Z. The walk alone finds q = 97 in a few returns, so the
+    # lattice search is called directly
     k = 10**30
     alphas = (Fraction(13 * k + 1, 97 * k), Fraction(50 * k + 1, 97 * k))
+    cs, D, R = integer_form(alphas, 10**8)
     started = time.perf_counter()
-    w = dirichlet_simultaneous(alphas, 10**8)
+    q = _least_q_in_box(cs, D, R, 10**8)
     assert time.perf_counter() - started < 1.0
-    assert w.q == 97 and w == reference_scan(alphas, 10**8)
+    assert q == 97 == reference_scan(alphas, 10**8).q
+    assert dirichlet_simultaneous(alphas, 10**8).q == 97
