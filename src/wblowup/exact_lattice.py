@@ -125,6 +125,44 @@ def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
+def _dedekind12(h: int, c: int) -> int:
+    """12*c*s(h, c) for the Dedekind sum s(h, c) = sum over k mod c of
+    ((k/c))*((h*k/c)), with c >= 1 and gcd(h, c) = 1.
+
+    ((x)) is the sawtooth, x - floor(x) - 1/2 off the integers and 0 on
+    them. The reciprocity law (Rademacher and Grosswald, Dedekind Sums,
+    1972) gives, for c > 1, 12*c*s(h, c) = h + h' + c*(q_1 - q_2 + ... +-
+    q_n - 1 - 2*[n odd]), where h' = h^-1 mod c and q_1..q_n are the
+    quotients of Euclid's algorithm on (c, h mod c): O(log c) integer steps.
+    """
+    if c == 1:
+        return 0
+    h %= c
+    alt, sign, x, y = -1, 1, c, h
+    while y:
+        q, r = divmod(x, y)
+        alt += sign * q
+        sign = -sign
+        x, y = y, r
+    return h + pow(h, -1, c) + c * (alt if sign > 0 else alt - 2)
+
+
+def _dedekind_pair12(u: int, v: int, c: int) -> int:
+    """12*c*D(u, v; c) for D(u, v; c) = sum over k mod c of ((u*k/c))*((v*k/c)).
+
+    A common factor g of u, v and c comes out as g*D(u/g, v/g; c/g). After
+    it, d = gcd(u, c) is prime to v, so k = k_0 + t*c/d runs v*k/c over the
+    d shifts by t/d and Raabe's formula gives D(u/d, v; c/d); the same goes
+    for v. Left with u and v prime to c, k -> k/u gives s(v/u mod c, c).
+    """
+    g = math.gcd(u, v, c)
+    u, v, c = u // g, v // g, c // g
+    d = math.gcd(u, c)
+    e = math.gcd(v, c // d)
+    c //= d * e
+    return g * g * d * e * _dedekind12(v // e * pow(u // d, -1, c), c)
+
+
 def require_same_dimension(n: int, v) -> None:
     if len(v) != n:
         raise ValueError(f"dimension mismatch: expected {n}, got {len(v)}")

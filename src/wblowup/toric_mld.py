@@ -37,14 +37,20 @@ Conventions used throughout the package:
   T = conv(e_1, e_2, e_3, a). With N = sum(a) - 1 a point x of T is
   (k, z_1, z_2), k = sum(x) - 1 and z_j = N*x_j - a_j*k, in a lattice of
   index N^2, where psi = 1 - min_j z_j / a_j with z_3 = N - k - z_1 - z_2,
-  so its points with psi <= s are those of a simplex. They are counted one
-  plane at a time along a short dual vector: of the three rows of the
-  LLL-reduced dual basis (in the spirit of Lenstra, Math. Oper. Res. 8,
-  1983), the first whose range on the simplex is least. Each plane is
-  counted by floor sums along the envelope of each chain of its row
-  bounds, and the least psi is found by doubling and bisecting s on those
-  counts. T takes about N^(1/3) planes:
-  27 for the 12,307 points of (15701, 28340, 29766), 900-1,400 near 10^9.
+  so its points with psi <= s are those of a simplex. All of T is counted
+  in closed form: level 0 < k < N of T holds a point exactly when k plus
+  the residues -a_j*k mod N sum to N, and the number of such k is a sum of
+  Dedekind sums, which the reciprocity law (Rademacher and Grosswald,
+  Dedekind Sums, 1972) reduces to O(log N) integer steps, as Pick's theorem
+  does for n = 2. The least psi is found by doubling and bisecting s on
+  counts of the smaller simplices, each taken one plane at a time along a
+  short dual vector: of the three rows of the LLL-reduced dual basis (in
+  the spirit of Lenstra, Math. Oper. Res. 8, 1983), the first whose range
+  on the simplex is least. Each plane is counted by floor sums along the
+  envelope of each chain of its row bounds. On balanced weights the search
+  reads a few planes whatever the size of T: 5 for (15701, 28340, 29766),
+  whose T holds 12,307 points, and 2-8 for random weights from 10^9 to
+  10^60. Skewed weights take more, 66 for (3, 5, 10^12 + 1).
 * For n >= 4 the global mld enumerates {psi <= 1}: a pass over every box
   point costs O(n * sum(a)) whatever that region holds, and skewed weights
   such as (1, 1, 1, N) have only the n + 1 generators in it.
@@ -70,13 +76,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import islice, repeat
+from itertools import combinations, islice, repeat
 from math import gcd, lcm
 from operator import mod
 
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
+    _dedekind_pair12,
     _lll,
     ceil_div,
     check_eps,
@@ -454,12 +461,36 @@ def _chain_sum(chain, s, x0, x1) -> int:
     return total
 
 
+def _n3_count(ent) -> int:
+    # the lattice points of T = conv(e_1, e_2, e_3, a) in O(log N) integer
+    # steps. With N = sum(a) - 1 and r_j = -a_j*k mod N, level k = sum(x) - 1
+    # of T holds e_1, e_2, e_3 at k = 0, a at k = N and, for 0 < k < N, one
+    # point when S = (k + r_1 + r_2 + r_3) / N is 1 and none when it is 2 or
+    # 3. As k -> N - k sends S to 4 - z - S, where z of the r_j vanish, the
+    # sum Q of (S - 2)^2 over k mod N (4 at k = 0) is 4 + 2C - Z_1/2 - Z_2,
+    # C the levels with S = 1 and Z_z those with z vanishing r_j: with
+    # g_j = gcd(a_j, N), r_j = 0 at g_j - 1 levels and r_i = r_j = 0 at
+    # gcd(g_i, g_j) - 1. S - 2 is the sum of B(u*k/N) over u in (1, -a_1,
+    # -a_2, -a_3), with B(x) = x - floor(x) - 1/2 = ((x)) - [x integral]/2,
+    # so Q is the sum over ordered pairs (u, v) of D(u, v; N) + gcd(u, v, N)/4
+    # (exact_lattice._dedekind_pair12), where 12N*D(u, u; N) = (N - g)(N - 2g)
+    # for g = gcd(u, N). Scaled by 24N, the count 4 + C is 12N times the
+    # sum of the D plus N*(9*sum_j g_j + 6*sum_{i<j} gcd(g_i, g_j) + 51)
+    N = sum(ent) - 1
+    g = [gcd(aj, N) for aj in ent]
+    u = (1, *(-aj for aj in ent))
+    d = sum((N - gcd(x, N)) * (N - 2 * gcd(x, N)) for x in u)
+    d += 2 * sum(_dedekind_pair12(x, y, N) for x, y in combinations(u, 2))
+    return (d + N * (9 * sum(g) + 6 * sum(gcd(x, y) for x, y in combinations(g, 2)) + 51)) // (24 * N)
+
+
 def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], int]:
     # T's lattice points (see the module docstring) are the points (k, z_1,
     # z_2) of the lattice of _cone_frame(N, a_1, a_2) with k, z_1, z_2 >= 0
-    # and k + z_1 + z_2 <= N. walk counts, or lists, the points with every
-    # x_m >= -c_m and, for the tops f of _bounds, f.x <= c_3, c_4, ..., one
-    # slice s = w.x / N at a time, charging each slice to the budget first
+    # and k + z_1 + z_2 <= N; _n3_count counts them in closed form. walk
+    # counts, or lists, the points with every x_m >= -c_m and, for the tops
+    # f of _bounds, f.x <= c_3, c_4, ..., one slice s = w.x / N at a time,
+    # charging each slice to the budget first
     a1, a2, a3 = ent = a.entries
     N = a1 + a2 + a3 - 1
     w, cols, *frame = _cone_frame(N, a1, a2)
@@ -526,7 +557,7 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
                 lo = mid
         return hi, n
 
-    scanned = walk(frame, [0, 0, 0, N])
+    scanned = _n3_count(ent)
     # the least m with a point at psi <= m / den < 1, where one step of m
     # parts any two psi = 1 - z_j / a_j: double a start near where a point is
     # expected until one shows, then bisect
@@ -646,10 +677,12 @@ def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) 
     For n = 2 nothing is enumerated: the value is min(1, least box-point
     age), found by the Klein sail walk, and the count comes from Pick's
     theorem, in O(log a_2) steps, with no budget. For n = 3 nothing is
-    enumerated either: the lattice points of conv(e_1, e_2, e_3, a) with
-    psi <= s are counted, and the few of least psi listed, one lattice
-    plane at a time; counting them all reads about sum(a)^(1/3) planes, and
-    BudgetExceeded stops it before the planes read pass enumeration_cap.
+    enumerated either: the count of conv(e_1, e_2, e_3, a) is a sum of
+    Dedekind sums, read in O(log sum(a)) steps by reciprocity, and the
+    search for the least psi counts the lattice points with psi <= s, and
+    lists the few of least psi, one lattice plane at a time. It reads a few
+    planes on balanced weights, and BudgetExceeded stops it before the
+    planes read pass enumeration_cap.
     For n >= 4 {psi <= 1} is enumerated as columns along the last
     coordinate, each counted and minimised in closed form, so it costs the
     visited prefixes rather than sum(a) or the points; BudgetExceeded stops

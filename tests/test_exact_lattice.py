@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from wblowup.diophantine import dirichlet_1d, dirichlet_simultaneous
 from wblowup.exact_lattice import (
     BudgetExceeded,
+    _dedekind12,
+    _dedekind_pair12,
     _lll,
     _short_vectors,
     ceil_div,
@@ -322,3 +324,28 @@ def _inverse(rows):
             if r != c:
                 m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
     return [row[n:] for row in m]
+
+
+def _sawtooth_pair(u, v, c):
+    # c * 12c * sum over k mod c of ((u*k/c))*((v*k/c)), term by term: the
+    # sawtooth ((m/c)) is (2*(m mod c) - c) / 2c, and 0 where c divides m
+    return 3 * sum((2 * (u * k % c) - c) * (2 * (v * k % c) - c) for k in range(c) if u * k % c and v * k % c)
+
+
+def test_dedekind_sum_matches_its_definition():
+    # 12c*s(h, c) by reciprocity, for every coprime 0 <= h < c <= 60
+    pairs = [(h, c) for c in range(1, 61) for h in range(c) if math.gcd(h, c) == 1]
+    assert len(pairs) == 1102
+    for h, c in pairs:
+        assert _dedekind12(h, c) * c == _sawtooth_pair(1, h, c), (h, c)
+        assert _dedekind12(h + 3 * c, c) == _dedekind12(h, c)
+    assert [_dedekind12(h, 5) for h in range(1, 5)] == [12, 0, 0, -12]  # s(1, 5) = 1/5
+
+
+def test_dedekind_pair_matches_its_definition():
+    # the gcd steps of 12c*D(u, v; c), common factors and Raabe's formula,
+    # against the sum, for every c <= 30 and u, v in [-c, c]
+    for c in range(1, 31):
+        for u in range(-c, c + 1):
+            for v in range(-c, c + 1):
+                assert _dedekind_pair12(u, v, c) * c == _sawtooth_pair(u, v, c), (u, v, c)

@@ -150,7 +150,7 @@ def test_witness_inconclusive_exits_3(capsys):
         # a budget estimate refused these, though no scan comes near it
         (("check", "--weights", "1,20000000", "--eps", "1"), "verdict", "eps-lc"),
         (("mld", "--weights", "2,3,6000001"), "points_scanned", 500004),
-        # the column scan would visit about 10^9 prefixes; n = 3 reads 17
+        # the column scan would visit about 10^9 prefixes; n = 3 reads 13
         # lattice slices, and psi(1, 1, 1) = 27/1000000021
         (("mld", "--weights", "1000000007,1000000009,1000000021"), "mld", "27/1000000021"),
     ],
@@ -659,7 +659,7 @@ def test_missing_config_file_is_usage_error(capsys):
 
 def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
     cfg = tmp_path / "wblowup.cfg"
-    cfg.write_text("cap = 4\n")
+    cfg.write_text("cap = 1\n")
     calls = [
         ("mld", "--weights", "1000,1001,1003"),
         ("mld", "--weights", "2,3", "--bogus"),

@@ -150,11 +150,11 @@ def test_n2_mld_takes_no_budget(weights, cap):
 
 
 def test_n3_mld_refusal_message():
-    # n = 3 counts the lattice slices it reads: 5 here, so a cap of 4 is
-    # refused before the last walk and a cap of 5 answers as the default
+    # n = 3 counts the lattice slices it reads: 2 here, so a cap of 1 is
+    # refused before the last walk and a cap of 2 answers as the default
     argv = ["mld", "--weights", "1000,1001,1003"]
-    assert run(argv + ["--cap", "4"]) == (3, "", "budget exhausted: 5 slices exceed budget 4\n")
-    assert run(argv + ["--cap", "5"]) == run(argv)
+    assert run(argv + ["--cap", "1"]) == (3, "", "budget exhausted: 2 slices exceed budget 1\n")
+    assert run(argv + ["--cap", "2"]) == run(argv)
 
 
 def test_n4_mld_refusal_message():

@@ -2,8 +2,8 @@
 
 mld_at_fixed_point reads box-point ages at every n, and mld_global does for
 n = 2, where the Klein sail walk and Pick count take over, and for n = 3,
-where the lattice points of conv(e1, e2, e3, a) are counted and listed by
-lattice slices; neither enumerates a region there. The oracle's box scan is the reference
+where the lattice points of conv(e1, e2, e3, a) are counted by Dedekind
+sums and searched by lattice slices; neither enumerates a region there. The oracle's box scan is the reference
 on small weights, the generic scan of {psi <= 1} that mld_global keeps for
 n >= 4 is the reference for n = 2 pairs and n = 3 triples, and a Reid-Tai
 age sum written out below is the reference past the sizes a scan can reach.
@@ -203,8 +203,8 @@ def test_n2_never_enumerates(monkeypatch):
         mld_global(a)
         mld_at_fixed_point(a, 1)
         mld_at_fixed_point(a, 2)
-    # nor does n = 3, which counts and lists the points of conv(e1, e2, e3, a)
-    # by lattice slices
+    # nor does n = 3, which counts the points of conv(e1, e2, e3, a) by
+    # Dedekind sums and lists the least of them by lattice slices
     for entries in [(1, 1, 1), (2, 3, 5), (1052, 1204, 1239), (2, 3, 100001), (1, 1, 200000)]:
         mld_global(WeightVector(entries))
 

@@ -2,13 +2,14 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import argmin_cones, barycentric, coprime_sorted_tuples, random_weight_vector
-from wblowup.exact_lattice import DEFAULT_ENUMERATION_CAP, BudgetExceeded
+from wblowup.exact_lattice import DEFAULT_ENUMERATION_CAP, BudgetExceeded, format_rational
 from wblowup.oracle import enumerate_lattice_points, psi_bruteforce
 from wblowup.toric_mld import (
     CLASS_CANONICAL,
@@ -21,6 +22,7 @@ from wblowup.toric_mld import (
     _cone,
     _floor_sum,
     _fold,
+    _n3_count,
     _psi,
     _slices,
     is_eps_lc,
@@ -535,10 +537,10 @@ def test_budget_errors_report_work():
     assert mld_global(c, enumeration_cap=3177) == mld_global(c)
     a = WeightVector((1000, 1001, 1003))
     with pytest.raises(BudgetExceeded) as err:
-        mld_global(a, enumeration_cap=4)
-    assert (err.value.work, err.value.cap) == (5, 4)
-    assert str(err.value) == "5 slices exceed budget 4"
-    assert mld_global(a, enumeration_cap=5) == mld_global(a)
+        mld_global(a, enumeration_cap=1)
+    assert (err.value.work, err.value.cap) == (2, 1)
+    assert str(err.value) == "2 slices exceed budget 1"
+    assert mld_global(a, enumeration_cap=2) == mld_global(a)
     with pytest.raises(BudgetExceeded):
         is_eps_lc(a, Fraction(1, 2), enumeration_cap=1)
     with pytest.raises(BudgetExceeded) as err:
@@ -682,15 +684,59 @@ def test_n3_points_of_psi_at_most_one_are_the_tetrahedron_lattice():
         assert (report.value, report.achieved_at) == min((psi_value(a, x), x) for x in region), ent
 
 
+def level_count(ent):
+    # the points of T = conv(e1, e2, e3, a) level by level: e1, e2, e3 at
+    # k = 0, a at k = N, and one point at 0 < k < N exactly when
+    # k + sum_j (-a_j*k mod N) = N
+    N = sum(ent) - 1
+    return 4 + sum(k + sum(-aj * k % N for aj in ent) == N for k in range(1, N))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=10**4), min_size=3, max_size=3))
+@example([1, 1, 1])
+@example([2, 3, 5])  # gcd(a_2, N) = 3
+@example([2, 3, 4])  # r_1 and r_3 both vanish at k = N/2
+@example([2, 3, 8])  # a_3 a multiple of a_1 + a_2 - 1: g = (2, 3, 4)
+@example([3, 4, 12])  # ... and every g_j > 1
+@example([6, 10, 15])
+def test_n3_count_matches_levels(entries):
+    ent = tuple(sorted(entries))
+    assume(gcd(*ent) == 1)
+    assert _n3_count(ent) == level_count(ent)
+
+
+@pytest.mark.parametrize("entries,mld,points", [
+    ((10**9 + 7, 10**9 + 9, 10**9 + 21), "27/1000000021", 503703713),
+    ((3, 5, 10**12 + 1), "600000000002/1000000000001", 133333333338),
+    ((1237007427476, 1423966284840, 1643557039515), "75415309/618503713738", 717421791922),
+    ((1184676217692, 1185517227477, 1750205746052), "30255671/296169054423", 686733198598),
+], ids=["1e9+7,1e9+9,1e9+21", "3,5,1e12+1", "balanced-1e12-a", "balanced-1e12-b"])
+def test_n3_points_scanned_is_pinned(entries, mld, points):
+    # counted one lattice slice at a time, independently of _n3_count
+    report = mld_global(WeightVector(entries))
+    assert (format_rational(report.value), report.points_scanned) == (mld, points)
+
+
+def test_n3_mld_near_1e30_answers_under_the_default_budget():
+    # a count of T here would read about 10^10 slices; the search reads a few
+    a = WeightVector((1009158281531516017161695369677, 1630510460162827827556786582087, 1827475353217758864850856503266))
+    report = mld_global(a, enumeration_cap=100)
+    assert report == mld_global(a)
+    assert psi_value(a, report.achieved_at) == report.value < 1
+    assert report.points_scanned == _n3_count(a.entries) > 7 * 10**29
+
+
 @pytest.mark.parametrize("entries,slices", [
-    ((1000, 1001, 1003), 5),
-    ((2, 3, 100001), 15),
-    ((29, 140, 336), 27),  # bisects its tie on the weighted row
-    ((15701, 28340, 29766), 32),
-    ((10**9 + 7, 10**9 + 9, 10**9 + 21), 17),
+    ((1000, 1001, 1003), 2),
+    ((2, 3, 100001), 12),
+    ((29, 140, 336), 23),  # bisects its tie on the weighted row
+    ((15701, 28340, 29766), 5),
+    ((10**9 + 7, 10**9 + 9, 10**9 + 21), 13),
 ], ids=["1000,1001,1003", "2,3,100001", "29,140,336", "15701,28340,29766", "1e9+7,1e9+9,1e9+21"])
 def test_n3_slice_schedule_is_pinned(entries, slices):
-    # the slices n = 3 mld charges to its budget, over every walk
+    # the slices n = 3 mld charges to its budget, over every walk of its
+    # search; the count of T reads none
     a = WeightVector(entries)
     assert mld_global(a, enumeration_cap=slices) == mld_global(a)
     with pytest.raises(BudgetExceeded) as err:
