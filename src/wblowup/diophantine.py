@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .exact_lattice import _lll, _short_vectors, check_int, exact, format_rational, integer_nth_root
+from .exact_lattice import _lll, _short_vectors, check_int, exact, format_quotient, integer_nth_root
 
 
 class Approx1D(NamedTuple):
@@ -44,8 +43,10 @@ class DirichletWitness:
     """Simultaneous approximation p_j/q to alphas, searched over q <= Z.
 
     q is the least denominator meeting max_j |q*alpha_j - p_j| ** d <= 1/Z,
-    which is the bound |alpha_j - p_j/q| <= 1 / (q * Z**(1/d)). The
-    residuals p_j/q - alpha_j are computed when first read.
+    which is the bound |alpha_j - p_j/q| <= 1 / (q * Z**(1/d)). Its JSON
+    form holds exact values only: ints, and the residuals p_j/q - alpha_j as
+    "p/q" strings, each formatted from an integer pair reduced once;
+    parse_rational gives a residual back as a Fraction.
     """
 
     q: int
@@ -58,16 +59,17 @@ class DirichletWitness:
     # the bound at Z = 1). Kept so the JSON form keeps its "satisfied" key.
     satisfied = True
 
-    @cached_property
-    def residuals(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(pj, self.q) - aj for pj, aj in zip(self.p, self.alphas))
-
     def to_json_dict(self) -> dict:
+        q = self.q
         return {
-            "q": self.q,
+            "q": q,
             "p": list(self.p),
             "Z": self.Z,
-            "residuals": [format_rational(r) for r in self.residuals],
+            # p_j/q - n_j/d_j = (p_j*d_j - q*n_j) / (q*d_j)
+            "residuals": [
+                format_quotient(pj * a.denominator - q * a.numerator, q * a.denominator)
+                for pj, a in zip(self.p, self.alphas)
+            ],
             "satisfied": self.satisfied,
         }
 

@@ -52,6 +52,18 @@ def format_ratio(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def format_quotient(num: int, den: int) -> str:
+    """Render num/den, for any integers with den != 0, as format_rational does.
+
+    The pair is reduced by one gcd, with the sign moved onto the numerator,
+    so no Fraction is built.
+    """
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return format_ratio(num // g, den // g)
+
+
 def exact(x, what: str) -> Fraction:
     """x as a Fraction. A float is refused: its binary expansion is seldom
     the number meant (0.1 would be read as 3602879701896397/2**55)."""

@@ -323,8 +323,67 @@ def _given(value, default):
 # subcommand handlers
 
 
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj) -> str:
+    """obj as JSON, byte for byte what json.dumps(obj, indent=2) writes.
+
+    It takes dicts with str keys, lists, tuples, str, int, bool and None,
+    and raises TypeError on anything else, a Fraction or a float included,
+    so no float can reach the CLI's output. It is the CLI's one JSON
+    writer: json.dumps drops to its pure-Python encoder whenever indent is
+    set, and this one takes about 0.5 to 0.6 of its time on a witness or mld
+    payload (Python 3.11).
+    """
+    parts = []
+    _json_parts(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(obj, newline: str, parts: list) -> None:
+    # newline is the line break and indent of obj's own line; its items sit
+    # two spaces further in
+    if isinstance(obj, str):
+        parts.append(_quoted(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            parts.append(sep)
+            parts.append(_quoted(key))  # a key that is no str raises TypeError here
+            parts.append(": ")
+            _json_parts(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _json_parts(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False)
+    text = _json_text(payload)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -395,10 +454,10 @@ def _handle_sweep(ns) -> int:
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:
             report = run_sweep(spec, handle)
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(_json_text(report.to_json_dict()))
     else:
         report = run_sweep(spec, sys.stdout)
-        print(json.dumps(report.to_json_dict(), indent=2), file=sys.stderr)
+        print(_json_text(report.to_json_dict()), file=sys.stderr)
     return 0
 
 

@@ -25,9 +25,12 @@ psi is the largest of those forms, so t*w is interior exactly when
 t*psi(w) < eps (the ray lemma). The multiples of w inside C(a, eps) are
 therefore 1 <= k < eps/psi(w), and if any of them is, w is. The point,
 psi as an integer numerator and denominator, and the judgment
-num * ed < en * den are all integers; a Certificate keeps them, and its
-trace (the Dirichlet data, the exit point of the line through w) is a
-pure function of them, computed only when read. When no
+num * ed < en * den are all integers; a Certificate keeps them. Its
+trace (the Dirichlet data, the exit point of the line through w) is a pure
+function of them, computed once when first read and held in its JSON form:
+ints, bools and exact "p/q" strings, each formatted from an integer pair
+reduced once, so no Fraction is built for it; parse_rational gives any of
+its rationals back as a Fraction. When no
 construction succeeds, certify_not_eps_lc enumerates the interior lattice
 points of C(a, eps) directly, as the refutation search of is_eps_lc does,
 and stops at the first. On lattice points interiority is exactly
@@ -49,7 +52,7 @@ from .exact_lattice import (
     check_eps,
     check_int,
     exact,
-    format_rational,
+    format_quotient,
     format_ratio,
     integer_nth_root,
     require_same_dimension,
@@ -100,8 +103,13 @@ class Certificate:
     """A lattice point interior to C(a, eps), and the route that found it.
 
     psi is psi(point) in lowest terms, as (numerator, denominator). A
-    general-theta certificate also keeps theta and its Dirichlet witness.
-    The trace is a pure function of these fields, computed when first read.
+    general-theta certificate also keeps theta, its Dirichlet witness and
+    hypothesis_ok, whether a_j / a_2 <= a_1 ** theta, evaluated once when
+    the certificate is built (None for the other routes). The trace is a
+    pure function of these fields, computed once when first read. It is
+    already JSON: ints, bools, lists, dicts and exact "p/q" strings, which
+    parse_rational turns back into Fractions, so to_json_dict embeds it as
+    it is, and no caller may modify it.
     """
 
     weights: WeightVector
@@ -111,11 +119,7 @@ class Certificate:
     method: str
     theta: Fraction | None = None
     dirichlet: DirichletWitness | None = None
-
-    @property
-    def hypothesis_ok(self) -> bool | None:
-        """Whether a_j / a_2 <= a_1 ** theta, for a general-theta certificate."""
-        return None if self.theta is None else _theta_hypothesis(self.weights, self.theta)
+    hypothesis_ok: bool | None = None
 
     @cached_property
     def trace(self) -> dict:
@@ -130,24 +134,12 @@ class Certificate:
     def to_json_dict(self) -> dict:
         return {
             "weights": list(self.weights.entries),
-            "eps": format_rational(self.eps),
+            "eps": format_ratio(self.eps.numerator, self.eps.denominator),
             "point": list(self.point),
             "psi": format_ratio(*self.psi),
             "method": self.method,
-            "trace": _jsonify(self.trace),
+            "trace": self.trace,
         }
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, DirichletWitness):
-        return obj.to_json_dict()
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
 
 
 @cache
@@ -237,21 +229,24 @@ def _judged(a: WeightVector, eps: Fraction, point, method: str, theta=None, diri
     if num * eps.denominator >= eps.numerator * den:
         return None
     g = gcd(num, den)
-    return _verified(Certificate(a, eps, point, (num // g, den // g), method, theta, dirichlet))
+    hyp = None if theta is None else _theta_hypothesis(a, theta)
+    return _verified(Certificate(a, eps, point, (num // g, den // g), method, theta, dirichlet, hyp))
 
 
-def _exit_abscissa(cert: Certificate) -> Fraction:
+def _exit_abscissa(cert: Certificate) -> str:
     # the line through the point, first coordinate q, leaves C(a, eps) where
     # t*psi = eps, at first coordinate eps*q/psi
     num, den = cert.psi
-    return Fraction(cert.eps.numerator * cert.point[0] * den, cert.eps.denominator * num)
+    return format_quotient(cert.eps.numerator * cert.point[0] * den, cert.eps.denominator * num)
 
 
 def _plane_trace(cert: Certificate) -> dict:
+    # alpha = a2/a1 is in lowest terms, as coprime weights are; the residual
+    # q*alpha - p is (q*a2 - p*a1)/a1
     (a1, a2), (q, p) = cert.weights.entries, cert.point
-    alpha, case = Fraction(a2, a1), 1 if cert.method == METHOD_N2_CASE1 else 2
-    return {"Z": isqrt(a1), "p": p, "q": q, "alpha": alpha, "residual": q * alpha - p, "case": case,
-            "x0": _exit_abscissa(cert), "k": 1}
+    return {"Z": isqrt(a1), "p": p, "q": q, "alpha": format_ratio(a2, a1),
+            "residual": format_quotient(q * a2 - p * a1, a1),
+            "case": 1 if cert.method == METHOD_N2_CASE1 else 2, "x0": _exit_abscissa(cert), "k": 1}
 
 
 def witness_n2(a: WeightVector, eps) -> Certificate | None:
@@ -283,12 +278,12 @@ def _theta_hypothesis(a: WeightVector, theta: Fraction) -> bool:
 def _theta_trace(cert: Certificate) -> dict:
     # exit coefficient i is cone i's linear form at the point divided by q;
     # the first largest is that of _cone, the first cone holding the point
-    w, pt, ent = cert.dirichlet, cert.point, cert.weights.entries
+    w, pt, ent, theta = cert.dirichlet, cert.point, cert.weights.entries, cert.theta
     S, T1 = sum(pt), sum(ent) - 1
-    coeffs = tuple(Fraction(ai * S - xi * T1, ai * w.q) for ai, xi in zip(ent, pt))
-    return {"Z": w.Z, "dirichlet": w, "theta": cert.theta, "hypothesis_ok": cert.hypothesis_ok,
-            "exit_coefficients": coeffs, "exit_facet": _cone(ent, pt) + 1,
-            "x1_0": _exit_abscissa(cert), "k": 1}
+    coeffs = [format_quotient(ai * S - xi * T1, ai * w.q) for ai, xi in zip(ent, pt)]
+    return {"Z": w.Z, "dirichlet": w.to_json_dict(), "theta": format_ratio(theta.numerator, theta.denominator),
+            "hypothesis_ok": cert.hypothesis_ok, "exit_coefficients": coeffs,
+            "exit_facet": _cone(ent, pt) + 1, "x1_0": _exit_abscissa(cert), "k": 1}
 
 
 def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | None:
@@ -313,11 +308,17 @@ def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | Non
 
 
 def _projection_trace(cert: Certificate) -> dict:
-    # the three tilted facet rows solved for x_3 along x_1 = q, x_2 = p
-    (a1, a2, a3), (q, p, _), eps = cert.weights.entries, cert.point, cert.eps
-    x3_hi = min(Fraction(a2 + a3 - 1, a1) * q - p + eps, Fraction(a1 + a3 - 1, a2) * p - q + eps)
-    return {"M2": isqrt(a1), "p": p, "q": q, "residual": q * Fraction(a2, a1) - p,
-            "x3_lo": (q + p - eps) * Fraction(a3, a1 + a2 - 1), "x3_hi": x3_hi}
+    # the three tilted facet rows solved for x_3 along x_1 = q, x_2 = p, over
+    # positive denominators: x3_lo = (q + p - eps) * a3/(a1 + a2 - 1), and
+    # x3_hi the lower of (a2 + a3 - 1)/a1 * q - p + eps and
+    # (a1 + a3 - 1)/a2 * p - q + eps
+    (a1, a2, a3), (q, p, _) = cert.weights.entries, cert.point
+    en, ed = cert.eps.numerator, cert.eps.denominator
+    n1, d1 = ((a2 + a3 - 1) * q - p * a1) * ed + en * a1, a1 * ed
+    n2, d2 = ((a1 + a3 - 1) * p - q * a2) * ed + en * a2, a2 * ed
+    x3_hi = format_quotient(n1, d1) if n1 * d2 <= n2 * d1 else format_quotient(n2, d2)
+    return {"M2": isqrt(a1), "p": p, "q": q, "residual": format_quotient(q * a2 - p * a1, a1),
+            "x3_lo": format_quotient(((q + p) * ed - en) * a3, (a1 + a2 - 1) * ed), "x3_hi": x3_hi}
 
 
 def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from conftest import barycentric, coprime_sorted_tuples, facets, interior_by_subsimplex, vertices
 from wblowup.diophantine import dirichlet_1d, dirichlet_simultaneous
-from wblowup.exact_lattice import integer_nth_root, pow_cmp
+from wblowup.exact_lattice import integer_nth_root, parse_rational, pow_cmp
 from wblowup.oracle import mld_bruteforce, verify_interior_psi_equivalence
 from wblowup.toric_mld import (
     WeightVector,
@@ -141,7 +141,7 @@ def test_criterion_5_n3_projection_construction():
         assert cert.method == METHOD_N3_PROJECTION
         assert contains_interior(build_polytope(a, 1), cert.point)
         assert psi_value(a, cert.point) == Fraction(*cert.psi) < 1
-        assert cert.trace["x3_lo"] < cert.point[2] < cert.trace["x3_hi"]
+        assert parse_rational(cert.trace["x3_lo"]) < cert.point[2] < parse_rational(cert.trace["x3_hi"])
         made += 1
     _report("criterion 5: n=3 projection certificates on 100 tall instances", started)
 

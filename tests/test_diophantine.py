@@ -17,7 +17,7 @@ from wblowup.diophantine import (
     dirichlet_1d,
     dirichlet_simultaneous,
 )
-from wblowup.exact_lattice import integer_nth_root, pow_cmp
+from wblowup.exact_lattice import integer_nth_root, parse_rational, pow_cmp
 
 nonneg_rationals = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
 
@@ -127,7 +127,7 @@ def test_dirichlet_simultaneous_integer_targets():
     w = dirichlet_simultaneous((Fraction(3), Fraction(7), Fraction(0)), 9)
     assert w.q == 1
     assert w.p == (3, 7, 0)
-    assert all(r == 0 for r in w.residuals)
+    assert all(parse_rational(r) == 0 for r in w.to_json_dict()["residuals"])
     assert w.satisfied
 
 
@@ -159,8 +159,8 @@ def test_simultaneous_satisfied_obeys_power_bound():
         alphas = tuple(Fraction(rng.randint(0, 10**5), rng.randint(1, 10**5)) for _ in range(d))
         w = dirichlet_simultaneous(alphas, Z)
         assert 1 <= w.q <= Z
-        for aj, pj, rj in zip(alphas, w.p, w.residuals):
-            assert rj == Fraction(pj, w.q) - aj
+        for aj, pj, rj in zip(alphas, w.p, w.to_json_dict()["residuals"]):
+            assert parse_rational(rj) == Fraction(pj, w.q) - aj
         assert w.satisfied
         worst = max(abs(w.q * aj - pj) for aj, pj in zip(alphas, w.p))
         assert pow_cmp(worst, d, Fraction(1, Z)) <= 0

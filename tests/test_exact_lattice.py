@@ -15,6 +15,7 @@ from wblowup.exact_lattice import (
     _short_vectors,
     ceil_div,
     check_int,
+    format_quotient,
     format_rational,
     integer_nth_root,
     parse_rational,
@@ -86,6 +87,14 @@ def test_parse_rational_rejects_malformed(bad):
 @given(rationals)
 def test_format_parse_identity(x):
     assert parse_rational(format_rational(x)) == x
+
+
+@given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40).filter(bool))
+@example(0, -7)
+@example(6, -4)
+@example(-6, 3)
+def test_format_quotient_reduces_as_fraction_does(num, den):
+    assert format_quotient(num, den) == format_rational(Fraction(num, den))
 
 
 def test_arithmetic_survives_huge_operands():

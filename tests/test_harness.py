@@ -14,10 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wblowup import harness
 from wblowup.harness import (
     SweepSpec,
+    _json_text,
     build_parser,
     cli_dispatch,
     default_budget,
@@ -773,6 +775,41 @@ def test_parse_weights_validation():
         parse_weights("2;3")
     with pytest.raises(ValueError):
         parse_weights("2,4")
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+_json_chars = '"\\/\b\f\n\r\t\x00\x1f\x7f aZ0:é€😀\u2028\ud800'
+_json_strings = st.text(st.sampled_from(_json_chars), max_size=12) | st.text(max_size=8)
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-10**400, 10**400)
+    | st.sampled_from([10**399, -(10**399) - 7, 0, -1])
+    | _json_strings
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Fraction(1, 2), 0.5, {1: "a"}, {"a": [1, {"b": Fraction(3)}]}, [1.0], {None: 1}, {("a",): 1}, {1, 2}],
+)
+def test_json_writer_refuses_what_json_dumps_would_bend(bad):
+    # a Fraction or float anywhere, or a key that is no str, is refused
+    with pytest.raises(TypeError):
+        _json_text(bad)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import coprime_sorted_tuples, facets, interior_by_subsimplex, random_weight_vector, vertices
-from wblowup.exact_lattice import integer_nth_root, pow_cmp
+from wblowup.exact_lattice import integer_nth_root, parse_rational, pow_cmp
 from wblowup.toric_mld import WeightVector, is_eps_lc, psi_value
 from wblowup.witness import (
     METHOD_ENUMERATION,
@@ -234,7 +234,7 @@ def test_witness_n2_hand_trace():
     assert Fraction(*cert.psi) == Fraction(2, 27)
     assert cert.trace["Z"] == 5
     assert (cert.trace["p"], cert.trace["q"]) == (1, 1)
-    assert cert.trace["x0"] == Fraction(27, 4)
+    assert parse_rational(cert.trace["x0"]) == Fraction(27, 4)
 
 
 def test_witness_n2_case2_instance():
@@ -276,7 +276,7 @@ def test_general_theta_reduces_to_n2_point():
     cert = witness_general_theta(WeightVector((26, 27)), Fraction(1, 2))
     assert cert.point == (1, 1)
     assert cert.method == METHOD_GENERAL_THETA
-    assert cert.trace["x1_0"] == Fraction(27, 4)
+    assert parse_rational(cert.trace["x1_0"]) == Fraction(27, 4)
     assert cert.trace["hypothesis_ok"] is True
 
 
@@ -285,9 +285,9 @@ def test_general_theta_candidates_lie_on_the_line():
     assert cert is not None
     w = cert.trace["dirichlet"]
     x = cert.point
-    assert x[0] % w.q == 0
-    for j, pj in enumerate(w.p, start=1):
-        assert x[j] * w.q == pj * x[0]
+    assert x[0] % w["q"] == 0
+    for j, pj in enumerate(w["p"], start=1):
+        assert x[j] * w["q"] == pj * x[0]
     assert Fraction(*cert.psi) < Fraction(1, 2)
     assert cert.trace["hypothesis_ok"] is True
 
@@ -319,9 +319,10 @@ def test_huge_n3_weights_cost_the_lattice_not_the_denominators(entries):
     assert isinstance(cert, Certificate) and cert.method == METHOD_GENERAL_THETA
     assert Fraction(*cert.psi) < Fraction(1, 2) and contains_interior(build_polytope(a, Fraction(1, 2)), cert.point)
     w = cert.trace["dirichlet"]
-    assert w.Z == integer_nth_root(a.entries[0], 3) and 1 <= w.q <= w.Z and w.satisfied
-    worst = max(abs(Fraction(w.q * aj, a.entries[0]) - pj) for aj, pj in zip(a.entries[1:], w.p))
-    assert pow_cmp(worst, 2, Fraction(1, w.Z)) <= 0
+    q, Z = w["q"], w["Z"]
+    assert Z == integer_nth_root(a.entries[0], 3) and 1 <= q <= Z and w["satisfied"]
+    worst = max(abs(Fraction(q * aj, a.entries[0]) - pj) for aj, pj in zip(a.entries[1:], w["p"]))
+    assert pow_cmp(worst, 2, Fraction(1, Z)) <= 0
 
 
 def test_general_theta_flags_violated_hypothesis():
@@ -362,8 +363,8 @@ def test_witness_n3_hand_trace():
     assert cert.method == METHOD_N3_PROJECTION
     assert Fraction(*cert.psi) == Fraction(52, 61)
     assert (cert.trace["p"], cert.trace["q"]) == (1, 1)
-    assert cert.trace["x3_lo"] == Fraction(61, 10)
-    assert cert.trace["x3_hi"] == Fraction(65, 6)
+    assert parse_rational(cert.trace["x3_lo"]) == Fraction(61, 10)
+    assert parse_rational(cert.trace["x3_hi"]) == Fraction(65, 6)
 
 
 def test_witness_n3_standard_blowup_has_no_witness():
@@ -391,7 +392,7 @@ def test_witness_n3_projection_point_between_bounds():
         assert cert is not None, a.entries
         assert cert.method == METHOD_N3_PROJECTION
         q, p, m = cert.point
-        assert cert.trace["x3_lo"] < m < cert.trace["x3_hi"]
+        assert parse_rational(cert.trace["x3_lo"]) < m < parse_rational(cert.trace["x3_hi"])
         assert (q, p) == (cert.trace["q"], cert.trace["p"])
         assert Fraction(*cert.psi) < 1
         made += 1
@@ -602,4 +603,4 @@ def test_sweep_row_certificate_and_trace_agree(case):
     assert (hyp is not None) == (res.method == METHOD_GENERAL_THETA)
     assert psi_value(a, res.point) == Fraction(*res.psi) == Fraction(payload["psi"]) < eps
     if res.method in (METHOD_N2_CASE1, METHOD_N2_CASE2):
-        assert res.trace["x0"] == eps * res.point[0] / Fraction(*res.psi)
+        assert parse_rational(res.trace["x0"]) == eps * res.point[0] / Fraction(*res.psi)
