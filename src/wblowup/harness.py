@@ -6,19 +6,17 @@ polarity (not eps-lc, no witness), 2 usage error, 3 budget exhausted.
 
 Configuration precedence is CLI flag over config-file entry over built-in
 default; the config file (--config PATH) is line oriented, `key = value`,
-and each line is parsed as the flag --key=value of the chosen subcommand.
+and each line is read as the flag --key=value of the chosen subcommand.
 The environment variable WBLOWUP_BUDGET overrides the default budget of
 10^7 visited prefixes per scan (lattice slices for n = 3 mld, box steps for
 a fixed-point pass); README gives what a scan stopped there has cost.
 
-The argument parser is built on the first cli_dispatch call and reused by
-every later call in the process, so in-process callers pay for it once.
-Pooled sweeps likewise share one worker pool per process (see Pool).
+Flags and config-file lines are read in one pass by one loop over one
+table, _FLAGS. Pooled sweeps share one worker pool per process (see Pool).
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import contextlib
 import csv
@@ -31,6 +29,7 @@ import os
 import sys
 import threading
 import time
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -308,7 +307,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _given(value, default):
@@ -428,7 +427,7 @@ def _handle_witness(ns) -> int:
 
 def _handle_sweep(ns) -> int:
     n = _given(ns.n, 2)
-    caps = tuple(int(part) for part in _given(ns.tail_cap, "100").split(","))
+    caps = _given(ns.tail_cap, (100,))
     if len(caps) == 1:
         caps = caps * (n - 1)
     a1_min = _given(ns.a1_min, 1)
@@ -515,122 +514,153 @@ def _handle_selftest(ns) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# flag reading
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call; every caller shares it, so none may modify it."""
-    parser = argparse.ArgumentParser(
-        prog="wblowup",
-        description="Exact eps-lc checks and interior-point certificates for weighted blowups.",
-    )
-    parser.add_argument("--config", help="key = value config file; CLI flags win")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choice(*choices):
+    def read(text):
+        if text not in choices:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+        return text
 
-    def common(p, weights=True, eps=True, theta=False, out=True):
-        if weights:
-            p.add_argument("--weights", help="comma-separated positive integers, sorted, coprime")
-        if eps:
-            p.add_argument("--eps", type=parse_rational, help="rational in (0,1], e.g. 1/2")
-        if theta:
-            p.add_argument("--theta", type=parse_rational, help="theta-construction exponent, rational in (0, 1/(2n^2))")
-        p.add_argument(
-            "--cap",
-            type=int,
-            help="work budget, in visited prefixes, or lattice slices for n = 3 mld (default WBLOWUP_BUDGET or 10^7)",
-        )
-        if out:
-            p.add_argument("--out", help="write output to this path instead of stdout")
-
-    p_mld = sub.add_parser("mld", help="minimal log discrepancy report")
-    common(p_mld, eps=False)
-
-    p_check = sub.add_parser("check", help="decide eps-lc-ness")
-    common(p_check)
-
-    p_wit = sub.add_parser("witness", help="construct a not-eps-lc certificate")
-    common(p_wit, theta=True)
-
-    p_sweep = sub.add_parser("sweep", help="sweep coprime weight tuples, emitting CSV")
-    common(p_sweep, weights=False, theta=True)
-    p_sweep.add_argument("--n", type=int, help="tuple length (default 2)")
-    p_sweep.add_argument("--a1-min", type=int, help="smallest a1")
-    p_sweep.add_argument("--a1-max", type=int, help="largest a1")
-    p_sweep.add_argument("--tail-cap", help="offsets above a1 bounding a2..an, single int or comma list")
-    p_sweep.add_argument("--workers", type=int, help="worker processes (default 1)")
-    p_sweep.add_argument(
-        "--method",
-        choices=CERTIFY_METHODS,
-        help="certification route: full dispatcher, construction only, or scans only",
-    )
-    p_sweep.add_argument("--format", choices=("csv", "json"), help="output format")
-    p_sweep.add_argument(
-        "--no-timing",
-        nargs="?",
-        const=True,
-        type=_parse_bool,
-        metavar="BOOL",
-        help="blank the wall_micros column for byte-stable output (bare flag: yes)",
-    )
-
-    p_ver = sub.add_parser("verify-example", help="check the (1,k) family is 1-lc")
-    common(p_ver, weights=False, eps=False, out=False)
-    p_ver.add_argument("--limit", type=int, help="largest k for the 1-lc scan (default 500)")
-    p_ver.add_argument("--mld-limit", type=int, help="largest k for fixed-point mlds")
-
-    p_self = sub.add_parser("selftest", help="cross-check engine against the brute-force oracle")
-    common(p_self, weights=False, eps=False, out=False)
-    p_self.add_argument("--max-entry", type=int, help="largest weight entry (default 10)")
-
-    return parser
+    read.metavar = "{" + ",".join(choices) + "}"
+    return read
 
 
-_HANDLERS = {
-    "mld": _handle_mld,
-    "check": _handle_check,
-    "witness": _handle_witness,
-    "sweep": _handle_sweep,
-    "verify-example": _handle_verify_example,
-    "selftest": _handle_selftest,
+# the flags before the subcommand, then each subcommand's, by destination in help order, with
+# the converters of their values
+_TOP = {"config": str}
+_FLAGS = {
+    "mld": {"weights": str, "cap": int, "out": str},
+    "check": {"weights": str, "eps": parse_rational, "cap": int, "out": str},
+    "witness": {"weights": str, "eps": parse_rational, "theta": parse_rational, "cap": int, "out": str},
+    "sweep": {"eps": parse_rational, "theta": parse_rational, "cap": int, "out": str, "n": int, "a1_min": int,
+              "a1_max": int, "tail_cap": lambda text: tuple(map(int, text.split(","))), "workers": int,
+              "method": _choice(*CERTIFY_METHODS), "format": _choice("csv", "json"), "no_timing": _parse_bool},
+    "verify-example": {"cap": int, "limit": int, "mld_limit": int},
+    "selftest": {"cap": int, "max_entry": int},
 }
+_HELP = {
+    "config": "key = value config file; CLI flags win",
+    "weights": "comma-separated positive integers, sorted, coprime",
+    "eps": "rational in (0,1], e.g. 1/2",
+    "theta": "theta-construction exponent, rational in (0, 1/(2n^2))",
+    "cap": "work budget, in visited prefixes, or lattice slices for n = 3 mld (default WBLOWUP_BUDGET or 10^7)",
+    "out": "write output to this path instead of stdout",
+    "n": "tuple length (default 2)",
+    "a1_min": "smallest a1",
+    "a1_max": "largest a1",
+    "tail_cap": "offsets above a1 bounding a2..an, single int or comma list",
+    "workers": "worker processes (default 1)",
+    "method": "certification route: full dispatcher, construction only, or scans only",
+    "format": "output format; json holds the whole sweep in memory, so it is for short sweeps",
+    "no_timing": "blank the wall_micros column for byte-stable output (bare flag: yes)",
+    "limit": "largest k for the 1-lc scan (default 500)",
+    "mld_limit": "largest k for fixed-point mlds",
+    "max_entry": "largest weight entry (default 10)",
+}
+_COMMANDS = {
+    "mld": (_handle_mld, "minimal log discrepancy report"),
+    "check": (_handle_check, "decide eps-lc-ness"),
+    "witness": (_handle_witness, "construct a not-eps-lc certificate"),
+    "sweep": (_handle_sweep, "sweep coprime weight tuples, emitting CSV"),
+    "verify-example": (_handle_verify_example, "check the (1,k) family is 1-lc"),
+    "selftest": (_handle_selftest, "cross-check engine against the brute-force oracle"),
+}
+
+
+def _help(command) -> str:
+    """The -h text of a subcommand, or of the top level when command is None."""
+    if command:
+        lines = [f"usage: wblowup {command} [-h] [--flag VALUE]...", "", _COMMANDS[command][1]]
+    else:
+        lines = ["usage: wblowup [-h] [--config CONFIG] COMMAND [--flag VALUE]...", "",
+                 "Exact eps-lc checks and interior-point certificates for weighted blowups.", "", "commands:"]
+        lines += [f"  {name:<23} {about}" for name, (_, about) in _COMMANDS.items()]
+    lines += ["", "options:", f"  {'-h, --help':<23} show this help message and exit"]
+    for dest, convert in (_FLAGS[command] if command else _TOP).items():
+        metavar = "[BOOL]" if convert is _parse_bool else getattr(convert, "metavar", dest.upper())
+        lines.append(f"  {'--' + dest.replace('_', '-') + ' ' + metavar:<23} {_HELP[dest]}")
+    return "\n".join(lines)
+
+
+def _read(tokens, values: dict, command=None, exact=False):
+    """Read `[--config PATH] COMMAND (--flag VALUE | --flag=VALUE)...` into values, by dest.
+
+    Given a command, tokens hold its flags alone. A flag may be a unique
+    prefix unless exact. Its value is the next token, but a boolean flag last
+    or before a token starting with '-' means yes. Returns the command, or
+    None once -h or --help has printed its text.
+    """
+    flags = _FLAGS[command] if command else _TOP
+    extras = []  # unknown flags and stray tokens, refused together at the end
+    i = 0
+    while i < len(tokens):
+        token = "--help" if tokens[i] == "-h" else tokens[i]
+        i += 1
+        if token[:2] != "--":
+            if command is None:
+                command = _choice(*_FLAGS)(token)
+                flags = _FLAGS[command]
+            else:
+                extras.append(token)
+            continue
+        name, eq, text = token[2:].partition("=")
+        dest = "" if "_" in name else name.replace("-", "_")  # flags are spelt with '-'
+        if dest not in flags:
+            hits = [d for d in (*flags, "help") if d.startswith(dest)] if dest and not exact else []
+            if len(hits) > 1:
+                raise ValueError(f"ambiguous option: --{name} could match --{', --'.join(hits).replace('_', '-')}")
+            if not hits:
+                extras.append(token)
+                continue
+            if hits == ["help"]:
+                print(_help(command))
+                return None
+            dest, name = hits[0], hits[0].replace("_", "-")
+        convert = flags[dest]
+        if not eq:
+            if convert is _parse_bool and (i == len(tokens) or tokens[i][:1] == "-"):
+                values[dest] = True
+                continue
+            if i == len(tokens):
+                raise ValueError(f"argument --{name}: expected one argument")
+            text = tokens[i]
+            i += 1
+        try:
+            values[dest] = convert(text)
+        except ValueError as exc:
+            reason = f"invalid {convert.__name__} value: {text!r}" if convert in (int, parse_rational) else exc
+            raise ValueError(f"argument --{name}: {reason}") from None
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    if command is None:
+        raise ValueError("the following arguments are required: command")
+    return command
 
 
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation in-process and return its exit code.
 
     Every option is resolved here, once: the command line's flag, else the
-    config file's entry, else None, which the handler replaces by its
-    built-in default. Each `key = value` line of the file is parsed as the
-    flag --key=value of the same subcommand by the same parser, so the file's
-    values are converted and checked as flags are, and a key that is no flag
-    of the subcommand, or only a prefix of one, is a usage error.
-
-    The parser is built once per process, on the first call. Parsing never
-    mutates it: parse_args writes only into a fresh Namespace, help and
-    usage text read the terminal width when printed, and the budget and
-    the config file are read per call.
+    config file's entry, read as the flag --key=value by the same loop but
+    with exact keys, else None, which the handler replaces by its default.
     """
-    parser = build_parser()
+    values = {}
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        if ns.config:
-            config = load_config(ns.config)
-            tokens = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
+        command = _read(argv, values)
+        if command is None:
+            return 0
+        path = values.pop("config", None)
+        entries = dict.fromkeys(_FLAGS[command])
+        if path:
+            tokens = [f"--{key.replace('_', '-')}={value}" for key, value in load_config(path).items()]
             try:
-                entries = vars(parser.parse_args([ns.command, *tokens]))
-            except SystemExit:
-                entries = {}
-            # argparse reads an abbreviated key as its flag: a key must name one exactly
-            if not config.keys() <= entries.keys():
-                raise ValueError(f"{ns.config}: not a valid {ns.command} config file")
-            for key, value in entries.items():
-                if getattr(ns, key) is None:
-                    setattr(ns, key, value)
-        return _HANDLERS[ns.command](ns)
+                _read(tokens, entries, command, exact=True)
+            except ValueError as exc:
+                raise ValueError(f"{path}: not a valid {command} config file: {exc}") from None
+        entries.update(values)
+        return _COMMANDS[command][0](types.SimpleNamespace(**entries))
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

@@ -1,10 +1,10 @@
-import argparse
 import csv
 import dataclasses
 import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -20,7 +20,6 @@ from wblowup import harness
 from wblowup.harness import (
     SweepSpec,
     _json_text,
-    build_parser,
     cli_dispatch,
     default_budget,
     iter_weight_tuples,
@@ -628,8 +627,10 @@ def test_config_out_is_read_and_unread_out_flags_are_refused(tmp_path, capsys):
         ("format = xml\n", 2, "invalid choice: 'xml'"),
         ("workers = two\n", 2, "invalid int value: 'two'"),
         ("eps = 0.5\n", 2, "invalid parse_rational value: '0.5'"),
+        # read even though the command line's --tail-cap wins
+        ("tail_cap = x\n", 2, "argument --tail-cap: invalid literal for int()"),
     ],
-    ids=["no-timing-yes", "no-timing-off", "no-timing-maybe", "format-xml", "workers-two", "eps-float"],
+    ids=["no-timing-yes", "no-timing-off", "no-timing-maybe", "format-xml", "workers-two", "eps-float", "tail-cap-x"],
 )
 def test_config_values_are_checked_like_flags(tmp_path, capsys, text, code, message):
     cfg = tmp_path / "wblowup.cfg"
@@ -656,55 +657,113 @@ def test_missing_config_file_is_usage_error(capsys):
 
 
 # ---------------------------------------------------------------------------
-# parser reuse
+# flag reading
+
+# Exit code, stdout and a stderr fragment of each argv, recorded from the
+# argparse-based reader that the flag table replaced. CFG stands for a config
+# file holding `eps = 3/4`; stdout's wall_micros cells are read as T.
+MLD_23 = json.dumps({"weights": [2, 3], "mld": "2/3", "achieved_at": [1, 1], "cone": 2, "points_scanned": 5,
+                     "classification": "klt-with-mld"}, indent=2) + "\n"
+CHECK_34 = json.dumps({"weights": [2, 3], "eps": "3/4", "verdict": "not-eps-lc", "refuting_point": [1, 1],
+                       "refuting_psi": "2/3"}, indent=2) + "\n"
+CHECK_12 = json.dumps({"weights": [2, 3], "eps": "1/2", "verdict": "eps-lc"}, indent=2) + "\n"
+SWEEP_BLANK = (
+    "n,weights,eps,verdict,method,point,psi,hypothesis_flags,wall_micros\n"
+    "2,2;3,1,certificate,n2-case1,1;1,2/3,,\n"
+    "2,3;4,1,certificate,n2-case1,1;1,1/2,,\n"
+    "2,3;5,1,certificate,n2-case2,1;2,2/3,,\n"
+)
+SWEEP_TIMED = SWEEP_BLANK.replace(",,\n", ",,T\n")
+SWEEP_ARGS = ("--a1-min", "2", "--a1-max", "3", "--tail-cap", "2")
+FRONTIER = '"empirical_m": 2'
+PARITY = [
+    # --flag value, --flag=value, unique and ambiguous prefixes, a repeated flag
+    (("mld", "--weights", "2,3"), 0, MLD_23, ""),
+    (("mld", "--weights=2,3"), 0, MLD_23, ""),
+    (("mld", "--weight", "2,3"), 0, MLD_23, ""),
+    (("mld", "--w=2,3"), 0, MLD_23, ""),
+    (("mld", "--weights", "2,4", "--weights", "2,3"), 0, MLD_23, ""),
+    (("check", "--weights", "2,3", "--eps", "1/2", "--eps=3/4"), 1, CHECK_34, ""),
+    (("sweep", "--a1-mi", "2", "--a1-max", "3", "--tail-cap", "2", "--no-timing"), 0, SWEEP_BLANK, FRONTIER),
+    (("sweep", "--a1-m", "3"), 2, "", "ambiguous option: --a1-m could match --a1-min, --a1-max"),
+    # --no-timing bare before a flag and last, with a value, and as a prefix
+    (("sweep", "--no-timing", *SWEEP_ARGS), 0, SWEEP_BLANK, FRONTIER),
+    (("sweep", *SWEEP_ARGS, "--no-timing"), 0, SWEEP_BLANK, FRONTIER),
+    (("sweep", *SWEEP_ARGS, "--no-timing", "no"), 0, SWEEP_TIMED, FRONTIER),
+    (("sweep", *SWEEP_ARGS, "--no-timing=off"), 0, SWEEP_TIMED, FRONTIER),
+    (("sweep", *SWEEP_ARGS, "--no-timing", "yes"), 0, SWEEP_BLANK, FRONTIER),
+    (("sweep", *SWEEP_ARGS, "--no", "--n", "2"), 0, SWEEP_BLANK, FRONTIER),
+    (("sweep", *SWEEP_ARGS, "--no-timing", "maybe"), 2, "", "argument --no-timing: not a boolean: 'maybe'"),
+    (("sweep", *SWEEP_ARGS, "--no-timing", "--format", "xml"), 2, "", "argument --format: invalid choice: 'xml'"),
+    (("sweep", *SWEEP_ARGS, "--workers", "two"), 2, "", "argument --workers: invalid int value: 'two'"),
+    # --config, before the command only
+    (("--config", "CFG", "check", "--weights", "2,3"), 1, CHECK_34, ""),
+    (("--config=CFG", "check", "--weights", "2,3"), 1, CHECK_34, ""),
+    (("--conf", "CFG", "check", "--weights", "2,3"), 1, CHECK_34, ""),
+    (("--config", "CFG", "check", "--weights", "2,3", "--eps", "1/2"), 0, CHECK_12, ""),
+    (("check", "--weights", "2,3", "--config", "CFG"), 2, "", "unrecognized arguments: --config CFG"),
+    # a missing value, a stray token, another command's flag and other usage errors
+    (("mld", "--weights"), 2, "", "argument --weights: expected one argument"),
+    (("mld", "2,3"), 2, "", "unrecognized arguments: 2,3"),
+    (("mld", "--weights", "2,3", "--eps", "1"), 2, "", "unrecognized arguments: --eps 1"),
+    (("mld", "--weights", "2,3", "--bogus"), 2, "", "unrecognized arguments: --bogus"),
+    (("mld", "--weights", "2,3", "--cap", "-4"), 2, "", "enumeration cap must be an integer >= 1, got -4"),
+    (("check", "--weights", "2,3", "--eps", "0.5"), 2, "", "argument --eps: invalid parse_rational value: '0.5'"),
+    (("check", "--weights", "2,3", "--eps", "1/0"), 2, "", "argument --eps: invalid parse_rational value: '1/0'"),
+    (("frobnicate",), 2, "", "invalid choice: 'frobnicate'"),
+    ((), 2, "", "the following arguments are required: command"),
+    (("--config", "CFG"), 2, "", "the following arguments are required: command"),
+]
 
 
-def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
+@pytest.mark.parametrize("argv,code,out,err", PARITY, ids=[" ".join(argv) or "no-args" for argv, *_ in PARITY])
+def test_flag_forms_keep_their_answers(tmp_path, capsys, argv, code, out, err):
     cfg = tmp_path / "wblowup.cfg"
-    cfg.write_text("cap = 1\n")
-    calls = [
-        ("mld", "--weights", "1000,1001,1003"),
-        ("mld", "--weights", "2,3", "--bogus"),
-        ("--help",),
-        # a budget the later mld would exhaust, were it left behind
-        ("--config", str(cfg), "mld", "--weights", "1000,1001,1003"),
-        ("sweep", "--no-timing", "--a1-min", "2", "--a1-max", "4", "--tail-cap", "5"),
-        ("check", "--weights", "1,12", "--eps", "1"),
-        ("mld", "--weights", "1000,1001,1003"),
-    ]
-    build_parser.cache_clear()
-    reused = [run_cli(capsys, *argv) for argv in calls]
-    assert build_parser.cache_info().misses == 1
-    fresh = []
-    for argv in calls:
-        build_parser.cache_clear()
-        fresh.append(run_cli(capsys, *argv))
-    assert reused == fresh
-    assert [code for code, _, _ in reused] == [0, 2, 0, 3, 0, 0, 0]
-    assert reused[0] == reused[-1]
+    cfg.write_text("eps = 3/4\n")
+    got, got_out, got_err = run_cli(capsys, *(arg.replace("CFG", str(cfg)) for arg in argv))
+    assert got == code
+    assert re.sub(r",\d+$", ",T", got_out, flags=re.M) == out
+    assert err.replace("CFG", str(cfg)) in got_err
 
 
-def test_cli_dispatch_builds_its_parser_once_per_process(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        (("-h",), ["minimal log discrepancy report", "selftest", "--config", "key = value config file"]),
+        (("--help",), ["minimal log discrepancy report", "selftest", "--config", "key = value config file"]),
+        (("mld", "-h"), ["--weights", "comma-separated positive integers", "--cap", "--out"]),
+        (("sweep", "--help"), ["--tail-cap", "--no-timing", "--format", "{auto,construction,enumeration}"]),
+        (("sweep", "--he"), ["--tail-cap", "--no-timing", "--format", "{auto,construction,enumeration}"]),
+    ],
+    ids=["-h", "--help", "mld -h", "sweep --help", "sweep --he"],
+)
+def test_help_lists_commands_or_flags_and_exits_0(capsys, argv, lines):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert all(line in out for line in lines)
 
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        if self.prog == "wblowup":
-            built.append(self)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    build_parser.cache_clear()
-    argvs = [
-        ("mld", "--weights", "2,3"),
-        ("check", "--weights", "2,3", "--eps", "1"),
-        ("witness", "--weights", "26,27", "--eps", "1/2"),
-        ("mld", "--weights", "2,x"),
-        ("frobnicate",),
-    ]
-    for argv in argvs * 4:
-        run_cli(capsys, *argv)
-    assert len(built) == 1
+def test_tail_cap_is_converted_as_a_flag(capsys):
+    argv = ("sweep", "--a1-min", "2", "--a1-max", "3", "--no-timing")
+    for caps in ("x", "2,x", ""):
+        code, out, err = run_cli(capsys, *argv, "--tail-cap", caps)
+        assert (code, out) == (2, "")
+        assert "error: argument --tail-cap: invalid literal for int()" in err
+    # one cap stands for every coordinate; range checks stay with SweepSpec
+    assert run_cli(capsys, *argv, "--tail-cap", "2")[1] == SWEEP_BLANK
+    assert "tail cap must be an integer >= 0" in run_cli(capsys, *argv, "--tail-cap", "-1")[2]
+
+
+def test_harness_imports_no_argparse_and_prints_help():
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    script = "import sys, wblowup.harness; print(sorted({'argparse', 'wblowup.harness'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+                          check=False)
+    assert proc.stdout.split("\n")[0] == "['wblowup.harness']", proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "wblowup", "mld", "-h"], capture_output=True, text=True, env=env,
+                          timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert all(flag in proc.stdout for flag in ("--weights", "--cap", "--out"))
 
 
 # ---------------------------------------------------------------------------
