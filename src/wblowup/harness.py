@@ -4,15 +4,15 @@ Subcommands: mld, check, witness, sweep, verify-example, selftest. Exit
 codes: 0 computed as asked, 1 negative verdict where the subcommand has a
 polarity (not eps-lc, no witness), 2 usage error, 3 budget exhausted.
 
-Configuration precedence is CLI flag over config-file entry over built-in
-default; the config file (--config PATH) is line oriented, `key = value`,
-and each line is read as the flag --key=value of the chosen subcommand.
-The environment variable WBLOWUP_BUDGET overrides the default budget of
-10^7 visited prefixes per scan (lattice slices for n = 3 mld, box steps for
-a fixed-point pass); README gives what a scan stopped there has cost.
-
-Flags and config-file lines are read in one pass by one loop over one
-table, _FLAGS. Pooled sweeps share one worker pool per process (see Pool).
+Three tables hold every setting, by its flag's destination: _FLAGS, each
+subcommand's flags and their converters; _DEFAULTS, a flag's value when it
+is not given; _REQUIRED, the flags a subcommand cannot run without. A value
+comes from the command line's flag, else the config file's entry (--config
+PATH, lines `key = value`, each read as the flag --key=value), else, unless
+required, the default. The budget --cap defaults to 10^7 visited prefixes
+per scan (lattice slices for n = 3 mld, box steps for a fixed-point pass);
+README gives what a scan stopped there has cost. Pooled sweeps share one
+worker pool per process (see Pool).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import io
 import itertools
 import json
 import math
-import os
+import re
 import sys
 import threading
 import time
@@ -66,24 +66,11 @@ CSV_COLUMNS = [
 
 
 def parse_weights(text) -> WeightVector:
-    if not text:
-        raise ValueError("missing --weights")
     try:
         entries = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"weights must be comma-separated integers, got {text!r}") from None
     return WeightVector(entries)
-
-
-def default_budget() -> int:
-    raw = os.environ.get("WBLOWUP_BUDGET")
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"WBLOWUP_BUDGET must be an integer, got {raw!r}") from None
-    return check_int(value, "WBLOWUP_BUDGET")
 
 
 @dataclass(frozen=True)
@@ -287,11 +274,11 @@ def _drop_pool() -> None:
 
 
 def load_config(path: str) -> dict:
-    """Parse a line-oriented `key = value` file; '#' starts a comment."""
+    """Parse a line-oriented `key = value` file; '#' at a line's start or after whitespace starts a comment."""
     values = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -308,14 +295,6 @@ def _parse_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _given(value, default):
-    # a flag's value from the command line or config file, else the built-in
-    # default; a callable default is called only when it is needed
-    if value is not None:
-        return value
-    return default() if callable(default) else default
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +370,14 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _handle_mld(ns) -> int:
-    report = mld_global(parse_weights(ns.weights), _given(ns.cap, default_budget))
+    report = mld_global(parse_weights(ns.weights), ns.cap)
     _emit(report.to_json_dict(), ns.out)
     return 0
 
 
 def _handle_check(ns) -> int:
     a = parse_weights(ns.weights)
-    if ns.eps is None:
-        raise ValueError("check requires --eps")
-    ok, refuter = is_eps_lc(a, ns.eps, _given(ns.cap, default_budget))
+    ok, refuter = is_eps_lc(a, ns.eps, ns.cap)
     payload = {
         "weights": list(a.entries),
         "eps": format_rational(ns.eps),
@@ -415,9 +392,7 @@ def _handle_check(ns) -> int:
 
 def _handle_witness(ns) -> int:
     a = parse_weights(ns.weights)
-    if ns.eps is None:
-        raise ValueError("witness requires --eps")
-    result = certify_not_eps_lc(a, ns.eps, ns.theta, _given(ns.cap, default_budget))
+    result = certify_not_eps_lc(a, ns.eps, ns.theta, ns.cap)
     if isinstance(result, Certificate):
         _emit(result.to_json_dict(), ns.out)
         return 0
@@ -426,22 +401,19 @@ def _handle_witness(ns) -> int:
 
 
 def _handle_sweep(ns) -> int:
-    n = _given(ns.n, 2)
-    caps = _given(ns.tail_cap, (100,))
-    if len(caps) == 1:
-        caps = caps * (n - 1)
-    a1_min = _given(ns.a1_min, 1)
+    # one tail cap stands for every coordinate, and --a1-max defaults to --a1-min
+    caps = ns.tail_cap * (ns.n - 1) if len(ns.tail_cap) == 1 else ns.tail_cap
     spec = SweepSpec(
-        n=n,
-        eps=_given(ns.eps, Fraction(1)),
-        a1_min=a1_min,
-        a1_max=_given(ns.a1_max, a1_min),
+        n=ns.n,
+        eps=ns.eps,
+        a1_min=ns.a1_min,
+        a1_max=ns.a1_min if ns.a1_max is None else ns.a1_max,
         tail_caps=caps,
         theta=ns.theta,
-        workers=_given(ns.workers, 1),
-        enumeration_cap=_given(ns.cap, default_budget),
+        workers=ns.workers,
+        enumeration_cap=ns.cap,
         include_timing=not ns.no_timing,
-        method=_given(ns.method, "auto"),
+        method=ns.method,
     )
     if ns.format == "json":
         # the JSON rows are the CSV rows, read back cell for cell
@@ -461,12 +433,11 @@ def _handle_sweep(ns) -> int:
 
 
 def _handle_verify_example(ns) -> int:
-    limit = check_int(_given(ns.limit, 500), "--limit")
-    mld_limit = check_int(_given(ns.mld_limit, 100), "--mld-limit")
-    cap = _given(ns.cap, default_budget)
+    limit = check_int(ns.limit, "--limit")
+    mld_limit = check_int(ns.mld_limit, "--mld-limit")
     failures = 0
     for k in range(1, limit + 1):
-        ok, refuter = is_eps_lc(WeightVector((1, k)), 1, cap)
+        ok, refuter = is_eps_lc(WeightVector((1, k)), 1, ns.cap)
         if not ok:
             failures += 1
             print(f"FAIL weights (1,{k}): expected 1-lc, refuted by {refuter}")
@@ -474,8 +445,8 @@ def _handle_verify_example(ns) -> int:
     mld_failures = 0
     for k in range(1, mld_limit + 1):
         a = WeightVector((1, k))
-        smooth = mld_at_fixed_point(a, 1, cap)
-        other = mld_at_fixed_point(a, 2, cap)
+        smooth = mld_at_fixed_point(a, 1, ns.cap)
+        other = mld_at_fixed_point(a, 2, ns.cap)
         expected_other = 2 if k == 1 else 1
         if smooth != 2 or other != expected_other:
             mld_failures += 1
@@ -488,8 +459,7 @@ def _handle_verify_example(ns) -> int:
 
 
 def _handle_selftest(ns) -> int:
-    max_entry = check_int(_given(ns.max_entry, 10), "--max-entry")
-    cap = _given(ns.cap, default_budget)
+    max_entry = check_int(ns.max_entry, "--max-entry")
     failures = []
     checked = 0
     for n in (2, 3):
@@ -498,13 +468,13 @@ def _handle_selftest(ns) -> int:
                 continue
             a = WeightVector(entries)
             checked += 1
-            if mld_global(a, cap).value != mld_bruteforce(a, cap):
+            if mld_global(a, ns.cap).value != mld_bruteforce(a, ns.cap):
                 failures.append(f"mld mismatch at {entries}")
             for eps in (Fraction(1, 2), Fraction(1)):
-                if not verify_interior_psi_equivalence(a, eps, cap):
+                if not verify_interior_psi_equivalence(a, eps, ns.cap):
                     failures.append(f"interior/psi equivalence fails at {entries}, eps={eps}")
-                result = certify_not_eps_lc(a, eps, None, cap)
-                has_interior = bool(enumerate_lattice_points(build_polytope(a, eps), "open", cap))
+                result = certify_not_eps_lc(a, eps, None, ns.cap)
+                has_interior = bool(enumerate_lattice_points(build_polytope(a, eps), "open", ns.cap))
                 if isinstance(result, Certificate) != has_interior:
                     failures.append(f"certify/oracle disagreement at {entries}, eps={eps}")
     for line in failures:
@@ -528,7 +498,8 @@ def _choice(*choices):
 
 
 # the flags before the subcommand, then each subcommand's, by destination in help order, with
-# the converters of their values
+# the converters of their values; each flag's value when it is not given (None where unlisted);
+# and each subcommand's required flags, in the order a missing one is reported
 _TOP = {"config": str}
 _FLAGS = {
     "mld": {"weights": str, "cap": int, "out": str},
@@ -540,24 +511,29 @@ _FLAGS = {
     "verify-example": {"cap": int, "limit": int, "mld_limit": int},
     "selftest": {"cap": int, "max_entry": int},
 }
+_DEFAULTS = {"cap": DEFAULT_ENUMERATION_CAP, "eps": Fraction(1), "n": 2, "a1_min": 1, "tail_cap": (100,), "workers": 1,
+             "method": "auto", "format": "csv", "limit": 500, "mld_limit": 100, "max_entry": 10}
+_REQUIRED = {"mld": ("weights",), "check": ("weights", "eps"), "witness": ("weights", "eps")}
+# each subcommand's namespace before any flag is read, built once
+_UNSET = {command: {dest: _DEFAULTS.get(dest) for dest in flags} for command, flags in _FLAGS.items()}
 _HELP = {
     "config": "key = value config file; CLI flags win",
     "weights": "comma-separated positive integers, sorted, coprime",
     "eps": "rational in (0,1], e.g. 1/2",
     "theta": "theta-construction exponent, rational in (0, 1/(2n^2))",
-    "cap": "work budget, in visited prefixes, or lattice slices for n = 3 mld (default WBLOWUP_BUDGET or 10^7)",
+    "cap": "work budget, in visited prefixes, or lattice slices for n = 3 mld",
     "out": "write output to this path instead of stdout",
-    "n": "tuple length (default 2)",
+    "n": "tuple length",
     "a1_min": "smallest a1",
-    "a1_max": "largest a1",
+    "a1_max": "largest a1 (default --a1-min)",
     "tail_cap": "offsets above a1 bounding a2..an, single int or comma list",
-    "workers": "worker processes (default 1)",
+    "workers": "worker processes",
     "method": "certification route: full dispatcher, construction only, or scans only",
     "format": "output format; json holds the whole sweep in memory, so it is for short sweeps",
     "no_timing": "blank the wall_micros column for byte-stable output (bare flag: yes)",
-    "limit": "largest k for the 1-lc scan (default 500)",
+    "limit": "largest k for the 1-lc scan",
     "mld_limit": "largest k for fixed-point mlds",
-    "max_entry": "largest weight entry (default 10)",
+    "max_entry": "largest weight entry",
 }
 _COMMANDS = {
     "mld": (_handle_mld, "minimal log discrepancy report"),
@@ -580,7 +556,12 @@ def _help(command) -> str:
     lines += ["", "options:", f"  {'-h, --help':<23} show this help message and exit"]
     for dest, convert in (_FLAGS[command] if command else _TOP).items():
         metavar = "[BOOL]" if convert is _parse_bool else getattr(convert, "metavar", dest.upper())
-        lines.append(f"  {'--' + dest.replace('_', '-') + ' ' + metavar:<23} {_HELP[dest]}")
+        about = _HELP[dest]
+        if dest in _REQUIRED.get(command, ()):
+            about += " (required)"
+        elif dest in _DEFAULTS:
+            about += f" (default {str(_DEFAULTS[dest]).strip('(,)')})"  # a one-cap tuple (100,) reads 100
+        lines.append(f"  {'--' + dest.replace('_', '-') + ' ' + metavar:<23} {about}")
     return "\n".join(lines)
 
 
@@ -642,9 +623,10 @@ def _read(tokens, values: dict, command=None, exact=False):
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation in-process and return its exit code.
 
-    Every option is resolved here, once: the command line's flag, else the
+    Every setting is resolved here, once: the command line's flag, else the
     config file's entry, read as the flag --key=value by the same loop but
-    with exact keys, else None, which the handler replaces by its default.
+    with exact keys; a required flag given neither way is a usage error, and
+    any other takes its _DEFAULTS value, or None.
     """
     values = {}
     try:
@@ -652,7 +634,7 @@ def cli_dispatch(argv) -> int:
         if command is None:
             return 0
         path = values.pop("config", None)
-        entries = dict.fromkeys(_FLAGS[command])
+        entries = {}
         if path:
             tokens = [f"--{key.replace('_', '-')}={value}" for key, value in load_config(path).items()]
             try:
@@ -660,7 +642,10 @@ def cli_dispatch(argv) -> int:
             except ValueError as exc:
                 raise ValueError(f"{path}: not a valid {command} config file: {exc}") from None
         entries.update(values)
-        return _COMMANDS[command][0](types.SimpleNamespace(**entries))
+        for dest in _REQUIRED.get(command, ()):
+            if dest not in entries:
+                raise ValueError(f"{command} requires --{dest}")
+        return _COMMANDS[command][0](types.SimpleNamespace(**{**_UNSET[command], **entries}))
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

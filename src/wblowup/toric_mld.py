@@ -513,6 +513,18 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
         total, points = 0, []
         for s in range(slo, shi + 1):
             ulo = uhi = None
+            # a u-free condition (D = 0) always holds, so none is tested. It
+            # reads Q*row_r + q*row_r2 >= 0 (Q, q > 0), or row_r >= 0, whose
+            # normals sum to a multiple of w. On rows of the simplex it holds
+            # at every s from slo to shi, all of which the simplex meets. None
+            # has the tie-break row g below (M = a_3 + 1): w is the LLL row of
+            # least range, so |w_i| and |w_i - w_j| are at most rho =
+            # 2^(5/3) N^(1/3) (|b_1| <= 2 lambda_1, Hermite's gamma_3 =
+            # 2^(1/3)), while, as g = (-2, -1, -1) mod M, w parallel to g, or
+            # in its plane with e_0 or e_1, has some |w_i| >= M + 1; with
+            # (1, 1, 1), M | w_1 - w_2 != 0; with e_2, w_0 = 2 w_1 once
+            # M^3 > 256 N, so a = (1, a_3, a_3) and a_3 | w_1 != 0. Each
+            # passes rho for a_3 >= 27, and a test checks every a_3 <= 26
             for D, Es, Ec in conds:
                 E = Es * s + Ec
                 if D > 0:
@@ -521,8 +533,6 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
                 elif D < 0:
                     if uhi is None or E // -D < uhi:
                         uhi = E // -D
-                elif E < 0:
-                    ulo, uhi = 1, 0
             if ulo > uhi:
                 continue
             # the slice holds, per u, floor(least upper) + floor(least lower)

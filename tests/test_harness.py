@@ -21,7 +21,6 @@ from wblowup.harness import (
     SweepSpec,
     _json_text,
     cli_dispatch,
-    default_budget,
     iter_weight_tuples,
     load_config,
     parse_weights,
@@ -157,18 +156,16 @@ def test_witness_inconclusive_exits_3(capsys):
     ],
     ids=["check-1,2e7", "mld-2,3,6000001", "mld-1e9-triple"],
 )
-def test_cheap_scans_answer_under_the_default_budget(capsys, monkeypatch, argv, key, value):
-    monkeypatch.delenv("WBLOWUP_BUDGET", raising=False)
+def test_cheap_scans_answer_under_the_default_budget(capsys, argv, key, value):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)[key] == value
 
 
-def test_refuter_in_a_range_longer_than_the_budget_is_found(capsys, monkeypatch):
+def test_refuter_in_a_range_longer_than_the_budget_is_found(capsys):
     # the first level of the plane scan holds 10^8 - 1 values of x_1, more
     # than the default budget of 10^7: the range is clipped at the budget
     # rather than refused before its first column is read
-    monkeypatch.delenv("WBLOWUP_BUDGET", raising=False)
     code, out, _ = run_cli(capsys, "check", "--weights", "100000007,100000008", "--eps", "1")
     assert code == 1
     payload = json.loads(out)
@@ -177,43 +174,15 @@ def test_refuter_in_a_range_longer_than_the_budget_is_found(capsys, monkeypatch)
     assert payload["refuting_psi"] == "1/50000004"
 
 
-def test_env_budget_override(capsys, monkeypatch):
+def test_budget_comes_from_cap_or_the_config_file_not_the_environment(tmp_path, capsys, monkeypatch):
+    # 200,201,203,207 reads more than 50 prefixes and fewer than the default budget
     monkeypatch.setenv("WBLOWUP_BUDGET", "50")
-    assert default_budget() == 50
-    code, _, _ = run_cli(capsys, "mld", "--weights", "200,201,203,207")
-    assert code == 3
-    monkeypatch.setenv("WBLOWUP_BUDGET", "643")
-    code, _, _ = run_cli(capsys, "mld", "--weights", "200,201,203,207")
-    assert code == 0
-    monkeypatch.setenv("WBLOWUP_BUDGET", "junk")
-    code, _, _ = run_cli(capsys, "mld", "--weights", "2,3")
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "raw,message",
-    [("junk", "must be an integer"), ("0", "must be an integer >= 1"), ("-3", "must be an integer >= 1")],
-    ids=["junk", "zero", "negative"],
-)
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("mld", "--weights", "2,3"),
-        ("check", "--weights", "1,12", "--eps", "1"),
-        ("witness", "--weights", "26,27", "--eps", "1/2"),
-        ("sweep", "--a1-min", "2", "--a1-max", "4", "--tail-cap", "3", "--no-timing"),
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_env_budget_is_read_only_when_no_cap_is_given(tmp_path, capsys, monkeypatch, argv, raw, message):
-    monkeypatch.setenv("WBLOWUP_BUDGET", raw)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert message in err
-    assert run_cli(capsys, *argv, "--cap", "10000")[0] == 0
+    argv = ("mld", "--weights", "200,201,203,207")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--cap", "50")[0] == 3
     cfg = tmp_path / "wblowup.cfg"
-    cfg.write_text("cap = 10000\n")
-    assert run_cli(capsys, "--config", str(cfg), *argv)[0] == 0
+    cfg.write_text("cap = 50\n")
+    assert run_cli(capsys, "--config", str(cfg), *argv)[0] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +529,16 @@ def test_load_config_parses_and_rejects(tmp_path):
         load_config(str(cfg))
 
 
+def test_config_hash_inside_a_value_is_kept(tmp_path, capsys):
+    # '#' starts a comment only at the start of a line or after whitespace
+    target = tmp_path / "a#b.json"
+    cfg = tmp_path / "wblowup.cfg"
+    cfg.write_text(f"# header\nout = {target}  # the report\n")
+    assert run_cli(capsys, "--config", str(cfg), "mld", "--weights", "2,3") == (0, "", "")
+    assert target.read_text() == run_cli(capsys, "mld", "--weights", "2,3")[1]
+    assert load_config(str(cfg)) == {"out": str(target)}
+
+
 def test_config_keys_no_flag_reads_are_usage_errors(tmp_path, capsys):
     # mld takes no --theta and no --eps, so the file may not set them either
     cfg = tmp_path / "wblowup.cfg"
@@ -741,6 +720,27 @@ def test_help_lists_commands_or_flags_and_exits_0(capsys, argv, lines):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert all(line in out for line in lines)
+
+
+def test_setting_tables_name_only_flags():
+    assert set(harness._DEFAULTS) <= {dest for flags in harness._FLAGS.values() for dest in flags}
+    for command, required in harness._REQUIRED.items():
+        assert set(required) <= set(harness._FLAGS[command])
+
+
+@pytest.mark.parametrize("command", list(harness._FLAGS))
+def test_help_states_each_default_from_the_table(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    for dest in harness._FLAGS[command]:
+        [line] = [line for line in out.splitlines() if line.startswith(f"  --{dest.replace('_', '-')} ")]
+        if dest in harness._REQUIRED.get(command, ()):
+            assert line.endswith(" (required)")
+        elif dest in harness._DEFAULTS:
+            assert line.endswith(" (default %s)" % str(harness._DEFAULTS[dest]).strip("(,)"))
+        else:  # --a1-max's default, --a1-min, is no table entry
+            assert "(default" not in line or dest == "a1_max"
+    assert "(default 10000000)" in out and "WBLOWUP_BUDGET" not in out
 
 
 def test_tail_cap_is_converted_as_a_flag(capsys):

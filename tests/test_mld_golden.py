@@ -28,11 +28,6 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.fixture(autouse=True)
-def default_budget(monkeypatch):
-    monkeypatch.delenv("WBLOWUP_BUDGET", raising=False)
-
-
 def test_every_small_n2_pair_matches_golden_digest():
     # the stdout of all coprime 1 <= a1 <= a2 <= 60, in lexicographic order of (a2, a1)
     digest = hashlib.sha256()

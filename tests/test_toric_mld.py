@@ -727,6 +727,25 @@ def test_n3_mld_near_1e30_answers_under_the_default_budget():
     assert report.points_scanned == _n3_count(a.entries) > 7 * 10**29
 
 
+def test_n3_tie_break_row_is_never_u_free():
+    # walk tests no u-free condition: one on the tie-break row g could fail
+    # on a slice of the simplex that the cut by g leaves empty. _mld_n3's
+    # walk proves there is none for a_3 >= 27; this checks every a_3 <= 26,
+    # and the bounds the proof uses
+    simplex_only = 0
+    for a1, a2, a3 in coprime_sorted_tuples(3, 26):
+        N, M = a1 + a2 + a3 - 1, a3 + 1
+        w, cols, *_ = toric_mld._cone_frame(N, a1, a2)
+        assert (max(0, *w) - min(0, *w)) ** 3 <= 32 * N  # range(w) <= 2^(5/3) N^(1/3)
+        g = (M * M * a1 + M * a2 + a3 - 1, M * M - 1, M - 1)
+        conds, *_ = toric_mld._bounds(cols, [(1, 1, 1), g])
+        free = [(r, r2) for D, _, r, _, r2, _ in conds if D == 0]
+        assert all(4 not in rows for rows in free), (a1, a2, a3)  # row 4 is g
+        simplex_only += bool(free)
+    assert simplex_only > 0
+    assert 28**3 > 256 * (3 * 28 - 4) and 27**3 <= 256 * (3 * 27 - 4)  # M^3 > 256 N from a_3 = 27 on
+
+
 @pytest.mark.parametrize("entries,slices", [
     ((1000, 1001, 1003), 2),
     ((2, 3, 100001), 12),

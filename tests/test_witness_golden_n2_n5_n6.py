@@ -78,8 +78,7 @@ N5_N6 = [
 ]
 
 
-def test_n2_n5_n6_witness_json_matches_golden_digest(monkeypatch):
-    monkeypatch.delenv("WBLOWUP_BUDGET", raising=False)
+def test_n2_n5_n6_witness_json_matches_golden_digest():
     running = hashlib.sha256()
     for weights, eps in N2 + N5_N6:
         out, err = io.StringIO(), io.StringIO()
