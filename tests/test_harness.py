@@ -185,6 +185,27 @@ def test_budget_comes_from_cap_or_the_config_file_not_the_environment(tmp_path, 
     assert run_cli(capsys, "--config", str(cfg), *argv)[0] == 3
 
 
+@pytest.mark.parametrize("raw", ["junk", "0", "-3"], ids=["junk", "zero", "negative"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mld", "--weights", "2,3"),
+        ("check", "--weights", "1,12", "--eps", "1"),
+        ("witness", "--weights", "26,27", "--eps", "1/2"),
+        ("sweep", "--a1-min", "2", "--a1-max", "4", "--tail-cap", "3", "--no-timing"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_answers_alike_whatever_budget_variable_is_set(capsys, monkeypatch, argv, raw):
+    # a budget variable the CLI once read is no setting: no value of it, however
+    # malformed, changes an answer or an exit code
+    monkeypatch.delenv("WBLOWUP_BUDGET", raising=False)
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    monkeypatch.setenv("WBLOWUP_BUDGET", raw)
+    assert run_cli(capsys, *argv) == plain
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
