@@ -651,14 +651,6 @@ def _mld_scan(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], 
     return Fraction(best_num, best_den), best_v, scanned
 
 
-def _first_refuter(a: WeightVector, eps, budget: int):
-    # the lexicographically first lattice point with psi < eps <= 1: the
-    # first point of the strict scan of C(a, eps)'s interior, or None
-    for prefix, lo, _ in _slices(a, eps, True, budget):
-        return prefix + (lo,)
-    return None
-
-
 def _least_interior(ent, i) -> int:
     # least numerator, over p = a_i, of psi on the lattice points interior
     # to cone i (0-based): one pass over the box points k = 1..p-1 with
@@ -745,8 +737,13 @@ def is_eps_lc(a: WeightVector, eps, enumeration_cap: int = DEFAULT_ENUMERATION_C
     codimension-1 points all have mld exactly 1, so in this range the mld
     over lattice points settles the question. BudgetExceeded stops the scan
     before its visited prefixes pass enumeration_cap, which must be >= 1.
+
+    This is the package's one eps-lc search: the check and verify-example
+    commands call it, and so does witness.certify_not_eps_lc whenever it
+    scans, which is how the witness, sweep and selftest commands decide.
     """
     eps = check_eps(eps)
     check_int(enumeration_cap, "enumeration cap")
-    refuter = _first_refuter(a, eps, enumeration_cap)
-    return (refuter is None, refuter)
+    for prefix, lo, _ in _slices(a, eps, True, enumeration_cap):
+        return (False, prefix + (lo,))
+    return (True, None)

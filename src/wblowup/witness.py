@@ -27,13 +27,12 @@ therefore 1 <= k < eps/psi(w), and if any of them is, w is. The point,
 psi as an integer numerator and denominator, and the judgment
 num * ed < en * den are all integers; a Certificate keeps them. Its
 trace (the Dirichlet data, the exit point of the line through w) is a pure
-function of them, computed once when first read and held in its JSON form:
-ints, bools and exact "p/q" strings, each formatted from an integer pair
-reduced once, so no Fraction is built for it; parse_rational gives any of
-its rationals back as a Fraction. When no
-construction succeeds, certify_not_eps_lc enumerates the interior lattice
-points of C(a, eps) directly, as the refutation search of is_eps_lc does,
-and stops at the first. On lattice points interiority is exactly
+function of them, computed on each read in its JSON form: ints, bools and
+exact "p/q" strings, each formatted from an integer pair reduced once, so
+no Fraction is built for it; parse_rational gives any of its rationals
+back as a Fraction. When no construction succeeds, certify_not_eps_lc asks
+is_eps_lc, which enumerates the interior lattice points of C(a, eps)
+directly and stops at the first. On lattice points interiority is exactly
 psi < eps, so that lexicographically first point is the certificate, and
 a scan that finds none proves eps-lc.
 """
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, isqrt
 
 from .diophantine import DirichletWitness, dirichlet_1d, dirichlet_simultaneous
@@ -57,12 +56,7 @@ from .exact_lattice import (
     integer_nth_root,
     require_same_dimension,
 )
-from .toric_mld import (
-    WeightVector,
-    _cone,
-    _first_refuter,
-    _psi,
-)
+from .toric_mld import WeightVector, _cone, _psi, is_eps_lc
 
 METHOD_N2_CASE1 = "n2-case1"
 METHOD_N2_CASE2 = "n2-case2"
@@ -106,10 +100,10 @@ class Certificate:
     general-theta certificate also keeps theta, its Dirichlet witness and
     hypothesis_ok, whether a_j / a_2 <= a_1 ** theta, evaluated once when
     the certificate is built (None for the other routes). The trace is a
-    pure function of these fields, computed once when first read. It is
-    already JSON: ints, bools, lists, dicts and exact "p/q" strings, which
+    pure function of these fields, computed on each read. It is already
+    JSON: ints, bools, lists, dicts and exact "p/q" strings, which
     parse_rational turns back into Fractions, so to_json_dict embeds it as
-    it is, and no caller may modify it.
+    it is.
     """
 
     weights: WeightVector
@@ -121,7 +115,7 @@ class Certificate:
     dirichlet: DirichletWitness | None = None
     hypothesis_ok: bool | None = None
 
-    @cached_property
+    @property
     def trace(self) -> dict:
         if self.method == METHOD_ENUMERATION:
             return {"source": "interior-scan"}
@@ -356,12 +350,13 @@ def certify_not_eps_lc(
 ) -> Certificate | str:
     """Dispatcher: the construction for the dimension, then one bounded scan.
 
-    method "auto" tries the construction and, if it fails, enumerates the
-    interior lattice points of C(a, eps) once, as is_eps_lc does: the
-    lexicographically first of them, the first lattice point with
-    psi < eps, is the certificate; a scan that finds none returns "eps-lc".
-    A scan whose visited prefixes would pass enumeration_cap before it finds
-    a point returns "inconclusive"; a cap that is no integer >= 1 is
+    method "auto" tries the construction and, if it fails, asks is_eps_lc
+    once, whose scan of the interior lattice points of C(a, eps) stops at
+    the lexicographically first of them, the first lattice point with
+    psi < eps: that point is the certificate, and a scan that finds none
+    returns "eps-lc". A scan whose visited prefixes would pass
+    enumeration_cap before it finds a point (BudgetExceeded) returns
+    "inconclusive"; a cap that is no integer >= 1 is
     rejected, and so is a theta outside (0, 1/(2 n^2)), whatever the route.
     method "construction" stops after the construction, returning
     "no-witness" if it fails; "enumeration" runs only the scan.
@@ -382,10 +377,10 @@ def certify_not_eps_lc(
         if method == "construction":
             return VERDICT_NO_WITNESS
     try:
-        v = _first_refuter(a, eps, enumeration_cap)
+        ok, v = is_eps_lc(a, eps, enumeration_cap)
     except BudgetExceeded:
         return VERDICT_INCONCLUSIVE
-    if v is None:
+    if ok:
         return VERDICT_EPS_LC
     cert = _judged(a, eps, v, METHOD_ENUMERATION)
     if cert is None:

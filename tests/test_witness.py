@@ -479,6 +479,47 @@ def test_certify_scans_eps_lc_tuples_once(monkeypatch, entries, eps):
     assert len(calls) <= 1
 
 
+def test_certify_decides_through_is_eps_lc(monkeypatch):
+    # certify's scan is is_eps_lc, looked up on the witness module, so a
+    # wrapper set there sees every scan: one per eps-lc verdict or scanned
+    # certificate, and none on the construction route
+    import wblowup.witness as witness
+
+    calls = []
+    original = witness.is_eps_lc
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(witness, "is_eps_lc", counting)
+    cases = [
+        # eps-lc, on the auto and the enumeration route
+        ((1, 9), Fraction(1, 2), "auto", VERDICT_EPS_LC, 1),
+        ((2, 3, 5, 7), Fraction(1, 2), "auto", VERDICT_EPS_LC, 1),
+        ((1, 12), 1, "enumeration", VERDICT_EPS_LC, 1),
+        # a construction miss that the scan refutes
+        ((5, 7), Fraction(1, 2), "auto", (1, 1), 1),
+        ((2, 3, 3), 1, "auto", (1, 1, 1), 1),
+        # the construction route never scans, on a hit or a miss
+        ((26, 27), Fraction(1, 2), "construction", (1, 1), 0),
+        ((5, 7), Fraction(1, 2), "construction", VERDICT_NO_WITNESS, 0),
+        ((1, 9), Fraction(1, 2), "construction", VERDICT_NO_WITNESS, 0),
+    ]
+    for entries, eps, method, want, scans in cases:
+        calls.clear()
+        res = certify_not_eps_lc(WeightVector(entries), eps, method=method)
+        got = res.point if isinstance(res, Certificate) else res
+        assert (got, len(calls)) == (want, scans), (entries, method)
+        if isinstance(res, Certificate) and scans:
+            assert res.method == METHOD_ENUMERATION
+    # a scan past the cap is inconclusive, after one call
+    calls.clear()
+    assert certify_not_eps_lc(WeightVector((1000, 1001, 1003)), Fraction(1, 2), enumeration_cap=2,
+                              method="enumeration") == VERDICT_INCONCLUSIVE
+    assert len(calls) == 1
+
+
 def test_certify_method_selects_the_route():
     a = WeightVector((1, 12))  # a1 = 1: the plane construction never applies
     assert certify_not_eps_lc(a, 1, method="construction") == VERDICT_NO_WITNESS
