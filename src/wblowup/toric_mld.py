@@ -603,18 +603,16 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
 def _column_min(ent, T1, p, lo, hi) -> tuple[int, int, int]:
     # least psi over the column (p, y), lo <= y <= hi, as (numerator,
     # denominator, y) with the smallest such y; T1 = sum(a) - 1. With
-    # S = sum(p) and m = min_i p_i / a_i = pb / ab over the prefix,
+    # S = sum(p) and m = min_i p_i / a_i over the prefix, read at _cone's b,
     #
     #     psi(p, y) = S + y - T1 * min(m, y / a_n),
     #
     # which falls (or stays flat, when T1 = a_n) up to y* = a_n * m and
     # rises by 1 per step after it. So the minimum at the smallest y is
-    # among lo, clamp(floor(y*)) and clamp(floor(y*) + 1), in that order.
-    an = ent[-1]
-    S = sum(p)
+    # among lo, clamp(floor(y*)) and clamp(floor(y*) + 1), in that order:
+    # this closed form picks the candidates, and _psi evaluates them.
     b = _cone(ent, p)
-    pb, ab = p[b], ent[b]
-    ys = an * pb // ab
+    ys = ent[-1] * p[b] // ent[b]
     if lo == hi or ys < lo:
         candidates = (lo,)
     elif ys < hi:
@@ -623,10 +621,7 @@ def _column_min(ent, T1, p, lo, hi) -> tuple[int, int, int]:
         candidates = (lo, hi)
     best = None
     for y in candidates:
-        if y * ab < pb * an:
-            num, den = an * (S + y) - T1 * y, an
-        else:
-            num, den = ab * (S + y) - T1 * pb, ab
+        num, den = _psi(ent, T1, p + (y,))
         if best is None or num * best[1] < best[0] * den:
             best = (num, den, y)
     return best

@@ -8,7 +8,8 @@ cover check and mld answers, among them three n = 3 mlds whose least psi
 is shared by 17 to 31 points (the lex-first tie-break); witnesses from n = 3
 near 10^60, which the lattice search answers, to n = 4 near 10^18, which
 the Dirichlet walk answers at its 57th return (q = 997); and the bundled
-selftest and verify-example runs at the sizes CI ran them.
+selftest and verify-example runs at the sizes CI ran them. The last test
+runs the four calls whose JSON layout CI once compared with json.dumps.
 """
 
 import json
@@ -199,3 +200,17 @@ def test_cli_answers_are_pinned(capsys, argv, code, stdout):
     if not isinstance(stdout, str):
         stdout = json.dumps(stdout, indent=2) + "\n"
     assert (captured.out, captured.err) == (stdout, "")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("mld", "--weights", "15701,28340,29766"), 0),
+    (("check", "--weights", "5,6,61", "--eps", "1"), 1),
+    (("witness", "--weights", "383872177839589,673055161842094,679204928978999", "--eps", "1/2"), 0),
+    (("sweep", "--n", "3", "--eps", "1/2", "--a1-min", "2", "--a1-max", "8", "--tail-cap", "8,8", "--no-timing",
+      "--format", "json"), 0),
+], ids=["mld", "check", "witness", "sweep"])
+def test_cli_json_is_json_dumps_indent_2(capsys, argv, code):
+    # the CLI writes JSON with its own writer; any drift from the standard library fails here
+    assert cli_dispatch(list(argv)) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from wblowup import harness
+from wblowup import harness, oracle
 from wblowup.harness import (
     SweepSpec,
     _json_text,
@@ -804,6 +804,38 @@ def test_selftest_subcommand(capsys):
     assert "0 failures" in out
 
 
+def test_selftest_scans_each_box_once(capsys, monkeypatch):
+    # one open box scan per (tuple, eps): the interior/psi check's, whose
+    # least psi then stands in for the box when certify is compared
+    scans = []
+    scan = oracle.enumerate_lattice_points
+
+    def counted(C, mode="closed", budget=oracle.ORACLE_BUDGET_DEFAULT):
+        if mode == "open":
+            scans.append((C.a.entries, C.eps))
+        return scan(C, mode, budget)
+
+    # counted under either module's name, so a scan harness made itself would count too
+    for module in (oracle, harness):
+        monkeypatch.setattr(module, "enumerate_lattice_points", counted, raising=False)
+    code, out, _ = run_cli(capsys, "selftest", "--max-entry", "4")
+    assert (code, out) == (0, "selftest: 21 weight vectors checked, 0 failures\n")
+    assert len(scans) == len(set(scans)) == 2 * 21
+
+
+# exit code, stdout and stderr at each cap, recorded with two box scans per
+# (tuple, eps): the first budget refused and the report stay as they were
+@pytest.mark.parametrize("cap,code,stdout,stderr", [
+    (1, 3, "", "budget exhausted: 4 oracle box points exceed budget 1\n"),
+    (5, 3, "", "budget exhausted: 6 oracle box points exceed budget 5\n"),
+    (40, 3, "", "budget exhausted: 42 oracle box points exceed budget 40\n"),
+    (200, 3, "", "budget exhausted: 210 oracle box points exceed budget 200\n"),
+    (300, 0, "selftest: 54 weight vectors checked, 0 failures\n", ""),
+])
+def test_selftest_reports_at_each_cap_are_pinned(capsys, cap, code, stdout, stderr):
+    assert run_cli(capsys, "selftest", "--max-entry", "6", "--cap", str(cap)) == (code, stdout, stderr)
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -833,8 +865,8 @@ def test_bundled_check_limits_below_one_are_usage_errors(capsys, argv, flag):
         (("selftest", "--max-entry", "2"), {"mld_bruteforce": -1}, 1, "FAIL mld mismatch at (1, 2)"),
         (("selftest", "--max-entry", "2"), {"verify_interior_psi_equivalence": False}, 1,
          "FAIL interior/psi equivalence fails at (1, 1, 2), eps=1/2"),
-        # every tuple up to entry 2 is 1-lc; an oracle that always finds an interior point disagrees
-        (("selftest", "--max-entry", "2"), {"enumerate_lattice_points": [(1, 1)]}, 1,
+        # every tuple up to entry 2 is 1-lc; an oracle mld below every eps disagrees with certify
+        (("selftest", "--max-entry", "2"), {"mld_bruteforce": -1}, 1,
          "FAIL certify/oracle disagreement at (1, 1), eps=1"),
     ],
     ids=["check-no-eps", "witness-no-eps", "verify-1-lc", "verify-mld", "selftest-mld", "selftest-psi",

@@ -435,6 +435,25 @@ def test_column_min_matches_every_column():
     }
 
 
+def test_mld_scan_reads_psi_through_the_one_kernel(monkeypatch):
+    # the n >= 4 column minimum evaluates its candidates with _psi, the one
+    # copy of psi's cone formula, and its reports stay as pinned
+    calls = []
+    kernel = toric_mld._psi
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(toric_mld, "_psi", counted)
+    for entries, want in [((1009, 1013, 1019, 1021), ("23/1021", (1, 1, 1, 1), 153)),
+                          ((100, 101, 103, 107, 109), ("26/109", (1, 1, 1, 1, 1), 10))]:
+        calls.clear()
+        rep = mld_global(WeightVector(entries))
+        assert (str(rep.value), rep.achieved_at, rep.points_scanned) == want
+        assert calls and all(ent == entries for ent, _, _ in calls)
+
+
 # ---------------------------------------------------------------------------
 # eps-lc
 
