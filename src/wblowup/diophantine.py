@@ -23,23 +23,17 @@ further fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple
 
-from .exact_lattice import _lll, _short_vectors, check_int, exact, format_quotient, integer_nth_root
+from .exact_lattice import Value, _lll, _short_vectors, check_int, exact, format_quotient, integer_nth_root
 
-
-class Approx1D(NamedTuple):
-    """One-dimensional approximation p/q with 1 <= q <= Z and |q*alpha - p| < 1/Z."""
-
-    p: int
-    q: int
+Approx1D = namedtuple("Approx1D", "p q")
+Approx1D.__doc__ = "One-dimensional approximation p/q with 1 <= q <= Z and |q*alpha - p| < 1/Z."
 
 
-@dataclass(frozen=True)
-class DirichletWitness:
+class DirichletWitness(Value):
     """Simultaneous approximation p_j/q to alphas, searched over q <= Z.
 
     q is the least denominator meeting max_j |q*alpha_j - p_j| ** d <= 1/Z,
@@ -49,15 +43,19 @@ class DirichletWitness:
     parse_rational gives a residual back as a Fraction.
     """
 
-    q: int
-    p: tuple[int, ...]
-    Z: int
-    alphas: tuple[Fraction, ...]
+    __slots__ = ("q", "p", "Z", "alphas")
     # Always true: the box {|x_0| <= Z, |x_0*alpha_j - x_j| <= Z**(-1/d)} has
     # volume 2**(d+1), so by Minkowski's convex body theorem it holds a
     # nonzero lattice point, and for Z >= 2 its x_0 is nonzero (q = 1 meets
     # the bound at Z = 1). Kept so the JSON form keeps its "satisfied" key.
     satisfied = True
+
+    def __init__(self, q: int, p: tuple[int, ...], Z: int, alphas: tuple[Fraction, ...]):
+        put = object.__setattr__
+        put(self, "q", q)
+        put(self, "p", p)
+        put(self, "Z", Z)
+        put(self, "alphas", alphas)
 
     def to_json_dict(self) -> dict:
         q = self.q

@@ -14,6 +14,49 @@ from operator import mul
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
+# the routes of witness.certify_not_eps_lc, its method argument; kept here so
+# the CLI's flag table reads them without loading witness
+CERTIFY_METHODS = ("auto", "construction", "enumeration")
+
+
+class Value:
+    """Base of the package's immutable value classes, in place of frozen dataclasses.
+
+    A subclass names its fields in __slots__, in the order its constructor
+    takes them, and its __init__ stores each once with object.__setattr__,
+    as a frozen dataclass's generated __init__ does. As with a frozen
+    dataclass, assigning or deleting a field raises AttributeError, two
+    instances of one class are equal, and hash alike, when their fields
+    are, and repr reads Name(field=value, ...). An instance pickles as a
+    call of its constructor, so an unpickled one is checked again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
 
 class BudgetExceeded(Exception):
     """A scan stopped, or was refused up front, before its counted work passed the cap.

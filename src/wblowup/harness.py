@@ -13,13 +13,17 @@ required, the default. The budget --cap defaults to 10^7 visited prefixes
 per scan (lattice slices for n = 3 mld, box steps for a fixed-point pass);
 README gives what a scan stopped there has cost. Pooled sweeps share one
 worker pool per process (see Pool).
+
+A module a subcommand may not need is loaded on its first use, not at
+import: a cold mld or check loads exact_lattice and toric_mld alone, and
+witness, oracle and csv come in through _load, multiprocessing through
+Pool. No import statement runs per query or per sweep row.
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
-import csv
 import functools
 import io
 import itertools
@@ -30,26 +34,37 @@ import sys
 import threading
 import time
 import types
-from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module
 
 from .exact_lattice import (
+    CERTIFY_METHODS,
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
+    Value,
     check_int,
     format_ratio,
     format_rational,
     parse_rational,
 )
-from .oracle import mld_bruteforce, verify_interior_psi_equivalence
 from .toric_mld import WeightVector, is_eps_lc, mld_at_fixed_point, mld_global, psi_value
-from .witness import (
-    CERTIFY_METHODS,
-    VERDICT_EPS_LC,
-    Certificate,
-    _certify_request,
-    certify_not_eps_lc,
-)
+
+# modules bound by _load on first use; their functions are read as
+# attributes at call time, so a wrapper set on the module is seen
+csv = oracle = witness = None
+
+
+def _load(*names: str) -> None:
+    """Bind each named module (csv, oracle or witness) here, if not yet bound.
+
+    A cold mld or check never needs them: witness and oracle, with
+    diophantine, are some 800 source lines to compile when no bytecode cache
+    is valid. After the first call this is a dict lookup per name.
+    """
+    for name in names:
+        if globals()[name] is None:
+            globals()[name] = import_module(name if name == "csv" else "." + name, __package__)
+
 
 CSV_COLUMNS = [
     "n",
@@ -72,8 +87,7 @@ def parse_weights(text) -> WeightVector:
     return WeightVector(entries)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Value):
     """Parameters of one sweep over coprime sorted weight tuples.
 
     tail_caps[k] bounds coordinate k+2 by a1 + tail_caps[k]; the tuple must
@@ -81,37 +95,49 @@ class SweepSpec:
     the full dispatcher; "construction" tries only the dimension-specific
     construction (rows read certificate or no-witness, useful for
     success-rate studies); "enumeration" skips the construction entirely.
+    Every field is checked here, so a spec unpickled in a pool worker is
+    checked again, and loads witness there.
     """
 
-    n: int
-    eps: Fraction
-    a1_min: int
-    a1_max: int
-    tail_caps: tuple[int, ...]
-    theta: Fraction | None
-    workers: int
-    enumeration_cap: int
-    include_timing: bool
-    method: str = "auto"
+    __slots__ = ("n", "eps", "a1_min", "a1_max", "tail_caps", "theta", "workers", "enumeration_cap",
+                 "include_timing", "method")
 
-    def __post_init__(self):
-        check_int(self.n, "sweep dimension", 2)
-        _certify_request(self.n, self.eps, self.theta, self.method, self.enumeration_cap)
-        check_int(self.a1_max, "a1_max", check_int(self.a1_min, "a1_min"))
-        if len(self.tail_caps) != self.n - 1:
-            raise ValueError(f"need {self.n - 1} tail caps, got {len(self.tail_caps)}")
-        for c in self.tail_caps:
+    def __init__(self, n: int, eps: Fraction, a1_min: int, a1_max: int, tail_caps: tuple[int, ...],
+                 theta: Fraction | None, workers: int, enumeration_cap: int, include_timing: bool,
+                 method: str = "auto"):
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "eps", eps)
+        put(self, "a1_min", a1_min)
+        put(self, "a1_max", a1_max)
+        put(self, "tail_caps", tail_caps)
+        put(self, "theta", theta)
+        put(self, "workers", workers)
+        put(self, "enumeration_cap", enumeration_cap)
+        put(self, "include_timing", include_timing)
+        put(self, "method", method)
+        check_int(n, "sweep dimension", 2)
+        _load("witness")
+        witness._certify_request(n, eps, theta, method, enumeration_cap)
+        check_int(a1_max, "a1_max", check_int(a1_min, "a1_min"))
+        if len(tail_caps) != n - 1:
+            raise ValueError(f"need {n - 1} tail caps, got {len(tail_caps)}")
+        for c in tail_caps:
             check_int(c, "tail cap", 0)
-        check_int(self.workers, "worker count")
+        check_int(workers, "worker count")
 
 
-@dataclass(frozen=True)
-class FrontierReport:
+class FrontierReport(Value):
     """Per-a1 certificate fractions and the empirical all-certified threshold."""
 
-    eps: Fraction
-    per_a1: tuple[tuple[int, int, int], ...]  # (a1, certified, total)
-    empirical_m: int | None
+    __slots__ = ("eps", "per_a1", "empirical_m")
+
+    # per_a1 holds (a1, certified, total)
+    def __init__(self, eps: Fraction, per_a1: tuple[tuple[int, int, int], ...], empirical_m: int | None):
+        put = object.__setattr__
+        put(self, "eps", eps)
+        put(self, "per_a1", per_a1)
+        put(self, "empirical_m", empirical_m)
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,11 +174,12 @@ def iter_weight_tuples(spec: SweepSpec):
 
 
 def _sweep_task(spec: SweepSpec, eps_text: str, entries) -> list[str]:
-    # eps_text is spec.eps, formatted once per sweep
+    # eps_text is spec.eps, formatted once per sweep; building spec loaded witness
     started = time.perf_counter_ns()
-    result = certify_not_eps_lc(WeightVector(entries), spec.eps, spec.theta, spec.enumeration_cap, spec.method)
+    result = witness.certify_not_eps_lc(WeightVector(entries), spec.eps, spec.theta, spec.enumeration_cap,
+                                        spec.method)
     micros = (time.perf_counter_ns() - started) // 1000
-    if isinstance(result, Certificate):
+    if isinstance(result, witness.Certificate):
         verdict = "certificate"
         method = result.method
         point = ";".join(map(str, result.point))
@@ -195,6 +222,7 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     sweep therefore gets no faster; a process that runs many sweeps pays
     the pool's start-up once.
     """
+    _load("csv")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     # looked up here, not at import: bench/tracing.py swaps in a wrapper
@@ -240,8 +268,9 @@ def Pool(processes: int):
     A one-shot CLI sweep starts the pool once either way and gets no
     faster; in-process callers that run many sweeps gain.
 
+    Like every module a command may not use (see the module docstring),
     multiprocessing is imported on first use: queries never need it, and
-    the module costs about 1 MiB. bench/tracing.py swaps this name.
+    it costs about 1 MiB. bench/tracing.py swaps this name.
     """
     global _kept_pool
     with _pool_lock:
@@ -390,13 +419,14 @@ def _handle_check(ns) -> int:
 
 
 def _handle_witness(ns) -> int:
+    _load("witness")
     a = parse_weights(ns.weights)
-    result = certify_not_eps_lc(a, ns.eps, ns.theta, ns.cap)
-    if isinstance(result, Certificate):
+    result = witness.certify_not_eps_lc(a, ns.eps, ns.theta, ns.cap)
+    if isinstance(result, witness.Certificate):
         _emit(result.to_json_dict(), ns.out)
         return 0
     _emit({"weights": list(a.entries), "eps": format_rational(ns.eps), "verdict": result}, ns.out)
-    return 1 if result == VERDICT_EPS_LC else 3
+    return 1 if result == witness.VERDICT_EPS_LC else 3
 
 
 def _handle_sweep(ns) -> int:
@@ -416,6 +446,7 @@ def _handle_sweep(ns) -> int:
     )
     if ns.format == "json":
         # the JSON rows are the CSV rows, read back cell for cell
+        _load("csv")
         text = io.StringIO()
         report = run_sweep(spec, text)
         text.seek(0)
@@ -459,6 +490,7 @@ def _handle_verify_example(ns) -> int:
 
 def _handle_selftest(ns) -> int:
     max_entry = check_int(ns.max_entry, "--max-entry")
+    _load("oracle", "witness")
     failures = []
     checked = 0
     for n in (2, 3):
@@ -467,14 +499,14 @@ def _handle_selftest(ns) -> int:
                 continue
             a = WeightVector(entries)
             checked += 1
-            if mld_global(a, ns.cap).value != (least := mld_bruteforce(a, ns.cap)):
+            if mld_global(a, ns.cap).value != (least := oracle.mld_bruteforce(a, ns.cap)):
                 failures.append(f"mld mismatch at {entries}")
             for eps in (Fraction(1, 2), Fraction(1)):
                 # the one box scan of C(a, eps): it ties an interior point to least < eps
-                if not verify_interior_psi_equivalence(a, eps, ns.cap):
+                if not oracle.verify_interior_psi_equivalence(a, eps, ns.cap):
                     failures.append(f"interior/psi equivalence fails at {entries}, eps={eps}")
-                result = certify_not_eps_lc(a, eps, None, ns.cap)
-                if isinstance(result, Certificate) != (least < eps):
+                result = witness.certify_not_eps_lc(a, eps, None, ns.cap)
+                if isinstance(result, witness.Certificate) != (least < eps):
                     failures.append(f"certify/oracle disagreement at {entries}, eps={eps}")
     for line in failures:
         print(f"FAIL {line}")

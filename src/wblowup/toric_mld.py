@@ -73,7 +73,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, islice, repeat
@@ -83,6 +82,7 @@ from operator import mod
 from .exact_lattice import (
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
+    Value,
     _dedekind_pair12,
     _lll,
     ceil_div,
@@ -99,14 +99,13 @@ CLASS_CANONICAL = "canonical"
 CLASS_KLT = "klt-with-mld"
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Value):
     """Coprime ascending weights defining the blowup."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        e = tuple(self.entries)
+    def __init__(self, entries: tuple[int, ...]):
+        e = tuple(entries)
         object.__setattr__(self, "entries", e)
         if len(e) < 2:
             raise ValueError("need at least two weights")
@@ -126,20 +125,24 @@ class WeightVector:
         return sum(self.entries)
 
 
-@dataclass(frozen=True)
-class MldReport:
+class MldReport(Value):
     """Result of a global mld search.
 
     classification is one of "terminal", "canonical", "klt-with-mld"; the
     box-point argument in the module docstring shows these are exhaustive.
     """
 
-    weights: WeightVector
-    value: Fraction
-    achieved_at: tuple[int, ...]
-    cone: int
-    classification: str
-    points_scanned: int
+    __slots__ = ("weights", "value", "achieved_at", "cone", "classification", "points_scanned")
+
+    def __init__(self, weights: WeightVector, value: Fraction, achieved_at: tuple[int, ...], cone: int,
+                 classification: str, points_scanned: int):
+        put = object.__setattr__
+        put(self, "weights", weights)
+        put(self, "value", value)
+        put(self, "achieved_at", achieved_at)
+        put(self, "cone", cone)
+        put(self, "classification", classification)
+        put(self, "points_scanned", points_scanned)
 
     def to_json_dict(self) -> dict:
         return {

@@ -39,15 +39,16 @@ a scan that finds none proves eps-lc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 
 from .diophantine import DirichletWitness, dirichlet_1d, dirichlet_simultaneous
 from .exact_lattice import (
+    CERTIFY_METHODS,
     DEFAULT_ENUMERATION_CAP,
     BudgetExceeded,
+    Value,
     check_eps,
     check_int,
     exact,
@@ -68,11 +69,8 @@ VERDICT_EPS_LC = "eps-lc"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_NO_WITNESS = "no-witness"
 
-CERTIFY_METHODS = ("auto", "construction", "enumeration")
 
-
-@dataclass(frozen=True)
-class CEpsPolytope:
+class CEpsPolytope(Value):
     """C(a, eps) in integer facet form: eps = en/ed and K = (T - 1) * ed.
 
     The tilted facet omitting axis i is the row
@@ -81,19 +79,22 @@ class CEpsPolytope:
     vanishes on its n defining vertices and equals eps at the origin.
     """
 
-    a: WeightVector
-    eps: Fraction
-    en: int
-    ed: int
-    K: int
+    __slots__ = ("a", "eps", "en", "ed", "K")
+
+    def __init__(self, a: WeightVector, eps: Fraction, en: int, ed: int, K: int):
+        put = object.__setattr__
+        put(self, "a", a)
+        put(self, "eps", eps)
+        put(self, "en", en)
+        put(self, "ed", ed)
+        put(self, "K", K)
 
     @property
     def n(self) -> int:
         return self.a.n
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """A lattice point interior to C(a, eps), and the route that found it.
 
     psi is psi(point) in lowest terms, as (numerator, denominator). A
@@ -106,14 +107,20 @@ class Certificate:
     it is.
     """
 
-    weights: WeightVector
-    eps: Fraction
-    point: tuple[int, ...]
-    psi: tuple[int, int]
-    method: str
-    theta: Fraction | None = None
-    dirichlet: DirichletWitness | None = None
-    hypothesis_ok: bool | None = None
+    __slots__ = ("weights", "eps", "point", "psi", "method", "theta", "dirichlet", "hypothesis_ok")
+
+    def __init__(self, weights: WeightVector, eps: Fraction, point: tuple[int, ...], psi: tuple[int, int],
+                 method: str, theta: Fraction | None = None, dirichlet: DirichletWitness | None = None,
+                 hypothesis_ok: bool | None = None):
+        put = object.__setattr__
+        put(self, "weights", weights)
+        put(self, "eps", eps)
+        put(self, "point", point)
+        put(self, "psi", psi)
+        put(self, "method", method)
+        put(self, "theta", theta)
+        put(self, "dirichlet", dirichlet)
+        put(self, "hypothesis_ok", hypothesis_ok)
 
     @property
     def trace(self) -> dict:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -226,6 +225,11 @@ def make_spec(**overrides):
     return SweepSpec(**base)
 
 
+def replaced(spec, **changes):
+    # what dataclasses.replace did: a new spec through the constructor, which checks it
+    return SweepSpec(**{name: getattr(spec, name) for name in SweepSpec.__slots__} | changes)
+
+
 def test_sweep_draws_tuples_only_as_rows_are_written(monkeypatch):
     # with one worker, the k-th data row is written after at most k tuples are drawn
     drawn = []
@@ -346,7 +350,7 @@ class _ClosedPipe:
 def test_abandoned_sweep_drops_the_kept_pool(pools_built, error):
     spec = make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=8, tail_caps=(8, 8), workers=2)
     expected = io.StringIO()
-    run_sweep(dataclasses.replace(spec, workers=1), expected)
+    run_sweep(replaced(spec, workers=1), expected)
     # ten rows in, the pool has tasks queued and running
     with pytest.raises(type(error)):
         run_sweep(spec, _ClosedPipe(10, error))
@@ -366,7 +370,7 @@ def test_threads_take_the_kept_pool_in_turn(pools_built):
     run_sweep(spec, expected)
     outs = [io.StringIO() for _ in range(4)]
     threads = [
-        threading.Thread(target=run_sweep, args=(dataclasses.replace(spec, workers=2 + k % 2), out), daemon=True)
+        threading.Thread(target=run_sweep, args=(replaced(spec, workers=2 + k % 2), out), daemon=True)
         for k, out in enumerate(outs)
     ]
     for thread in threads:
@@ -858,24 +862,25 @@ def test_bundled_check_limits_below_one_are_usage_errors(capsys, argv, flag):
     [
         (("check", "--weights", "2,3"), {}, 2, "error: check requires --eps"),
         (("witness", "--weights", "2,3"), {}, 2, "error: witness requires --eps"),
-        (("verify-example", "--limit", "2", "--mld-limit", "1"), {"is_eps_lc": (False, (1, 1))}, 1,
+        (("verify-example", "--limit", "2", "--mld-limit", "1"), {(harness, "is_eps_lc"): (False, (1, 1))}, 1,
          "FAIL weights (1,1): expected 1-lc, refuted by (1, 1)"),
-        (("verify-example", "--limit", "1", "--mld-limit", "2"), {"mld_at_fixed_point": 0}, 1,
+        (("verify-example", "--limit", "1", "--mld-limit", "2"), {(harness, "mld_at_fixed_point"): 0}, 1,
          "FAIL weights (1,2): fixed-point mlds 0, 0"),
-        (("selftest", "--max-entry", "2"), {"mld_bruteforce": -1}, 1, "FAIL mld mismatch at (1, 2)"),
-        (("selftest", "--max-entry", "2"), {"verify_interior_psi_equivalence": False}, 1,
+        (("selftest", "--max-entry", "2"), {(oracle, "mld_bruteforce"): -1}, 1, "FAIL mld mismatch at (1, 2)"),
+        (("selftest", "--max-entry", "2"), {(oracle, "verify_interior_psi_equivalence"): False}, 1,
          "FAIL interior/psi equivalence fails at (1, 1, 2), eps=1/2"),
         # every tuple up to entry 2 is 1-lc; an oracle mld below every eps disagrees with certify
-        (("selftest", "--max-entry", "2"), {"mld_bruteforce": -1}, 1,
+        (("selftest", "--max-entry", "2"), {(oracle, "mld_bruteforce"): -1}, 1,
          "FAIL certify/oracle disagreement at (1, 1), eps=1"),
     ],
     ids=["check-no-eps", "witness-no-eps", "verify-1-lc", "verify-mld", "selftest-mld", "selftest-psi",
          "selftest-certify"],
 )
 def test_failure_paths_exit_with_their_message(capsys, monkeypatch, argv, patches, code, line):
-    # each patched engine function returns a fixed value the subcommand does not expect
-    for name, value in patches.items():
-        monkeypatch.setattr(harness, name, lambda *args, value=value: value)
+    # each patched engine function returns a fixed value the subcommand does not expect; it is
+    # patched where the handler reads it: harness's own name, or the oracle module's attribute
+    for (module, name), value in patches.items():
+        monkeypatch.setattr(module, name, lambda *args, value=value: value)
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert line in (out + err).splitlines()
