@@ -47,10 +47,12 @@ Conventions used throughout the package:
   short dual vector: of the three rows of the LLL-reduced dual basis (in
   the spirit of Lenstra, Math. Oper. Res. 8, 1983), the first whose range
   on the simplex is least. Each plane is counted by floor sums along the
-  envelope of each chain of its row bounds. On balanced weights the search
-  reads a few planes whatever the size of T: 5 for (15701, 28340, 29766),
-  whose T holds 12,307 points, and 2-8 for random weights from 10^9 to
-  10^60. Skewed weights take more, 66 for (3, 5, 10^12 + 1).
+  envelope of each chain of its row bounds, and the walk that counts a
+  simplex also lists its points while they number at most 16, so the
+  search ends on the walk that found its last few points. On balanced
+  weights it reads a few planes whatever the size of T: 3 for (15701,
+  28340, 29766), whose T holds 12,307 points, and 1-5 for random weights
+  from 10^9 to 10^60. Skewed weights take more, 64 for (3, 5, 10^12 + 1).
 * For n >= 4 the global mld enumerates {psi <= 1}: a pass over every box
   point costs O(n * sum(a)) whatever that region holds, and skewed weights
   such as (1, 1, 1, N) have only the n + 1 generators in it.
@@ -390,12 +392,29 @@ def _cone_frame(p, q1, q2):
     # slicing data for the points of the lattice L = {x : x_1 = -x_0*q1 and
     # x_2 = -x_0*q2 (mod p)}, p > 1, in a simplex {x >= l, x_0 + x_1 + x_2 <= T}
     # whose l and T each walk supplies. The dual of L, times p, has the rows
-    # (p, 0, 0), (q1, 1, 0), (q2, 0, 1); after LLL the slicing row w = b_i is
-    # the first reduced row with the least range max(0, w) - min(0, w) on the
+    # (p, 0, 0), (q1, 1, 0), (q2, 0, 1). Lagrange-Gauss first reduces the
+    # plane of the first two to a shortest pair u, v, then the third row
+    # loses the rounded coordinates of (q2, 0) in u, v, and only then does
+    # LLL reduce all three: its output bound holds for any input basis, and
+    # from this one it takes fewer swaps. The slicing row w = b_i is the
+    # first reduced row with the least range max(0, w) - min(0, w) on the
     # simplex, and B = (b_i, b_{i+1}, b_{i+2}), indices mod 3. With c_m the
     # columns of its adjugate, signed so that B c_m = p e_m, L is every
     # x = s*c_0 + u*c_1 + v*c_2 with integer s, u, v, and s = w.x / p.
-    b = [[p, 0, 0], [q1 % p, 1, 0], [q2 % p, 0, 1]]
+    u0, u1, v0, v1 = q1 % p, 1, p, 0
+    nu = u0 * u0 + 1
+    while True:
+        r = (2 * (u0 * v0 + u1 * v1) + nu) // (2 * nu)
+        v0, v1 = v0 - r * u0, v1 - r * u1
+        nv = v0 * v0 + v1 * v1
+        if nv >= nu:
+            break
+        u0, u1, v0, v1, nu = v0, v1, u0, u1, nv
+    # (q2, 0) = (q2*v1*u - q2*u1*v) / det; x // y floors for either sign of y,
+    # so (2x + y) // 2y rounds x / y
+    det, q2 = u0 * v1 - u1 * v0, q2 % p
+    ru, rv = (2 * q2 * v1 + det) // (2 * det), (det - 2 * q2 * u1) // (2 * det)
+    b = [[u0, u1, 0], [v0, v1, 0], [q2 - ru * u0 - rv * v0, -ru * u1 - rv * v1, 1]]
     _lll(b)
     i = min(range(3), key=lambda j: max(0, *b[j]) - min(0, *b[j]))
     w, (y0, y1, y2), (z0, z1, z2) = b[i], b[i - 2], b[i - 1]
@@ -487,27 +506,39 @@ def _n3_count(ent) -> int:
     return (d + N * (9 * sum(g) + 6 * sum(gcd(x, y) for x, y in combinations(g, 2)) + 51)) // (24 * N)
 
 
+def _slice_range(w, wlo, whi, N, c) -> tuple[int, int]:
+    # the slices s = w.x / N that meet the simplex {x_m >= -c_m for m < 3,
+    # x_0 + x_1 + x_2 <= c_3}, read off its vertices l and l + R*e_m, R =
+    # c_0 + ... + c_3, with wlo = min(0, w) and whi = max(0, w); (1, 0) when
+    # R < 0 leaves it empty. Each walk of _mld_n3 starts here
+    R = c[0] + c[1] + c[2] + c[3]
+    if R < 0:
+        return 1, 0
+    W = -w[0] * c[0] - w[1] * c[1] - w[2] * c[2]
+    return -((-W - R * wlo) // N), (W + R * whi) // N
+
+
 def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], int]:
     # T's lattice points (see the module docstring) are the points (k, z_1,
     # z_2) of the lattice of _cone_frame(N, a_1, a_2) with k, z_1, z_2 >= 0
     # and k + z_1 + z_2 <= N; _n3_count counts them in closed form. walk
-    # counts, or lists, the points with every x_m >= -c_m and, for the tops
-    # f of _bounds, f.x <= c_3, c_4, ..., one slice s = w.x / N at a time,
-    # charging each slice to the budget first
+    # counts the points with every x_m >= -c_m and, for the tops f of
+    # _bounds, f.x <= c_3, c_4, ..., one slice s = w.x / N at a time,
+    # charging each slice to the budget first, and lists them while there
+    # are at most 16
     a1, a2, a3 = ent = a.entries
     N = a1 + a2 + a3 - 1
     w, cols, *frame = _cone_frame(N, a1, a2)
     wlo, whi = min(0, *w), max(0, *w)
     work = 0
 
-    def walk(bounds, c, listing=False):
+    def walk(bounds, c):
+        # (count, points): every slice is counted, and a slice's points are
+        # listed while the walk's running count stays at most 16
         nonlocal work
-        R = c[0] + c[1] + c[2] + c[3]
-        if R < 0:
-            return [] if listing else 0
-        # s over the vertices l and l + R*e_m of the simplex of the first four rows
-        W = -w[0] * c[0] - w[1] * c[1] - w[2] * c[2]
-        slo, shi = -((-W - R * wlo) // N), (W + R * whi) // N
+        slo, shi = _slice_range(w, wlo, whi, N, c)
+        if slo > shi:
+            return 0, []
         work += shi - slo + 1
         if work > budget:
             raise BudgetExceeded(work, budget, "slices")
@@ -527,7 +558,8 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
             # in its plane with e_0 or e_1, has some |w_i| >= M + 1; with
             # (1, 1, 1), M | w_1 - w_2 != 0; with e_2, w_0 = 2 w_1 once
             # M^3 > 256 N, so a = (1, a_3, a_3) and a_3 | w_1 != 0. Each
-            # passes rho for a_3 >= 27, and a test checks every a_3 <= 26
+            # passes rho for a_3 >= 27; a test checks every a_3 <= 26, and
+            # the bound on range(w) at sizes up to 10^60
             for D, Es, Ec in conds:
                 E = Es * s + Ec
                 if D > 0:
@@ -541,34 +573,38 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
             # the slice holds, per u, floor(least upper) + floor(least lower)
             # + 1 points, and the two chains are summed apart, each cut only
             # at its own crossings
-            if not listing:
-                total += _chain_sum(up, s, ulo, uhi) + _chain_sum(lo, s, ulo, uhi) + uhi - ulo + 1
+            n = _chain_sum(up, s, ulo, uhi) + _chain_sum(lo, s, ulo, uhi) + uhi - ulo + 1
+            total += n
+            if not n or total > 16:
                 continue
             # list u by u, halving a u-range longer than 16 and dropping the
             # halves that count no point, so a long thin slice costs its
-            # points rather than its length
-            spans = [(ulo, uhi)]
+            # points rather than its length; a range's count is known, so
+            # only its first half is summed
+            spans = [(ulo, uhi, n)]
             while spans:
-                x0, x1 = spans.pop()
+                x0, x1, k = spans.pop()
                 if x1 - x0 > 16:
-                    if _chain_sum(up, s, x0, x1) + _chain_sum(lo, s, x0, x1) + x1 - x0 + 1:
-                        mid = (x0 + x1) // 2
-                        spans += [(x0, mid), (mid + 1, x1)]
+                    mid = (x0 + x1) // 2
+                    k0 = _chain_sum(up, s, x0, mid) + _chain_sum(lo, s, x0, mid) + mid - x0 + 1
+                    spans += [half for half in ((x0, mid, k0), (mid + 1, x1, k - k0)) if half[2]]
                     continue
                 for u in range(x0, x1 + 1):
                     top = min((B * u + A * s + h) // q for B, A, h, q, _ in up)
                     bot = -min((B * u + A * s + h) // q for B, A, h, q, _ in lo)
                     points += ([s * x + u * y + v * z for x, y, z in zip(*cols)] for v in range(bot, top + 1))
-        return points if listing else total
+        return total, points
 
-    def narrow(lo, hi, n, count):  # n > 0 points at hi and none at lo
-        while n > 16 and hi - lo > 1:
+    def narrow(lo, hi, found, count):
+        # found = count(hi) holds n > 0 points, and count(lo) none; bisect
+        # until n <= 16 or hi = lo + 1, keeping the points listed at hi
+        while found[0] > 16 and hi - lo > 1:
             mid = (lo + hi) // 2
-            if c := count(mid):
-                hi, n = mid, c
+            if (f := count(mid))[0]:
+                hi, found = mid, f
             else:
                 lo = mid
-        return hi, n
+        return hi, found
 
     scanned = _n3_count(ent)
     # the least m with a point at psi <= m / den < 1, where one step of m
@@ -581,26 +617,34 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
         return [0, m * a1 // den - a1, m * a2 // den - a2, N - a3 + m * a3 // den]
 
     lo, m = 0, min(max(1, integer_nth_root(6 * a1 * a1, 3) // 2) * (den // a1), den - 1)
-    while not (n := walk(frame, below(m))) and m < den - 1:
+    while not (found := walk(frame, below(m)))[0] and m < den - 1:
         lo, m = m, min(2 * m, den - 1)
-    m, n = narrow(lo, m, n, lambda m: walk(frame, below(m)))
+    m, (n, points) = narrow(lo, m, found, lambda m: walk(frame, below(m)))
     if not n:
         return Fraction(1), (0, 0, 1), scanned
-    c, bounds = below(m), frame
     if n > 16:
         # the n points tie at psi = m / den: the least of F = M*M*x_1 + M*x_2 +
         # x_3, with M above every x_2 and x_3 of T, is their lex-first, and
-        # N*(F - 1) = g.(k, z_1, z_2) with g > 0, so bisect on g.x <= t
+        # N*(F - 1) = g.(k, z_1, z_2) with g > 0, so bisect on g.x <= t; the
+        # F are distinct, so the bisection ends with one point
+        c = below(m)
         M = a3 + 1
         g = (M * M * a1 + M * a2 + a3 - 1, M * M - 1, M - 1)
         bounds = _bounds(cols, [(1, 1, 1), g])
         lo = -g[1] * c[1] - g[2] * c[2] - 1
-        t, n = narrow(lo, lo + 1 + g[0] * (c[0] + c[1] + c[2] + c[3]), n, lambda t: walk(bounds, c + [t]))
-        c.append(t)
-    # the least psi among the listed points, then the lex-first x
-    points = ((k + 1, (z1 + a1 * k) // N, (z2 + a2 * k) // N) for k, z1, z2 in walk(bounds, c, True))
-    value, at = min((Fraction(*_psi(ent, N, v)), v) for v in ((x1, x2, s - x1 - x2) for s, x1, x2 in points))
-    return value, at, scanned
+        _, (n, points) = narrow(lo, lo + 1 + g[0] * (c[0] + c[1] + c[2] + c[3]), (n, None),
+                                lambda t: walk(bounds, c + [t]))
+    # the least psi among the listed points, then the lex-first x, with one
+    # Fraction for the answer
+    num = q = 1
+    at = None
+    for k, z1, z2 in points:
+        x1, x2 = (z1 + a1 * k) // N, (z2 + a2 * k) // N
+        v = (x1, x2, k + 1 - x1 - x2)
+        p, d = _psi(ent, N, v)
+        if at is None or p * q < num * d or p * q == num * d and v < at:
+            num, q, at = p, d, v
+    return Fraction(num, q), at, scanned
 
 
 def _column_min(ent, T1, p, lo, hi) -> tuple[int, int, int]:
@@ -679,10 +723,10 @@ def mld_global(a: WeightVector, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) 
     theorem, in O(log a_2) steps, with no budget. For n = 3 nothing is
     enumerated either: the count of conv(e_1, e_2, e_3, a) is a sum of
     Dedekind sums, read in O(log sum(a)) steps by reciprocity, and the
-    search for the least psi counts the lattice points with psi <= s, and
-    lists the few of least psi, one lattice plane at a time. It reads a few
-    planes on balanced weights, and BudgetExceeded stops it before the
-    planes read pass enumeration_cap.
+    search for the least psi counts the lattice points with psi <= s one
+    lattice plane at a time, and the same walk lists them once at most 16
+    are left. It reads a few planes on balanced weights, and
+    BudgetExceeded stops it before the planes read pass enumeration_cap.
     For n >= 4 {psi <= 1} is enumerated as columns along the last
     coordinate, each counted and minimised in closed form, so it costs the
     visited prefixes rather than sum(a) or the points; BudgetExceeded stops

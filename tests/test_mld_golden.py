@@ -147,7 +147,7 @@ def test_n2_mld_takes_no_budget(weights, cap):
 def test_n3_mld_refusal_message():
     # n = 3 counts the lattice slices it reads: 2 here, so a cap of 1 is
     # refused before the last walk and a cap of 2 answers as the default
-    argv = ["mld", "--weights", "1000,1001,1003"]
+    argv = ["mld", "--weights", "1000,1002,1003"]
     assert run(argv + ["--cap", "1"]) == (3, "", "budget exhausted: 2 slices exceed budget 1\n")
     assert run(argv + ["--cap", "2"]) == run(argv)
 

@@ -554,12 +554,13 @@ def test_budget_errors_report_work():
     assert err.value.cap == 1000 < err.value.work
     assert "visited prefixes" in str(err.value) and "estimated" not in str(err.value)
     assert mld_global(c, enumeration_cap=3177) == mld_global(c)
-    a = WeightVector((1000, 1001, 1003))
+    t = WeightVector((1000, 1002, 1003))
     with pytest.raises(BudgetExceeded) as err:
-        mld_global(a, enumeration_cap=1)
+        mld_global(t, enumeration_cap=1)
     assert (err.value.work, err.value.cap) == (2, 1)
     assert str(err.value) == "2 slices exceed budget 1"
-    assert mld_global(a, enumeration_cap=2) == mld_global(a)
+    assert mld_global(t, enumeration_cap=2) == mld_global(t)
+    a = WeightVector((1000, 1001, 1003))
     with pytest.raises(BudgetExceeded):
         is_eps_lc(a, Fraction(1, 2), enumeration_cap=1)
     with pytest.raises(BudgetExceeded) as err:
@@ -648,21 +649,32 @@ def test_chain_sum_matches_per_u_minimum(lines, s, T, x0, length):
 def test_cone_frames_keep_chains_in_descending_slope(monkeypatch):
     # the one frame built per query of the mld-n3 bench pool and of
     # (29, 140, 336): of its four rows, one to three bound v above and one
-    # to three below, each chain in descending slope B/q
+    # to three below, each chain in descending slope B/q. Each walk of the
+    # search starts at _slice_range, and the 256 pool queries take 426
+    # walks: one walk counts a slice and lists its points, so none reads
+    # its slices a second time only to list them
     pool = json.loads((Path(__file__).parents[1] / "bench" / "data" / "mld_pool.json").read_text())["mld-n3"]
+    assert len(pool) == 256
     pool.append({"weights": [29, 140, 336], "mld": "1/2", "points_scanned": 148})
-    frames = []
-    build = toric_mld._cone_frame
+    frames, walks = [], []
+    build, slice_range = toric_mld._cone_frame, toric_mld._slice_range
 
     def record(*args):
         frames.append(build(*args))
+        walks.append(0)
         return frames[-1]
 
+    def walk_start(*args):
+        walks[-1] += 1
+        return slice_range(*args)
+
     monkeypatch.setattr(toric_mld, "_cone_frame", record)
+    monkeypatch.setattr(toric_mld, "_slice_range", walk_start)
     for entry in pool:
         report = mld_global(WeightVector(tuple(entry["weights"])))
         assert (str(report.value), report.points_scanned) == (entry["mld"], entry["points_scanned"])
     assert len(frames) == len(pool)
+    assert sum(walks[:-1]) == 426 and walks[-1] == 17
     for *_, up, lo in frames:
         assert 1 <= len(up) <= 3 and 1 <= len(lo) <= 3 and len(up) + len(lo) <= 4
         for chain in (up, lo):
@@ -765,18 +777,59 @@ def test_n3_tie_break_row_is_never_u_free():
     assert 28**3 > 256 * (3 * 28 - 4) and 27**3 <= 256 * (3 * 27 - 4)  # M^3 > 256 N from a_3 = 27 on
 
 
+def test_cone_frame_bounds_its_slicing_row_at_every_size(monkeypatch):
+    # walk's u-free proof needs range(w) <= 2^(5/3) N^(1/3) for every
+    # a_3 >= 27, which LLL's output bound gives whatever basis _lll starts
+    # from. On seeded triples from 10 to 10^60, balanced and skewed: the
+    # slicing row w meets it, and with B = (b_i, b_{i+1}, b_{i+2}) of the
+    # reduced rows, w = b_i, B is a basis of the dual lattice {y : y_0 =
+    # y_1*a_1 + y_2*a_2 (mod N)} and its columns satisfy B c_m = N e_m
+    reduced, lll = [], toric_mld._lll
+
+    def keep(b):
+        reduced.append(b)
+        return lll(b)
+
+    monkeypatch.setattr(toric_mld, "_lll", keep)
+    rng = random.Random(31)
+    tried = 0
+    while tried < 400:
+        ent = tuple(sorted(rng.randint(10, 10 ** rng.randint(1, 60)) for _ in range(3)))
+        if gcd(*ent) != 1:
+            continue
+        tried += 1
+        a1, a2, a3 = ent
+        N = a1 + a2 + a3 - 1
+        w, cols, *_ = toric_mld._cone_frame(N, a1, a2)
+        assert (max(0, *w) - min(0, *w)) ** 3 <= 32 * N, ent
+        b = reduced[-1]
+        i = b.index(w)
+        B = [b[i], b[(i + 1) % 3], b[(i + 2) % 3]]
+        assert all((y0 - y1 * a1 - y2 * a2) % N == 0 for y0, y1, y2 in B), ent
+        det = sum(B[0][j] * (B[1][j - 2] * B[2][j - 1] - B[1][j - 1] * B[2][j - 2]) for j in range(3))
+        assert abs(det) == N, ent
+        for m, col in enumerate(cols):
+            assert [sum(x * c for x, c in zip(row, col)) for row in B] == [N * (r == m) for r in range(3)], ent
+
+
 @pytest.mark.parametrize("entries,slices", [
-    ((1000, 1001, 1003), 2),
-    ((2, 3, 100001), 12),
-    ((29, 140, 336), 23),  # bisects its tie on the weighted row
-    ((15701, 28340, 29766), 5),
-    ((10**9 + 7, 10**9 + 9, 10**9 + 21), 13),
-], ids=["1000,1001,1003", "2,3,100001", "29,140,336", "15701,28340,29766", "1e9+7,1e9+9,1e9+21"])
+    ((1000, 1001, 1003), 1),
+    ((2, 3, 100001), 11),
+    ((29, 140, 336), 21),  # bisects its tie on the weighted row
+    ((15701, 28340, 29766), 3),
+    ((10**9 + 7, 10**9 + 9, 10**9 + 21), 12),
+    ((2, 3, 6000001), 17),  # skewed: one walk per halving along a long column
+    ((3, 5, 10**12 + 1), 64),
+], ids=["1000,1001,1003", "2,3,100001", "29,140,336", "15701,28340,29766", "1e9+7,1e9+9,1e9+21", "2,3,6000001",
+        "3,5,1e12+1"])
 def test_n3_slice_schedule_is_pinned(entries, slices):
     # the slices n = 3 mld charges to its budget, over every walk of its
-    # search; the count of T reads none
+    # search; the count of T reads none, and the walk that finds the last
+    # few points lists them, so no walk reads its slices again
     a = WeightVector(entries)
     assert mld_global(a, enumeration_cap=slices) == mld_global(a)
+    if slices == 1:
+        return  # the least cap, 1, answers
     with pytest.raises(BudgetExceeded) as err:
         mld_global(a, enumeration_cap=slices - 1)
     assert (err.value.work, err.value.cap) == (slices, slices - 1)
