@@ -304,7 +304,7 @@ def _drop_pool() -> None:
 def load_config(path: str) -> dict:
     """Parse a line-oriented `key = value` file; '#' at a line's start or after whitespace starts a comment."""
     values = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:

@@ -542,32 +542,27 @@ def _mld_n3(a: WeightVector, budget: int) -> tuple[Fraction, tuple[int, ...], in
         work += shi - slo + 1
         if work > budget:
             raise BudgetExceeded(work, budget, "slices")
-        conds = [(D, Es, c[r] * Q + c[r2] * q) for D, Es, r, Q, r2, q in bounds[0]]
+        # each condition D*u + Es*s + Ec >= 0 bounds u from below when D > 0
+        # and from above when D < 0 (kept as -D). A u-free condition (D = 0)
+        # always holds, so none is kept. It reads Q*row_r + q*row_r2 >= 0
+        # (Q, q > 0), or row_r >= 0, whose normals sum to a multiple of w. On
+        # rows of the simplex it holds at every s from slo to shi, all of
+        # which the simplex meets. None has the tie-break row g below (M =
+        # a_3 + 1): w is the LLL row of least range, so |w_i| and |w_i - w_j|
+        # are at most rho = 2^(5/3) N^(1/3) (|b_1| <= 2 lambda_1, Hermite's
+        # gamma_3 = 2^(1/3)), while, as g = (-2, -1, -1) mod M, w parallel to
+        # g, or in its plane with e_0 or e_1, has some |w_i| >= M + 1; with
+        # (1, 1, 1), M | w_1 - w_2 != 0; with e_2, w_0 = 2 w_1 once M^3 >
+        # 256 N, so a = (1, a_3, a_3) and a_3 | w_1 != 0. Each passes rho for
+        # a_3 >= 27; a test checks every a_3 <= 26, and the bound on range(w)
+        # at sizes up to 10^60
+        lows = [(D, Es, c[r] * Q + c[r2] * q) for D, Es, r, Q, r2, q in bounds[0] if D > 0]
+        highs = [(-D, Es, c[r] * Q + c[r2] * q) for D, Es, r, Q, r2, q in bounds[0] if D < 0]
         up, lo = _fold(bounds[1], c), _fold(bounds[2], c)
         total, points = 0, []
         for s in range(slo, shi + 1):
-            ulo = uhi = None
-            # a u-free condition (D = 0) always holds, so none is tested. It
-            # reads Q*row_r + q*row_r2 >= 0 (Q, q > 0), or row_r >= 0, whose
-            # normals sum to a multiple of w. On rows of the simplex it holds
-            # at every s from slo to shi, all of which the simplex meets. None
-            # has the tie-break row g below (M = a_3 + 1): w is the LLL row of
-            # least range, so |w_i| and |w_i - w_j| are at most rho =
-            # 2^(5/3) N^(1/3) (|b_1| <= 2 lambda_1, Hermite's gamma_3 =
-            # 2^(1/3)), while, as g = (-2, -1, -1) mod M, w parallel to g, or
-            # in its plane with e_0 or e_1, has some |w_i| >= M + 1; with
-            # (1, 1, 1), M | w_1 - w_2 != 0; with e_2, w_0 = 2 w_1 once
-            # M^3 > 256 N, so a = (1, a_3, a_3) and a_3 | w_1 != 0. Each
-            # passes rho for a_3 >= 27; a test checks every a_3 <= 26, and
-            # the bound on range(w) at sizes up to 10^60
-            for D, Es, Ec in conds:
-                E = Es * s + Ec
-                if D > 0:
-                    if ulo is None or -(E // D) > ulo:
-                        ulo = -(E // D)
-                elif D < 0:
-                    if uhi is None or E // -D < uhi:
-                        uhi = E // -D
+            ulo = max(-((Es * s + Ec) // D) for D, Es, Ec in lows)
+            uhi = min((Es * s + Ec) // D for D, Es, Ec in highs)
             if ulo > uhi:
                 continue
             # the slice holds, per u, floor(least upper) + floor(least lower)

@@ -20,6 +20,7 @@ from wblowup.harness import cli_dispatch
 ENV = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
 SWEEP = ("sweep", "--n", "3", "--eps", "1/2", "--a1-min", "2", "--a1-max", "8", "--tail-cap", "8,8", "--no-timing")
 COMMANDS = {
+    "help": ("--help",),
     "mld": ("mld", "--weights", "2,3"),
     "check": ("check", "--weights", "2,3", "--eps", "3/4"),
     "witness": ("witness", "--weights", "26,301", "--eps", "1/2"),
@@ -29,18 +30,21 @@ COMMANDS = {
     "selftest": ("selftest", "--max-entry", "4"),
 }
 # what a query that only reads toric_mld must not load: the other package
-# modules, csv, and dataclasses with the inspect module it imports
-UNUSED_BY_QUERIES = ("dataclasses", "inspect", "csv", "wblowup.witness", "wblowup.diophantine", "wblowup.oracle")
+# modules, csv, dataclasses with the inspect module it imports, and the
+# multiprocessing that only a sweep on more than one worker starts
+UNUSED_BY_QUERIES = ("dataclasses", "inspect", "csv", "multiprocessing", "wblowup.witness", "wblowup.diophantine",
+                     "wblowup.oracle")
 
 
-def fresh(*args):
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV, timeout=120,
+def fresh(*args, cwd=None):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV, cwd=cwd, timeout=120,
                           check=False)
 
 
 @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
-def test_each_command_answers_alike_in_a_fresh_interpreter(capsys, argv):
-    proc = fresh("-m", "wblowup", *argv)
+def test_each_command_answers_alike_in_a_fresh_interpreter(capsys, tmp_path, argv):
+    # run from a directory outside the checkout, as an installed command is
+    proc = fresh("-m", "wblowup", *argv, cwd=tmp_path)
     try:
         code = cli_dispatch(list(argv))
     finally:

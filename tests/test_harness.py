@@ -549,6 +549,9 @@ def test_load_config_parses_and_rejects(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# header\n a1-min = 3 \nworkers=2\n")
     assert load_config(str(cfg)) == {"a1_min": "3", "workers": "2"}
+    # a file saved as UTF-8 with a byte-order mark reads its first key the same
+    cfg.write_text("\ufeffa1-min = 3\nworkers=2\n", encoding="utf-8")
+    assert load_config(str(cfg)) == {"a1_min": "3", "workers": "2"}
     cfg.write_text("nonsense line\n")
     with pytest.raises(ValueError):
         load_config(str(cfg))
@@ -627,6 +630,7 @@ def test_config_out_is_read_and_unread_out_flags_are_refused(tmp_path, capsys):
     [
         ("no_timing = yes\n", 0, None),
         ("no-timing = off\n", 0, None),
+        ("no_timing = yes\nworkers = 2\n", 0, None),
         ("no_timing = maybe\n", 2, "not a boolean: 'maybe'"),
         ("format = xml\n", 2, "invalid choice: 'xml'"),
         ("workers = two\n", 2, "invalid int value: 'two'"),
@@ -634,7 +638,8 @@ def test_config_out_is_read_and_unread_out_flags_are_refused(tmp_path, capsys):
         # read even though the command line's --tail-cap wins
         ("tail_cap = x\n", 2, "argument --tail-cap: invalid literal for int()"),
     ],
-    ids=["no-timing-yes", "no-timing-off", "no-timing-maybe", "format-xml", "workers-two", "eps-float", "tail-cap-x"],
+    ids=["no-timing-yes", "no-timing-off", "no-timing-yes-workers-2", "no-timing-maybe", "format-xml", "workers-two",
+         "eps-float", "tail-cap-x"],
 )
 def test_config_values_are_checked_like_flags(tmp_path, capsys, text, code, message):
     cfg = tmp_path / "wblowup.cfg"
@@ -648,11 +653,14 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, text, code, mess
         return
     rows = [line for line in out.splitlines() if line[:1].isdigit()]
     assert rows and all(row.endswith(",") == ("yes" in text) for row in rows)
+    if "yes" in text:  # the same CSV as the flag gives, on however many workers the file asks for
+        assert out == run_cli(capsys, *argv, "--no-timing")[1]
     # a flag on the command line wins over the file, a bare one meaning yes
     for flag, blank in (("--no-timing", True), ("--no-timing=yes", True), ("--no-timing=no", False)):
         out = run_cli(capsys, "--config", str(cfg), *argv, flag)[1]
         rows = [line for line in out.splitlines() if line[:1].isdigit()]
         assert rows and all(row.endswith(",") == blank for row in rows)
+    harness._drop_pool()  # a file's workers = 2 leaves no kept pool behind
 
 
 def test_missing_config_file_is_usage_error(capsys):

@@ -74,10 +74,13 @@ def test_mld_bruteforce_examples():
 
 
 def test_engine_matches_oracle_small_family():
-    for n in (2, 3):
-        for entries in coprime_sorted_tuples(n, 10):
+    # at n >= 5 the engine's only other reference reads the same slice enumerator
+    for n, max_entry in ((2, 10), (3, 10), (5, 6), (6, 4)):
+        for entries in coprime_sorted_tuples(n, max_entry):
             a = WeightVector(entries)
-            assert mld_global(a).value == mld_bruteforce(a), entries
+            report = mld_global(a)
+            assert report.value == mld_bruteforce(a), entries
+            assert psi_value(a, report.achieved_at) == report.value, entries
 
 
 def test_verify_interior_psi_equivalence_examples():

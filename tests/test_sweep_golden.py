@@ -15,7 +15,9 @@ which bench/gate.verify_certificate accepts; no other row changed. The
 criterion-1 digest, the
 30,554 n = 2 rows of the sweep-n2 benchmark workload, was recorded from
 the certify pipeline that still built every construction's trace in
-Fractions. A changed digest means a changed verdict, point, psi, method or
+Fractions. The n = 3 --method enumeration digest was recorded from the
+n = 3 walk that tested each slice's u-bound conditions one by one. A
+changed digest means a changed verdict, point, psi, method or
 row order somewhere in the sweep.
 """
 
@@ -39,6 +41,10 @@ GOLDEN = [
     (
         "--n 4 --eps 1 --a1-min 1 --a1-max 5 --tail-cap 4",
         "08ee9ff86d98db664d12392d4e72ef5bec1a71304e91ac97aa94b21ecaf06486",
+    ),
+    (
+        "--n 3 --eps 1/2 --a1-min 2 --a1-max 8 --tail-cap 8,8 --method enumeration",
+        "0668d6ca7031f165f332cec750a6607cfae61596a06e0754b4156e2ebaa70950",
     ),
     (
         # every scan here fits in 30 visited prefixes
