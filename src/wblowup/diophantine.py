@@ -11,13 +11,16 @@ rotation x -> x + c_1 mod D to a window of 2R + 1 residues. By the
 three-gap theorem (Slater, Proc. Cambridge Philos. Soc. 63, 1967) each
 return follows the last by one of three steps, which one Euclid-style
 first-hit search per step finds. So the search walks these returns alone,
-at O(d) integer operations each, and stops at the first that meets every
-target. After _RETURNS returns the least q is read off the few short
+carrying the second target's remainder along by one addition per return,
+and stops at the first that meets every target. After _RETURNS = 1,200
+returns, at about 0.15 us each, the least q is read off the few short
 vectors of an integer lattice (integral LLL and Fincke-Pohst enumeration,
-in exact_lattice), whose cost does not grow with Z. When 2R >= D, q = 1
-meets the bound; R = 0 needs neither stage: the least q is D. Some q <= Z
-always meets the bound, by Minkowski's convex body theorem, so there is no
-further fallback.
+in exact_lattice), whose cost does not grow with Z and at d = 2 is about
+that of _RETURNS returns. The bench witness pool's answers come within 907
+returns at n = 3 and 430 at n = 4, so the walk gives them all. When
+2R >= D, q = 1 meets the bound; R = 0 needs neither stage: the least q is
+D. Some q <= Z always meets the bound, by Minkowski's convex body theorem,
+so there is no further fallback.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice
 
 from .exact_lattice import Value, _lll, _short_vectors, check_int, exact, format_quotient, integer_nth_root
 
@@ -132,61 +134,68 @@ def _first_hit(A: int, M: int, lo: int, hi: int) -> int | None:
     return k
 
 
-def _returns(c: int, D: int, R: int):
-    # Every q >= 1 with q*c mod D in [0, R] or [D - R, D), in increasing
-    # order, for 0 <= 2R < D. Shifted by R, these are the returns of x ->
-    # x + c mod D, started at x = R, to the window [0, L), L = 2R + 1. Let
-    # g_a be the least g >= 1 with g*c mod D in [0, L), moving x right by
-    # x_a, and g_b the least with g*c mod D in (D - L, D) or 0, moving x
-    # left by -x_b; either may be the period D / gcd(c, D). By the three-gap
-    # theorem the next return from x steps by g_a if x + x_a < L, else by
-    # g_b if x + x_b >= 0, else by g_a + g_b.
-    c %= D
-    L = 2 * R + 1
-    period = D // math.gcd(c, D)
-    ga = _first_hit(c, D, 1, L - 1) or period
-    gb = _first_hit(c, D, D - L + 1, D - 1) or period
-    xa, xb = ga * c % D, -(-gb * c % D)
-    x, q = R, 0
-    while True:
-        if x + xa < L:
-            x += xa
-            q += ga
-        elif x + xb >= 0:
-            x += xb
-            q += gb
-        else:
-            x += xa + xb
-            q += ga + gb
-        yield q
-
-
 # Returns walked before the lattice search. On the bench witness pool (a1
-# from 10^9 to 10^18; Intel Xeon, Python 3.11) one lattice search takes a
-# median of about 240 us at d = 2 and 580 us at d = 3, and one walked return
-# about 0.56 us, since most returns already miss the second target. So 400
-# returns cost about one search at d = 2 and less at d = 3, and a query the
-# walk leaves unanswered costs at most about twice the search alone. Within
-# 400 returns the walk answers 456 of the pool's 480 n = 3 queries and 159
-# of its 160 n = 4; their answers take a median of 46.5 and 24 returns, and
-# at most 907 and 430. Summed over the n = 3 queries, the search takes 25 ms
-# at 400, 27 at 300 and about 23.5 with no limit.
-_RETURNS = 400
+# from 10^9 to 10^18; Intel Xeon, Python 3.11) a walked return takes about
+# 0.15 us and a lattice search at d = 2 a median of 130 to 270 us, so K
+# returns cost about one search: their ratio read 870 to 1,650 between
+# runs, 1,200 in the median. A query the walk leaves unanswered then costs
+# at most about twice the search alone. The pool's queries are answered
+# within 907 returns at n = 3 and 430 at n = 4 (medians 46.5 and 24), all
+# by the walk.
+_RETURNS = 1200
 
 
 def _walked(cs, D: int, R: int) -> int | None:
-    # the first of target 1's first _RETURNS returns that meets every
-    # target, or None; 0 < 2R < D. The nearest-integer error of q*c_j / D is
-    # min(t, D - t), t = q*c_j mod D, whatever the tie rule, so q misses the
-    # bound exactly when some R < t < D - R
-    hi = D - R
-    rest = cs[1:]
-    for q in islice(_returns(cs[0], D, R), _RETURNS):
-        for c in rest:
-            if R < q * c % D < hi:
-                break
+    # The first of target 1's first _RETURNS returns that meets every
+    # target, or None; 0 < 2R < D. The nearest-integer error of q*c_j / D
+    # is min(t, D - t), t = q*c_j mod D, whatever the tie rule, so q meets
+    # target j exactly when (q*c_j + R) mod D < L = 2R + 1.
+    # Target 1's shifted residue x moves by x -> x + c_1 mod D, from x = R,
+    # and its returns to the window [0, L) are the q that meet it. Let g_a be
+    # the least g >= 1 with g*c_1 mod D in [0, L), moving x right by x_a, and
+    # g_b the least with g*c_1 mod D in (D - L, D) or 0, moving x left by
+    # -x_b; either may be the period D / gcd(c_1, D). By the three-gap
+    # theorem the next return from x steps by g_a if x + x_a < L, else by
+    # g_b if x + x_b >= 0, else by g_a + g_b. Target 2's shifted residue z
+    # moves by that step's multiple of c_2, reduced once, so it takes one
+    # addition and at most one subtraction of D; targets 3..d are reduced
+    # only on returns that meet target 2. With one target, c_2 = 0 and the
+    # first return answers.
+    L = 2 * R + 1
+    c1 = cs[0] % D
+    c2 = cs[1] if len(cs) > 1 else 0
+    rest = cs[2:]
+    period = D // math.gcd(c1, D)
+    ga = _first_hit(c1, D, 1, L - 1) or period
+    gb = _first_hit(c1, D, D - L + 1, D - 1) or period
+    gab = ga + gb
+    xa, xb = ga * c1 % D, -(-gb * c1 % D)
+    xab = xa + xb
+    # x + x_a < L and x + x_b >= 0 with the sums taken out of the loop
+    ta, tb = L - xa, -xb
+    za, zb, zab = ga * c2 % D, gb * c2 % D, gab * c2 % D
+    x, z, q = R, R, 0
+    for _ in range(_RETURNS):
+        if x < ta:
+            x += xa
+            q += ga
+            z += za
+        elif x >= tb:
+            x += xb
+            q += gb
+            z += zb
         else:
-            return q
+            x += xab
+            q += gab
+            z += zab
+        if z >= D:
+            z -= D
+        if z < L:
+            for c in rest:
+                if (q * c + R) % D >= L:
+                    break
+            else:
+                return q
     return None
 
 

@@ -2,17 +2,17 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import count
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from wblowup import diophantine
 from wblowup.diophantine import (
     _RETURNS,
     DirichletWitness,
     _first_hit,
     _least_q_in_box,
-    _returns,
     _walked,
     dirichlet_1d,
     dirichlet_simultaneous,
@@ -188,18 +188,21 @@ def test_witness_shape_and_serialisation():
 
 def reference_scan(alphas, Z):
     # every q = 1..Z in turn: nearest integers with half-integral ties to even,
-    # bound err**d * Z <= den**d; Minkowski's theorem says some q meets it
+    # bound |q*n - p*v|**d * Z <= v**d for each target n/v; Minkowski's
+    # theorem says some q meets it
     d = len(alphas)
+    pairs = [(a.numerator, a.denominator) for a in alphas]
     for q in range(1, Z + 1):
-        ps, errs = [], []
-        for a in alphas:
-            t, v = q * a.numerator, a.denominator
+        ps = []
+        for num, v in pairs:
+            t = q * num
             p, rem = divmod(t, v)
             if 2 * rem > v or (2 * rem == v and p % 2 == 1):
                 p += 1
+            if abs(t - p * v) ** d * Z > v**d:
+                break
             ps.append(p)
-            errs.append(Fraction(abs(t - p * v), v))
-        if all(e.numerator**d * Z <= e.denominator**d for e in errs):
+        else:
             return DirichletWitness(q, tuple(ps), Z, alphas)
     raise AssertionError(f"no q <= {Z} meets the bound for {alphas}")
 
@@ -212,13 +215,32 @@ def integer_form(alphas, Z):
     return [a.numerator * (D // a.denominator) for a in alphas], D, integer_nth_root(D**d // Z, d)
 
 
-# (alphas, Z, q, n): the answer q is the n-th return of target 1, on either
-# side of the walk's last return
+def first_answer(cs, D, R):
+    # (n, q) by a scan over q: the least q within R of an integer on every
+    # target, and its place n among those within R on the first; q = D is
+    # one
+    n = 0
+    for q in count(1):
+        if min(q * cs[0] % D, -q * cs[0] % D) <= R:
+            n += 1
+            if all(min(q * c % D, -q * c % D) <= R for c in cs[1:]):
+                return n, q
+
+
+# (alphas, Z, q, n): the answer q is the n-th return of target 1. The walk
+# answers the first four; the rest lie at its last return and one past it,
+# at d = 2, 3 and 4
 WALK_BOUNDARY = (
     ((Fraction(612, 61), Fraction(83735, 9232), Fraction(11519, 1351), Fraction(377, 324)), 20000, 2225, 400),
     ((Fraction(3518, 1841), Fraction(82331, 1328), Fraction(75497, 9449), Fraction(16085, 1401)), 20000, 2380, 401),
     ((Fraction(134, 5), Fraction(33767, 1648), Fraction(39936, 8081)), 30000, 2085, 417),
     ((Fraction(214371, 27332), Fraction(9633213, 838529)), 10**5, 63460, 401),
+    ((Fraction(182611, 29664), Fraction(35205, 12977)), 2484360, 962224, 1200),
+    ((Fraction(23333, 558), Fraction(78934, 13247)), 1673324, 670158, 1201),
+    ((Fraction(10207, 353), Fraction(8756, 1693), Fraction(24522, 1973)), 94860, 28240, 1200),
+    ((Fraction(22268, 1493), Fraction(24179, 1468), Fraction(26020, 809)), 140085, 31459, 1201),
+    ((Fraction(1, 49), Fraction(33, 40), Fraction(1, 19), Fraction(907, 12)), 74820, 11760, 1200),
+    ((Fraction(55, 28), Fraction(877, 11), Fraction(156, 47), Fraction(460, 13)), 34151, 6721, 1201),
 )
 
 
@@ -245,7 +267,7 @@ def simultaneous_inputs(draw):
     return alphas, Z
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(simultaneous_inputs())
 @example(((Fraction(3, 2), Fraction(7, 3)), 4))  # a tie at q = 1
 @example(((Fraction(5, 97),), 10**5))  # R = 0: q = D = 97
@@ -260,17 +282,22 @@ def simultaneous_inputs(draw):
 @example(((Fraction(11, 5), Fraction(13, 15), Fraction(37, 27)), 124))  # q = 14, D = 135: remainder 108 = D - R
 @example(((Fraction(0), Fraction(14, 5), Fraction(31, 20)), 27))  # c_1 = 0: every q returns; q = 4
 @example(((Fraction(17, 5), Fraction(0), Fraction(2, 7)), 1))  # Z = 1: 2R >= D, q = 1
-# answers at the walk's last return and past it, found by the lattice search
+# answers at returns 400 to 417, inside the walk, and at d = 3 and 4 at its
+# last return and past it, found by the lattice search
 @example(WALK_BOUNDARY[0][:2])
 @example(WALK_BOUNDARY[1][:2])
 @example(WALK_BOUNDARY[2][:2])
 @example(WALK_BOUNDARY[3][:2])
+@example(WALK_BOUNDARY[6][:2])
+@example(WALK_BOUNDARY[7][:2])
+@example(WALK_BOUNDARY[8][:2])
+@example(WALK_BOUNDARY[9][:2])
 def test_dirichlet_simultaneous_matches_reference_scan(inputs):
     alphas, Z = inputs
     assert dirichlet_simultaneous(alphas, Z) == reference_scan(alphas, Z)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(simultaneous_inputs())
 @example(WALK_BOUNDARY[0][:2])
 @example(((Fraction(123456789, 987654321), Fraction(5, 7)), 99991))
@@ -292,7 +319,7 @@ def test_lattice_search_matches_reference_scan(inputs):
 @pytest.mark.parametrize("alphas,Z,q,n", WALK_BOUNDARY)
 def test_walk_gives_up_after_its_last_return(alphas, Z, q, n):
     cs, D, R = integer_form(alphas, Z)
-    assert list(islice(_returns(cs[0], D, R), n))[-1] == q
+    assert first_answer(cs, D, R) == (n, q)
     assert _walked(cs, D, R) == (q if n <= _RETURNS else None)
     assert dirichlet_simultaneous(alphas, Z).q == q
 
@@ -315,17 +342,50 @@ def test_first_hit_matches_brute_force():
             assert _first_hit(A, M, M - 1, M - 2) is None  # an empty interval
 
 
-def test_returns_match_a_remainder_scan():
-    # the three-gap walk visits exactly the q whose remainder q*c mod D lies
-    # within R of 0, in order; it repeats with period D, so 3*D covers it
+def test_walk_matches_a_scan_over_q(monkeypatch):
+    # the walk answers first_answer's q, the n-th return, exactly when n is
+    # at most K, else None. K = 1, 5 and 40 give up on some cases, and the
+    # walk's own K is checked too. The scan reads each remainder afresh, so
+    # it checks the walk's running residue of target 2
     rng = random.Random(23)
-    cases = [(0, 7, 2), (6, 9, 1), (5, 11, 0), (3, 10, 4), (4, 1, 0)]  # c = 0, gcd 3, R = 0, 2R + 1 = D - 1, D = 1
+    cases = [
+        ([0, 3], 7, 2),  # c_1 = 0: every q returns
+        ([5, 0], 11, 2),  # c_2 = 0
+        ([6, 4, 7], 9, 1),  # gcd(c_1, D) = 3
+        ([3, 7, 2], 10, 4),  # 2R + 1 = D - 1
+        ([5], 11, 1),  # one target: the first return answers
+    ]
     for _ in range(2000):
-        D = rng.randint(1, 300)
-        cases.append((rng.randint(0, 3 * D), D, rng.randint(0, (D - 1) // 2)))
-    for c, D, R in cases:
-        expected = [q for q in range(1, 3 * D + 1) if min(q * c % D, -q * c % D) <= R]
-        assert list(islice(_returns(c, D, R), len(expected))) == expected, (c, D, R)
+        D = rng.randint(3, 300)
+        cases.append(([rng.randint(0, 3 * D) for _ in range(rng.randint(1, 3))], D, rng.randint(1, (D - 1) // 2)))
+    for cs, D, R in cases:
+        n, q = first_answer(cs, D, R)
+        for K in (1, 5, 40, _RETURNS):
+            monkeypatch.setattr(diophantine, "_RETURNS", K)
+            assert _walked(cs, D, R) == (q if n <= K else None), (cs, D, R, K)
+
+
+def test_walk_answers_as_the_lattice_search_does_at_pool_scale():
+    # seeded n = 3 and n = 4 weights with a1 from 10**9 to 10**18, asked as
+    # the general-theta construction asks: targets a_j/a_1 for j >= 2 and
+    # Z = a1**(1/n). No scan over q reaches these Z; both searches give the
+    # least q, so they agree wherever the walk answers, which is almost
+    # everywhere
+    rng = random.Random(33)
+    walked = 0
+    for n in (3, 4):
+        for _ in range(150):
+            e = rng.randint(9, 17)
+            a1 = rng.randrange(10**e, 10 ** (e + 1))
+            alphas = [Fraction(rng.randrange(a1, 3 * a1), a1) for _ in range(n - 1)]
+            Z = integer_nth_root(a1, n)
+            cs, D, R = integer_form(alphas, Z)
+            assert 0 < 2 * R < D
+            q = _walked(cs, D, R)
+            if q is not None:
+                walked += 1
+                assert q == _least_q_in_box(cs, D, R, Z), (alphas, Z)
+    assert walked >= 290
 
 
 def test_a_thousand_digit_fibonacci_target_runs_in_a_loop():
