@@ -9,11 +9,10 @@ from importlib import import_module as _import_module
 
 # each public name, by its defining module
 _SOURCES = {
-    "diophantine": ("Approx1D", "DirichletWitness", "dirichlet_1d", "dirichlet_simultaneous"),
+    "diophantine": ("DirichletWitness", "dirichlet_1d", "dirichlet_simultaneous"),
     "exact_lattice": ("DEFAULT_ENUMERATION_CAP", "BudgetExceeded", "format_rational", "integer_nth_root",
                       "parse_rational", "pow_cmp"),
-    "oracle": ("ORACLE_BUDGET_DEFAULT", "enumerate_lattice_points", "mld_bruteforce", "psi_bruteforce",
-               "verify_interior_psi_equivalence"),
+    "oracle": ("enumerate_lattice_points", "mld_bruteforce", "psi_bruteforce", "verify_interior_psi_equivalence"),
     "toric_mld": ("MldReport", "WeightVector", "is_eps_lc", "mld_at_fixed_point", "mld_global", "psi_value"),
     "witness": ("Certificate", "CEpsPolytope", "certificate_threshold", "build_polytope", "certify_not_eps_lc",
                 "contains_interior", "default_theta", "witness_general_theta", "witness_n2", "witness_n3"),

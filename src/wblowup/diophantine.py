@@ -26,13 +26,9 @@ so there is no further fallback.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .exact_lattice import Value, _lll, _short_vectors, check_int, exact, format_quotient, integer_nth_root
-
-Approx1D = namedtuple("Approx1D", "p q")
-Approx1D.__doc__ = "One-dimensional approximation p/q with 1 <= q <= Z and |q*alpha - p| < 1/Z."
 
 
 class DirichletWitness(Value):
@@ -74,7 +70,7 @@ class DirichletWitness(Value):
         }
 
 
-def dirichlet_1d(num: int, den: int, Z: int) -> Approx1D:
+def dirichlet_1d(num: int, den: int, Z: int) -> tuple[int, int]:
     """Integers (p, q) with 1 <= q <= Z and |q*alpha - p| < 1/Z, alpha = num/den.
 
     Walks the convergents p_k/q_k of alpha by the extended Euclidean
@@ -95,7 +91,7 @@ def dirichlet_1d(num: int, den: int, Z: int) -> Approx1D:
             break
         p0, q0, p, q = p, q, c * p + p0, c * q + q0
         num, den = den, r
-    return Approx1D(p, q)
+    return p, q
 
 
 def _nearest(t: int, D: int) -> int:

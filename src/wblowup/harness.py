@@ -96,7 +96,8 @@ class SweepSpec(Value):
     construction (rows read certificate or no-witness, useful for
     success-rate studies); "enumeration" skips the construction entirely.
     Every field is checked here, so a spec unpickled in a pool worker is
-    checked again, and loads witness there.
+    checked again, and loads witness there. eps and theta are kept as the
+    Fractions (theta may be None) that the check returns.
     """
 
     __slots__ = ("n", "eps", "a1_min", "a1_max", "tail_caps", "theta", "workers", "enumeration_cap",
@@ -105,6 +106,9 @@ class SweepSpec(Value):
     def __init__(self, n: int, eps: Fraction, a1_min: int, a1_max: int, tail_caps: tuple[int, ...],
                  theta: Fraction | None, workers: int, enumeration_cap: int, include_timing: bool,
                  method: str = "auto"):
+        check_int(n, "sweep dimension", 2)
+        _load("witness")
+        eps, theta = witness._certify_request(n, eps, theta, method, enumeration_cap)
         put = object.__setattr__
         put(self, "n", n)
         put(self, "eps", eps)
@@ -116,9 +120,6 @@ class SweepSpec(Value):
         put(self, "enumeration_cap", enumeration_cap)
         put(self, "include_timing", include_timing)
         put(self, "method", method)
-        check_int(n, "sweep dimension", 2)
-        _load("witness")
-        witness._certify_request(n, eps, theta, method, enumeration_cap)
         check_int(a1_max, "a1_max", check_int(a1_min, "a1_min"))
         if len(tail_caps) != n - 1:
             raise ValueError(f"need {n - 1} tail caps, got {len(tail_caps)}")

@@ -12,14 +12,12 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_lattice import BudgetExceeded, check_eps, check_int
+from .exact_lattice import DEFAULT_ENUMERATION_CAP, BudgetExceeded, check_eps, check_int
 from .toric_mld import WeightVector
 from .witness import CEpsPolytope, build_polytope
 
-ORACLE_BUDGET_DEFAULT = 10_000_000
 
-
-def enumerate_lattice_points(C: CEpsPolytope, mode: str = "closed", budget: int = ORACLE_BUDGET_DEFAULT):
+def enumerate_lattice_points(C: CEpsPolytope, mode: str = "closed", budget: int = DEFAULT_ENUMERATION_CAP):
     """All lattice points of the polytope, scanned from its bounding box.
 
     mode "closed" keeps boundary points, mode "open" applies strict
@@ -105,13 +103,13 @@ def _mld_bruteforce_cached(entries: tuple, budget: int) -> Fraction:
     return min(psi_bruteforce(a, v) for v in points if any(v))
 
 
-def mld_bruteforce(a: WeightVector, budget: int = ORACLE_BUDGET_DEFAULT) -> Fraction:
+def mld_bruteforce(a: WeightVector, budget: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
     """Exhaustive minimum of psi over nonzero lattice points of {psi <= 1}."""
     # checked before the cache sees it: True and 2.0 hash as 1 and 2 do
     return _mld_bruteforce_cached(a.entries, check_int(budget, "budget"))
 
 
-def verify_interior_psi_equivalence(a: WeightVector, eps, budget: int = ORACLE_BUDGET_DEFAULT) -> bool:
+def verify_interior_psi_equivalence(a: WeightVector, eps, budget: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Check the equivalence between interior lattice points and small psi.
 
     Returns True when [C(a, eps) has an interior lattice point] agrees with

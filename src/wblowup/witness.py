@@ -6,9 +6,10 @@ hyperplanes, each spanned by all eps-scaled ray generators but one basis
 vector. A lattice point interior to C(a, eps) has psi strictly below eps
 and therefore certifies that the blowup is not eps-lc.
 
-The polytope is held in one integer form. With eps = en/ed, T = sum(a)
-and K = (T - 1) * ed, the tilted facet omitting axis i, scaled by
-a_i * ed > 0, is the row
+The polytope is held as the data that defines it, a and eps, and its
+facets are formed as integer rows in one place, _rows_positive. With
+eps = en/ed, T = sum(a) and K = (T - 1) * ed, the tilted facet omitting
+axis i, scaled by a_i * ed > 0, is the row
 
     x_i * K + a_i * (en - ed * sum(x)) >= 0,
 
@@ -71,23 +72,17 @@ VERDICT_NO_WITNESS = "no-witness"
 
 
 class CEpsPolytope(Value):
-    """C(a, eps) in integer facet form: eps = en/ed and K = (T - 1) * ed.
+    """C(a, eps) = conv{0, eps*e_1, ..., eps*e_n, eps*a}, held as a and eps.
 
-    The tilted facet omitting axis i is the row
-    x_i * K + a_i * (en - ed * sum(x)) >= 0, i.e. a_i * ed times
-    ((sum_{j != i} a_j - 1) / a_i) * x_i - sum_{j != i} x_j + eps, which
-    vanishes on its n defining vertices and equals eps at the origin.
+    Its integer facet rows are formed in one place, _rows_positive.
     """
 
-    __slots__ = ("a", "eps", "en", "ed", "K")
+    __slots__ = ("a", "eps")
 
-    def __init__(self, a: WeightVector, eps: Fraction, en: int, ed: int, K: int):
+    def __init__(self, a: WeightVector, eps: Fraction):
         put = object.__setattr__
         put(self, "a", a)
         put(self, "eps", eps)
-        put(self, "en", en)
-        put(self, "ed", ed)
-        put(self, "K", K)
 
     @property
     def n(self) -> int:
@@ -172,18 +167,20 @@ def _certify_request(n: int, eps, theta, method: str, enumeration_cap: int):
 
 
 def build_polytope(a: WeightVector, eps) -> CEpsPolytope:
-    """Construct C(a, eps) in integer facet form."""
-    eps = check_eps(eps)
-    ed = eps.denominator
-    return CEpsPolytope(a, eps, eps.numerator, ed, (a.total - 1) * ed)
+    """Construct C(a, eps), checking eps."""
+    return CEpsPolytope(a, check_eps(eps))
 
 
-def _rows_positive(ent, K: int, en: int, ed: int, v) -> bool:
-    # every coordinate and every facet row x_i*K + a_i*(en - ed*sum(x)) of
-    # C(a, en/ed), K = (sum(a) - 1) * ed, strictly positive
+def _rows_positive(ent, en: int, ed: int, v) -> bool:
+    # every coordinate and every facet row of C(ent, en/ed) strictly
+    # positive. With K = (sum(ent) - 1) * ed, the tilted facet omitting axis
+    # i is the row x_i * K + a_i * (en - ed * sum(x)) >= 0, i.e. a_i * ed
+    # times ((sum_{j != i} a_j - 1) / a_i) * x_i - sum_{j != i} x_j + eps,
+    # which vanishes on its n defining vertices and equals eps at the origin
     for x in v:
         if x <= 0:
             return False
+    K = (sum(ent) - 1) * ed
     u = en - ed * sum(v)
     for x, ai in zip(v, ent):
         if x * K + ai * u <= 0:
@@ -196,7 +193,8 @@ def contains_interior(C: CEpsPolytope, v) -> bool:
     # on lattice points membership is psi(v) < en/ed, as psi is the maximum
     # of the linear forms of the maximal cones
     require_same_dimension(C.n, v)
-    return _rows_positive(C.a.entries, C.K, C.en, C.ed, v)
+    eps = C.eps
+    return _rows_positive(C.a.entries, eps.numerator, eps.denominator, v)
 
 
 def certificate_threshold(n: int, eps):
@@ -215,10 +213,10 @@ def certificate_threshold(n: int, eps):
 def _verified(cert: Certificate) -> Certificate:
     # soundness guard: a certificate is never returned unchecked; psi < eps
     # and the strict rows, in integers
-    en, ed = cert.eps.numerator, cert.eps.denominator
+    eps = cert.eps
+    en, ed = eps.numerator, eps.denominator
     num, den = cert.psi
-    ent = cert.weights.entries
-    if num * ed >= en * den or not _rows_positive(ent, (sum(ent) - 1) * ed, en, ed, cert.point):
+    if num * ed >= en * den or not _rows_positive(cert.weights.entries, en, ed, cert.point):
         raise AssertionError(f"unsound certificate: {cert}")
     return cert
 

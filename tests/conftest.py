@@ -70,12 +70,14 @@ class FacetHyperplane:
 def facets(C) -> tuple[FacetHyperplane, ...]:
     """The tilted facets of C(a, eps), derived from its integer rows."""
     n = C.n
+    en, ed = C.eps.numerator, C.eps.denominator
+    K = (C.a.total - 1) * ed
     out = []
     for i, ai in enumerate(C.a.entries):
-        scale = ai * C.ed
+        scale = ai * ed
         coeffs = [Fraction(-1)] * n
-        coeffs[i] = Fraction(C.K - scale, scale)
-        out.append(FacetHyperplane(i + 1, tuple(coeffs), Fraction(ai * C.en, scale)))
+        coeffs[i] = Fraction(K - scale, scale)
+        out.append(FacetHyperplane(i + 1, tuple(coeffs), Fraction(ai * en, scale)))
     return tuple(out)
 
 

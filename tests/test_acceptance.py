@@ -152,9 +152,9 @@ def test_criterion_6_dirichlet_contracts():
     for _ in range(1000):
         alpha = Fraction(rng.randint(0, 10**6), rng.randint(1, 10**6))
         Z = rng.randint(1, 1000)
-        w = dirichlet_1d(alpha.numerator, alpha.denominator, Z)
-        assert 1 <= w.q <= Z
-        assert abs(w.q * alpha - w.p) * Z < 1
+        p, q = dirichlet_1d(alpha.numerator, alpha.denominator, Z)
+        assert 1 <= q <= Z
+        assert abs(q * alpha - p) * Z < 1
     satisfied = 0
     for _ in range(1000):
         d = rng.randint(1, 4)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wblowup import harness, oracle
+from wblowup.exact_lattice import DEFAULT_ENUMERATION_CAP
 from wblowup.harness import (
     SweepSpec,
     _json_text,
@@ -822,7 +823,7 @@ def test_selftest_scans_each_box_once(capsys, monkeypatch):
     scans = []
     scan = oracle.enumerate_lattice_points
 
-    def counted(C, mode="closed", budget=oracle.ORACLE_BUDGET_DEFAULT):
+    def counted(C, mode="closed", budget=DEFAULT_ENUMERATION_CAP):
         if mode == "open":
             scans.append((C.a.entries, C.eps))
         return scan(C, mode, budget)

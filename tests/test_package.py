@@ -25,14 +25,12 @@ def test_library_has_no_assert_statements():
 # a deliberate change to this list. Submodules are reached as attributes too,
 # but are not names the package exports.
 PUBLIC_NAMES = {
-    "Approx1D",
     "BudgetExceeded",
     "CEpsPolytope",
     "Certificate",
     "DEFAULT_ENUMERATION_CAP",
     "DirichletWitness",
     "MldReport",
-    "ORACLE_BUDGET_DEFAULT",
     "WeightVector",
     "build_polytope",
     "certificate_threshold",
@@ -60,7 +58,7 @@ PUBLIC_NAMES = {
 
 
 # the public names that are no class or function, so have no __module__, by defining module
-CONSTANT_HOMES = {"DEFAULT_ENUMERATION_CAP": "wblowup.exact_lattice", "ORACLE_BUDGET_DEFAULT": "wblowup.oracle"}
+CONSTANT_HOMES = {"DEFAULT_ENUMERATION_CAP": "wblowup.exact_lattice"}
 
 
 def test_public_api_is_pinned():
@@ -87,6 +85,8 @@ def test_public_api_is_pinned():
 def test_polytope_has_only_the_integer_facet_form():
     C = wblowup.build_polytope(wblowup.WeightVector((2, 3, 5)), 1)
     assert not hasattr(C, "facets") and not hasattr(C, "vertices")
+    # held as the data that defines it; _rows_positive forms the rows
+    assert wblowup.CEpsPolytope.__slots__ == ("a", "eps")
 
 
 def _one_of_each():
@@ -145,6 +145,10 @@ def test_value_classes_check_their_fields_when_built_and_unpickled():
                   enumeration_cap=10, include_timing=False)
     with pytest.raises(ValueError, match="method"):
         SweepSpec(2, Fraction(1), 1, 3, (2,), None, 1, 10, False, "fastest")
+    # eps and theta are kept as the Fractions the check makes of them
+    half = SweepSpec(2, "1/2", 26, 27, (3,), None, 1, 10**7, False)
+    assert half == SweepSpec(2, Fraction(1, 2), 26, 27, (3,), None, 1, 10**7, False)
+    assert run_sweep(half, io.StringIO()).eps == Fraction(1, 2)
     # a pickle is a constructor call, so a spec with a bad field is refused on load
     bad = pickle.dumps(spec).replace(b"auto", b"nope")
     with pytest.raises(ValueError, match="method"):
@@ -158,3 +162,16 @@ def test_an_unsound_certificate_is_refused_with_its_fields():
     assert str(info.value) == (
         "unsound certificate: Certificate(weights=WeightVector(entries=(2, 3)), eps=Fraction(1, 2), "
         "point=(1, 1), psi=(2, 3), method='n2-case1', theta=None, dirichlet=None, hypothesis_ok=None)")
+    # a stored psi of 1/3 passes the psi check, but the true psi is 10/3 and
+    # row 2 reads 5*8 + 3*(1 - 2*10) = -17, so the rows refuse it
+    rows_only = wblowup.Certificate(wblowup.WeightVector((2, 3)), Fraction(1, 2), (5, 5), (1, 3), "n2-case1")
+    with pytest.raises(AssertionError, match="unsound certificate"):
+        _verified(rows_only)
+
+
+def test_bench_recorder_and_gate_import(monkeypatch):
+    # bench/record.py imports engine and oracle functions by name and runs
+    # only as a script, so importing it shows those names still resolve
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    for name in ("record", "gate"):
+        importlib.import_module(name)
