@@ -2,15 +2,16 @@
 
 One-dimensional approximations are convergents, walked by the extended
 Euclidean recurrence on the integer numerator and denominator.
-The simultaneous version returns what a scan over q = 1..Z would: the
-least q whose nearest-integer numerators meet the d-th power bound. No
-real root is extracted: with D the common denominator of the targets the
-bound is the integer radius R = integer_nth_root(D**d // Z, d). The q
-whose first target lies within R of an integer are the returns of the
-rotation x -> x + c_1 mod D to a window of 2R + 1 residues. By the
-three-gap theorem (Slater, Proc. Cambridge Philos. Soc. 63, 1967) each
-return follows the last by one of three steps, which one Euclid-style
-first-hit search per step finds. So the search walks these returns alone,
+The simultaneous version takes its targets as integers over one
+denominator and returns what a scan over q = 1..Z would: the least q whose
+nearest-integer numerators meet the d-th power bound. No real root is
+extracted: with D the common denominator of the targets the bound is
+the integer radius R = integer_nth_root(D**d // Z, d). The q whose first
+target lies within R of an integer are the returns of the rotation
+x -> x + c_1 mod D to a window of 2R + 1 residues. By the three-gap
+theorem (Slater, Proc. Cambridge Philos. Soc. 63, 1967) each return
+follows the last by one of three steps, which one Euclid-style first-hit
+search per step finds. So the search walks these returns alone,
 carrying the second target's remainder along by one addition per return,
 and stops at the first that meets every target. After _RETURNS = 1,200
 returns, at about 0.15 us each, the least q is read off the few short
@@ -26,46 +27,46 @@ so there is no further fallback.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .exact_lattice import Value, _lll, _short_vectors, check_int, exact, format_quotient, integer_nth_root
+from .exact_lattice import Value, _lll, _short_vectors, check_int, format_quotient, integer_nth_root
 
 
 class DirichletWitness(Value):
-    """Simultaneous approximation p_j/q to alphas, searched over q <= Z.
+    """Simultaneous approximation p_j/q to the targets c_j/D, searched over q <= Z.
 
-    q is the least denominator meeting max_j |q*alpha_j - p_j| ** d <= 1/Z,
-    which is the bound |alpha_j - p_j/q| <= 1 / (q * Z**(1/d)). Its JSON
-    form holds exact values only: ints, and the residuals p_j/q - alpha_j as
-    "p/q" strings, each formatted from an integer pair reduced once;
+    The targets are held as integers over one denominator, reduced so that
+    gcd(D, c_1, ..., c_d) = 1: D is then the common denominator of the
+    targets in lowest terms, and equal targets give equal witnesses.
+    q is the least denominator meeting max_j |q*c_j/D - p_j| ** d <= 1/Z,
+    which is the bound |c_j/D - p_j/q| <= 1 / (q * Z**(1/d)). Its JSON form
+    holds exact values only: ints, and the residuals p_j/q - c_j/D as "p/q"
+    strings, each formatted from an integer pair reduced once;
     parse_rational gives a residual back as a Fraction.
     """
 
-    __slots__ = ("q", "p", "Z", "alphas")
-    # Always true: the box {|x_0| <= Z, |x_0*alpha_j - x_j| <= Z**(-1/d)} has
+    __slots__ = ("q", "p", "Z", "numerators", "denominator")
+    # Always true: the box {|x_0| <= Z, |x_0*c_j/D - x_j| <= Z**(-1/d)} has
     # volume 2**(d+1), so by Minkowski's convex body theorem it holds a
     # nonzero lattice point, and for Z >= 2 its x_0 is nonzero (q = 1 meets
     # the bound at Z = 1). Kept so the JSON form keeps its "satisfied" key.
     satisfied = True
 
-    def __init__(self, q: int, p: tuple[int, ...], Z: int, alphas: tuple[Fraction, ...]):
+    def __init__(self, q: int, p: tuple[int, ...], Z: int, numerators: tuple[int, ...], denominator: int):
         put = object.__setattr__
         put(self, "q", q)
         put(self, "p", p)
         put(self, "Z", Z)
-        put(self, "alphas", alphas)
+        put(self, "numerators", numerators)
+        put(self, "denominator", denominator)
 
     def to_json_dict(self) -> dict:
-        q = self.q
+        q, D = self.q, self.denominator
         return {
             "q": q,
             "p": list(self.p),
             "Z": self.Z,
-            # p_j/q - n_j/d_j = (p_j*d_j - q*n_j) / (q*d_j)
-            "residuals": [
-                format_quotient(pj * a.denominator - q * a.numerator, q * a.denominator)
-                for pj, a in zip(self.p, self.alphas)
-            ],
+            # p_j/q - c_j/D = (p_j*D - q*c_j) / (q*D)
+            "residuals": [format_quotient(pj * D - q * c, q * D) for pj, c in zip(self.p, self.numerators)],
             "satisfied": self.satisfied,
         }
 
@@ -223,12 +224,15 @@ def _least_q_in_box(cs, D: int, R: int, Z: int) -> int:
     )
 
 
-def dirichlet_simultaneous(alphas, Z: int) -> DirichletWitness:
+def dirichlet_simultaneous(numerators, denominator: int, Z: int) -> DirichletWitness:
     """The least q in 1..Z whose nearest-integer numerators meet the d-th power bound.
 
-    Ties in the nearest integer (q*alpha_j exactly half-integral) round to
-    even. With D the common denominator of the alphas and c_j = alpha_j*D,
-    the bound max_j |q*alpha_j - p_j|**d * Z <= 1 reads, in integers,
+    The targets are alpha_j = numerators[j] / denominator, given as ints:
+    no Fraction is built. Ties in the nearest integer (q*alpha_j exactly
+    half-integral) round to even. The targets are first reduced by g =
+    gcd(denominator, *numerators), so that D = denominator / g is their
+    common denominator in lowest terms and c_j = numerators[j] / g. The
+    bound max_j |q*alpha_j - p_j|**d * Z <= 1 then reads, in integers,
     max_j |q*c_j - p_j*D| <= R = integer_nth_root(D**d // Z, d).
 
     The answer is found without visiting every q:
@@ -247,15 +251,18 @@ def dirichlet_simultaneous(alphas, Z: int) -> DirichletWitness:
     Some q <= Z always meets the bound (Minkowski's convex body theorem, see
     DirichletWitness.satisfied), so the search never comes back empty.
     """
-    alphas = tuple(exact(x, "target") for x in alphas)
-    if not alphas:
+    cs = tuple(numerators)
+    if not cs:
         raise ValueError("need at least one target value")
-    if any(x < 0 for x in alphas):
-        raise ValueError("targets must be nonnegative")
+    for c in cs:
+        check_int(c, "target numerator", 0)
+    D = check_int(denominator, "target denominator")
     check_int(Z, "Z")
-    d = len(alphas)
-    D = math.lcm(*(a.denominator for a in alphas))
-    cs = [a.numerator * (D // a.denominator) for a in alphas]
+    g = math.gcd(D, *cs)
+    if g > 1:
+        D //= g
+        cs = tuple(c // g for c in cs)
+    d = len(cs)
     R = integer_nth_root(D**d // Z, d)
     if 2 * R >= D:
         q = 1
@@ -263,4 +270,4 @@ def dirichlet_simultaneous(alphas, Z: int) -> DirichletWitness:
         q = D
     else:
         q = _walked(cs, D, R) or _least_q_in_box(cs, D, R, Z)
-    return DirichletWitness(q, tuple(_nearest(q * c, D) for c in cs), Z, alphas)
+    return DirichletWitness(q, tuple(_nearest(q * c, D) for c in cs), Z, cs, D)

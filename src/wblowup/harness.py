@@ -158,62 +158,86 @@ class FrontierReport(Value):
 
 def iter_weight_tuples(spec: SweepSpec):
     """Sorted coprime tuples, lexicographic: a1 in range, a_k up to a1 + cap."""
+    n, caps, gcd = spec.n, spec.tail_caps, math.gcd
 
-    def rec(prefix):
+    def prefixes(prefix, g):
+        # the sorted prefixes of n - 1 entries extending prefix, each with its gcd
         k = len(prefix)
-        if k == spec.n:
-            if math.gcd(*prefix) == 1:
-                yield prefix
+        if k == n - 1:
+            yield prefix, g
             return
-        lo = prefix[-1]
-        hi = prefix[0] + spec.tail_caps[k - 1]
-        for v in range(lo, hi + 1):
-            yield from rec(prefix + (v,))
+        for v in range(prefix[-1], prefix[0] + caps[k - 1] + 1):
+            yield from prefixes(prefix + (v,), gcd(g, v))
 
     for a1 in range(spec.a1_min, spec.a1_max + 1):
-        yield from rec((a1,))
+        top = a1 + caps[-1] + 1
+        for prefix, g in prefixes((a1,), a1):
+            for v in range(prefix[-1], top):
+                if gcd(g, v) == 1:
+                    yield prefix + (v,)
 
 
-def _sweep_task(spec: SweepSpec, eps_text: str, entries) -> list[str]:
-    # eps_text is spec.eps, formatted once per sweep; building spec loaded witness
-    started = time.perf_counter_ns()
-    result = witness.certify_not_eps_lc(WeightVector(entries), spec.eps, spec.theta, spec.enumeration_cap,
-                                        spec.method)
-    micros = (time.perf_counter_ns() - started) // 1000
-    if isinstance(result, witness.Certificate):
-        verdict = "certificate"
-        method = result.method
-        point = ";".join(map(str, result.point))
-        psi = format_ratio(*result.psi)
-        hyp = result.hypothesis_ok
-        flags = "" if hyp is None else ("theta-ok" if hyp else "theta-violated")
-    else:
-        verdict = result
-        method = point = psi = flags = ""
-    return [
-        str(len(entries)),
-        ";".join(map(str, entries)),
-        eps_text,
-        verdict,
-        method,
-        point,
-        psi,
-        flags,
-        str(micros) if spec.include_timing else "",
-    ]
+def _sweep_task(spec: SweepSpec, eps_text: str, chunk) -> list:
+    """Certify each tuple of chunk in order: [its CSV rows as text, (a1, certified, total) per a1].
+
+    eps_text is spec.eps, formatted once per sweep. The task binds csv and
+    witness itself, so a worker started by spawn or forkserver, which
+    inherits no module state, runs it too. A row whose certify raises is
+    reported as a RuntimeError naming its tuple.
+    """
+    _load("csv", "witness")
+    text = io.StringIO()
+    writerow = csv.writer(text, lineterminator="\n").writerow
+    certify, certificate = witness.certify_not_eps_lc, witness.Certificate
+    eps, theta, cap, method, timing = spec.eps, spec.theta, spec.enumeration_cap, spec.method, spec.include_timing
+    micros = ""
+    counts = []
+    a1, certified, total = chunk[0][0], 0, 0
+    for entries in chunk:
+        if entries[0] != a1:
+            counts.append((a1, certified, total))
+            a1, certified, total = entries[0], 0, 0
+        if timing:
+            started = time.perf_counter_ns()
+        try:
+            result = certify(WeightVector(entries), eps, theta, cap, method)
+        except Exception as exc:
+            raise RuntimeError(f"sweep row {entries}: {exc!r}") from exc
+        if timing:
+            micros = str((time.perf_counter_ns() - started) // 1000)
+        total += 1
+        if isinstance(result, certificate):
+            certified += 1
+            hyp = result.hypothesis_ok
+            cells = ("certificate", result.method, ";".join(map(str, result.point)), format_ratio(*result.psi),
+                     "" if hyp is None else ("theta-ok" if hyp else "theta-violated"))
+        else:
+            cells = (result, "", "", "", "")
+        writerow((len(entries), ";".join(map(str, entries)), eps_text, *cells, micros))
+    counts.append((a1, certified, total))
+    return [text.getvalue(), counts]
 
 
-# Tuples per pool task. On sweep-n3 (blocks of about 1,050 tuples, 2 workers
-# on the kept pool; Intel Xeon, 2 vCPUs) bench ops/s, median of 3 to 7 runs,
-# read 21,600 at 16, 25,300 at 32, 27,100 at 64, 29,600 at 128, 32,500 at 256
-# and 30,500 at 512, where a block's two or three tasks leave a worker idle.
-_CHUNK = 256
+# Tuples per task. On sweep-n3 (blocks of about 1,050 tuples, 2 workers on
+# the kept pool; Intel Xeon, 2 vCPUs, Python 3.11) bench ops/s over 10 s
+# runs read a median of 62,900 at 128 (3 runs), 66,500 at 256 and 69,900 at
+# 512 (6 runs each; 512 beat 256 in 5 of 6 alternating pairs): a task's cost
+# past its rows (pickling, a pipe round trip, a wake-up of the pool's
+# threads) is paid per chunk, and a chunk's text is about 20 KB at 512.
+_CHUNK = 512
+
+
+def _chunks(tuples):
+    # lists of _CHUNK tuples, the last shorter; each drawn only when asked for
+    while chunk := list(itertools.islice(tuples, _CHUNK)):
+        yield chunk
 
 
 def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     """Run certify over every tuple of the spec, streaming CSV rows.
 
-    Tuples are drawn only as rows are written (a pool reads ahead by its
+    Tuples are drawn a chunk of _CHUNK at a time, and each chunk's rows are
+    written as one piece of text once certified (a pool reads ahead by its
     chunks), so memory does not grow with the sweep. Rows come in
     lexicographic order of weights, identical at any worker count.
 
@@ -223,23 +247,19 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     sweep therefore gets no faster; a process that runs many sweeps pays
     the pool's start-up once.
     """
-    _load("csv")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    stream.write(",".join(CSV_COLUMNS) + "\n")
     # looked up here, not at import: bench/tracing.py swaps in a wrapper
     task = functools.partial(_sweep_task, spec, format_rational(spec.eps))
-    tuples = iter_weight_tuples(spec)
+    chunks = _chunks(iter_weight_tuples(spec))
     per_a1 = []
     with Pool(spec.workers) if spec.workers > 1 else contextlib.nullcontext() as pool:
-        rows = pool.imap(task, tuples, _CHUNK) if pool else map(task, tuples)
-        # rows come in lexicographic order, so each a1's rows are consecutive
-        for a1, group in itertools.groupby(rows, key=lambda row: row[1].partition(";")[0]):
-            certified = total = 0
-            for row in group:
-                writer.writerow(row)
-                total += 1
-                certified += row[3] == "certificate"
-            per_a1.append((int(a1), certified, total))
+        for text, counts in pool.imap(task, chunks) if pool else map(task, chunks):
+            stream.write(text)
+            # chunks come in lexicographic order, so an a1 may straddle two
+            if per_a1 and per_a1[-1][0] == counts[0][0]:
+                a1, certified, total = per_a1.pop()
+                counts[0] = (a1, certified + counts[0][1], total + counts[0][2])
+            per_a1 += counts
     empirical = None
     for a1, certified, total in reversed(per_a1):
         if certified != total:

@@ -221,14 +221,18 @@ def _verified(cert: Certificate) -> Certificate:
     return cert
 
 
-def _judged(a: WeightVector, eps: Fraction, point, method: str, theta=None, dirichlet=None) -> Certificate | None:
+def _judged(a: WeightVector, eps: Fraction, point, method: str, theta=None, dirichlet=None,
+            hyp: bool | None = None) -> Certificate | None:
     # the last step of every route: a lattice point certifies exactly when
-    # psi(point) < eps, one cross-multiplication
+    # psi(point) < eps, one cross-multiplication. A general-theta point
+    # records the theta hypothesis: hyp when its caller has evaluated it,
+    # else evaluated here, and only for a point that certifies
     num, den = _psi(a.entries, a.total - 1, point)
     if num * eps.denominator >= eps.numerator * den:
         return None
     g = gcd(num, den)
-    hyp = None if theta is None else _theta_hypothesis(a, theta)
+    if theta is not None and hyp is None:
+        hyp = _theta_hypothesis(a, theta)
     return _verified(Certificate(a, eps, point, (num // g, den // g), method, theta, dirichlet, hyp))
 
 
@@ -285,7 +289,8 @@ def _theta_trace(cert: Certificate) -> dict:
             "exit_facet": _cone(ent, pt) + 1, "x1_0": _exit_abscissa(cert), "k": 1}
 
 
-def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | None:
+def witness_general_theta(a: WeightVector, eps, theta=None, *,
+                          _hypothesis_ok: bool | None = None) -> Certificate | None:
     """Simultaneous-Dirichlet point construction for any dimension.
 
     The one candidate is w = (q, p_1, ..., p_{n-1}), approximating each
@@ -295,15 +300,18 @@ def witness_general_theta(a: WeightVector, eps, theta=None) -> Certificate | Non
     at w divided by q; the largest is psi(w)/q, and its first index, the
     cone holding w, is the exit facet of the line through w, which leaves
     C(a, eps) at x1_0 = eps*q/psi(w). The hypothesis a_j/a_2 <= a_1**theta
-    is recorded in the trace but not required.
+    is recorded in the trace but not required; witness_n3, which has
+    already evaluated it to choose its branch, passes it as _hypothesis_ok.
+    The targets a_j/a_1 go to the search as integers over a_1, which is
+    their common denominator in lowest terms since gcd(a) = 1.
     """
     eps = check_eps(eps)
     n = a.n
     theta = _check_theta(theta, n)
     ent = a.entries
     Z = integer_nth_root(ent[0], n)
-    w = dirichlet_simultaneous(tuple(Fraction(ent[j], ent[0]) for j in range(1, n)), Z)
-    return _judged(a, eps, (w.q,) + w.p, METHOD_GENERAL_THETA, theta, w)
+    w = dirichlet_simultaneous(ent[1:], ent[0], Z)
+    return _judged(a, eps, (w.q,) + w.p, METHOD_GENERAL_THETA, theta, w, _hypothesis_ok)
 
 
 def _projection_trace(cert: Certificate) -> dict:
@@ -337,7 +345,7 @@ def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
         raise ValueError("witness_n3 requires exactly three weights")
     theta = _check_theta(theta, a.n)
     if _theta_hypothesis(a, theta):
-        return witness_general_theta(a, eps, theta)
+        return witness_general_theta(a, eps, theta, _hypothesis_ok=True)
     a1, a2, a3 = a.entries
     p, q = dirichlet_1d(a2, a1, isqrt(a1))
     # m, the least integer above x3_lo = (q + p - eps) * a3 / (a1 + a2 - 1)

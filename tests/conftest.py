@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from wblowup import WeightVector
+from wblowup.diophantine import dirichlet_simultaneous
 from wblowup.exact_lattice import require_same_dimension
 
 
@@ -45,6 +46,18 @@ def random_fraction(rng: random.Random, max_num: int, max_den: int, nonneg: bool
     num = rng.randint(0 if nonneg else -max_num, max_num)
     den = rng.randint(1, max_den)
     return Fraction(num, den)
+
+
+def over_one_denominator(alphas) -> tuple[tuple[int, ...], int]:
+    """Rational targets as dirichlet_simultaneous takes them: numerators over their least common denominator."""
+    alphas = [Fraction(x) for x in alphas]
+    D = math.lcm(*(x.denominator for x in alphas))
+    return tuple(x.numerator * (D // x.denominator) for x in alphas), D
+
+
+def dirichlet_at(alphas, Z):
+    """dirichlet_simultaneous on rational targets, passed over one denominator."""
+    return dirichlet_simultaneous(*over_one_denominator(alphas), Z)
 
 
 @dataclass(frozen=True)

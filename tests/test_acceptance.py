@@ -10,8 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import barycentric, coprime_sorted_tuples, facets, interior_by_subsimplex, vertices
-from wblowup.diophantine import dirichlet_1d, dirichlet_simultaneous
+from conftest import barycentric, coprime_sorted_tuples, dirichlet_at, facets, interior_by_subsimplex, vertices
+from wblowup.diophantine import dirichlet_1d
 from wblowup.exact_lattice import integer_nth_root, parse_rational, pow_cmp
 from wblowup.oracle import mld_bruteforce, verify_interior_psi_equivalence
 from wblowup.toric_mld import (
@@ -162,7 +162,7 @@ def test_criterion_6_dirichlet_contracts():
         alphas = tuple(
             Fraction(rng.randint(0, 10**6), rng.randint(1, 10**6)) for _ in range(d)
         )
-        w = dirichlet_simultaneous(alphas, Z)
+        w = dirichlet_at(alphas, Z)
         assert 1 <= w.q <= Z
         satisfied += w.satisfied
         worst = max(abs(w.q * aj - pj) for aj, pj in zip(alphas, w.p))

@@ -19,6 +19,8 @@ from wblowup.diophantine import (
 )
 from wblowup.exact_lattice import integer_nth_root, parse_rational, pow_cmp
 
+from conftest import dirichlet_at, over_one_denominator
+
 nonneg_rationals = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
 
 
@@ -70,25 +72,45 @@ def test_dirichlet_1d_rejects_bad_input():
 
 
 @pytest.mark.parametrize(
-    "alphas,Z,message",
+    "numerators,denominator,Z,message",
     [
-        ((), 10, "at least one target"),
-        ((Fraction(1, 2), Fraction(-1, 3)), 10, "nonnegative"),
-        ((Fraction(1, 2),), 0, "Z must be an integer >= 1"),
-        ((Fraction(1, 2),), 2.0, "Z must be an integer >= 1"),
-        ((0.1, 0.3), 10, "float"),
-        ((Fraction(1, 10), 0.3), 10, "float"),
+        ((), 1, 10, "at least one target"),
+        ((1, -2), 6, 10, "target numerator must be an integer >= 0"),
+        ((1,), 0, 10, "target denominator must be an integer >= 1"),
+        ((1,), 2, 0, "Z must be an integer >= 1"),
+        ((1,), 2, 2.0, "Z must be an integer >= 1"),
+        ((0.1, 0.3), 1, 10, "target numerator"),
+        ((1, 0.3), 10, 10, "target numerator"),
+        ((Fraction(1, 10), 3), 10, 10, "target numerator"),
+        ((1, 3), 10.0, 10, "target denominator"),
+        ((True,), 2, 10, "target numerator"),
     ],
-    ids=["empty", "negative", "Z-zero", "Z-float", "floats", "one-float"],
+    ids=["empty", "negative", "denominator-zero", "Z-zero", "Z-float", "floats", "one-float", "fraction",
+         "float-denominator", "bool"],
 )
-def test_dirichlet_simultaneous_rejects_bad_input(alphas, Z, message):
+def test_dirichlet_simultaneous_rejects_bad_input(numerators, denominator, Z, message):
     with pytest.raises(ValueError, match=message):
-        dirichlet_simultaneous(alphas, Z)
-    # the exact forms of the same targets are read exactly
-    if message == "float":
-        exact = dirichlet_simultaneous((Fraction(1, 10), Fraction(3, 10)), Z)
-        assert dirichlet_simultaneous(("1/10", "3/10"), Z) == exact
-        assert exact.alphas == (Fraction(1, 10), Fraction(3, 10))
+        dirichlet_simultaneous(numerators, denominator, Z)
+
+
+def test_dirichlet_simultaneous_reduces_its_targets():
+    # targets over any common denominator give the witness of their lowest
+    # terms, which keeps the reduced numerators and denominator
+    exact = dirichlet_simultaneous((1, 3), 10, 10)
+    assert (exact.numerators, exact.denominator) == ((1, 3), 10)
+    assert dirichlet_simultaneous([2, 6], 20, 10) == exact
+    assert dirichlet_at((Fraction(1, 10), Fraction(3, 10)), 10) == exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 10**4), st.integers(1, 10**4),
+       st.integers(2, 60))
+def test_dirichlet_simultaneous_answers_alike_over_any_common_denominator(c1, c2, D, Z, k):
+    # without the reduction, D**d // Z, and so R, could differ from the
+    # lowest-terms search
+    w = dirichlet_simultaneous((c1, c2), D, Z)
+    assert dirichlet_simultaneous((k * c1, k * c2), k * D, Z) == w
+    assert w == reference_scan((Fraction(c1, D), Fraction(c2, D)), Z)
 
 
 @given(nonneg_rationals, st.integers(min_value=1, max_value=1000))
@@ -124,7 +146,7 @@ def test_dirichlet_1d_is_a_best_approximation():
 
 
 def test_dirichlet_simultaneous_integer_targets():
-    w = dirichlet_simultaneous((Fraction(3), Fraction(7), Fraction(0)), 9)
+    w = dirichlet_at((Fraction(3), Fraction(7), Fraction(0)), 9)
     assert w.q == 1
     assert w.p == (3, 7, 0)
     assert all(parse_rational(r) == 0 for r in w.to_json_dict()["residuals"])
@@ -132,14 +154,14 @@ def test_dirichlet_simultaneous_integer_targets():
 
 
 def test_dirichlet_simultaneous_matches_1d():
-    w = dirichlet_simultaneous((Fraction(27, 26),), 5)
+    w = dirichlet_at((Fraction(27, 26),), 5)
     one = dirichlet_1d(27, 26, 5)
     assert w.satisfied
     assert (w.p[0], w.q) == one
 
 
 def test_dirichlet_simultaneous_hand_example():
-    w = dirichlet_simultaneous((Fraction(3, 2), Fraction(7, 3)), 4)
+    w = dirichlet_at((Fraction(3, 2), Fraction(7, 3)), 4)
     assert w.q == 1
     assert w.p == (2, 2)  # half-integral 3/2 rounds to the even integer
     assert max(abs(w.q * a - p) for a, p in zip((Fraction(3, 2), Fraction(7, 3)), w.p)) == Fraction(1, 2)
@@ -147,7 +169,7 @@ def test_dirichlet_simultaneous_hand_example():
 
 
 def test_nearest_integer_ties_round_to_even():
-    w = dirichlet_simultaneous((Fraction(1, 2), Fraction(5, 2)), 1)
+    w = dirichlet_at((Fraction(1, 2), Fraction(5, 2)), 1)
     assert w.p == (0, 2)
 
 
@@ -157,7 +179,7 @@ def test_simultaneous_satisfied_obeys_power_bound():
         d = rng.randint(1, 4)
         Z = rng.randint(1, 500)
         alphas = tuple(Fraction(rng.randint(0, 10**5), rng.randint(1, 10**5)) for _ in range(d))
-        w = dirichlet_simultaneous(alphas, Z)
+        w = dirichlet_at(alphas, Z)
         assert 1 <= w.q <= Z
         for aj, pj, rj in zip(alphas, w.p, w.to_json_dict()["residuals"]):
             assert parse_rational(rj) == Fraction(pj, w.q) - aj
@@ -170,7 +192,7 @@ def test_nearest_choice_minimises_residual():
     rng = random.Random(13)
     for _ in range(100):
         alphas = tuple(Fraction(rng.randint(0, 999), rng.randint(1, 99)) for _ in range(2))
-        w = dirichlet_simultaneous(alphas, rng.randint(1, 20))
+        w = dirichlet_at(alphas, rng.randint(1, 20))
         for aj, pj in zip(alphas, w.p):
             err = abs(w.q * aj - pj)
             for delta in (-1, 1):
@@ -178,7 +200,7 @@ def test_nearest_choice_minimises_residual():
 
 
 def test_witness_shape_and_serialisation():
-    w = dirichlet_simultaneous((Fraction(3, 2), Fraction(7, 3)), 4)
+    w = dirichlet_at((Fraction(3, 2), Fraction(7, 3)), 4)
     assert len(w.p) == 2
     payload = w.to_json_dict()
     assert payload["q"] == 1 and payload["Z"] == 4
@@ -203,16 +225,15 @@ def reference_scan(alphas, Z):
                 break
             ps.append(p)
         else:
-            return DirichletWitness(q, tuple(ps), Z, alphas)
+            return DirichletWitness(q, tuple(ps), Z, *over_one_denominator(alphas))
     raise AssertionError(f"no q <= {Z} meets the bound for {alphas}")
 
 
 def integer_form(alphas, Z):
     # (c_j, D, R) of dirichlet_simultaneous: q meets the bound on target j
     # exactly when q*c_j mod D lies within R of 0
-    d = len(alphas)
-    D = math.lcm(*(a.denominator for a in alphas))
-    return [a.numerator * (D // a.denominator) for a in alphas], D, integer_nth_root(D**d // Z, d)
+    cs, D = over_one_denominator(alphas)
+    return list(cs), D, integer_nth_root(D ** len(cs) // Z, len(cs))
 
 
 def first_answer(cs, D, R):
@@ -294,7 +315,7 @@ def simultaneous_inputs(draw):
 @example(WALK_BOUNDARY[9][:2])
 def test_dirichlet_simultaneous_matches_reference_scan(inputs):
     alphas, Z = inputs
-    assert dirichlet_simultaneous(alphas, Z) == reference_scan(alphas, Z)
+    assert dirichlet_at(alphas, Z) == reference_scan(alphas, Z)
 
 
 @settings(max_examples=150, deadline=None)
@@ -321,7 +342,7 @@ def test_walk_gives_up_after_its_last_return(alphas, Z, q, n):
     cs, D, R = integer_form(alphas, Z)
     assert first_answer(cs, D, R) == (n, q)
     assert _walked(cs, D, R) == (q if n <= _RETURNS else None)
-    assert dirichlet_simultaneous(alphas, Z).q == q
+    assert dirichlet_at(alphas, Z).q == q
 
 
 def test_first_hit_matches_brute_force():
@@ -401,7 +422,7 @@ def test_a_thousand_digit_fibonacci_target_runs_in_a_loop():
     # the least q meeting the bound is a best approximation, so a
     # convergent denominator F_j, and F_(j-1) misses the bound
     alpha, Z = Fraction(fib[-2], fib[-1]), 10**400
-    w = dirichlet_simultaneous((alpha,), Z)
+    w = dirichlet_at((alpha,), Z)
     j = fib.index(w.q)
     assert abs(w.q * alpha - w.p[0]) * Z <= 1
     assert abs(fib[j - 1] * alpha - round(fib[j - 1] * alpha)) * Z > 1
@@ -419,4 +440,4 @@ def test_a_very_short_lattice_vector_shrinks_the_search():
     q = _least_q_in_box(cs, D, R, 10**8)
     assert time.perf_counter() - started < 1.0
     assert q == 97 == reference_scan(alphas, 10**8).q
-    assert dirichlet_simultaneous(alphas, 10**8).q == 97
+    assert dirichlet_at(alphas, 10**8).q == 97

@@ -164,7 +164,9 @@ INTEGER_ARGUMENTS = {
     "dirichlet_1d-num": (lambda v: dirichlet_1d(v, 7, 3), 0, 3),
     "dirichlet_1d-den": (lambda v: dirichlet_1d(3, v, 3), 1, 7),
     "dirichlet_1d-Z": (lambda v: dirichlet_1d(3, 7, v), 1, 3),
-    "dirichlet_simultaneous-Z": (lambda v: dirichlet_simultaneous((Fraction(1, 3),), v), 1, 3),
+    "dirichlet_simultaneous-numerator": (lambda v: dirichlet_simultaneous((v, 2), 3, 3), 0, 1),
+    "dirichlet_simultaneous-denominator": (lambda v: dirichlet_simultaneous((1,), v, 3), 1, 3),
+    "dirichlet_simultaneous-Z": (lambda v: dirichlet_simultaneous((1,), 3, v), 1, 3),
     "weight": (lambda v: WeightVector((v, 7)), 1, 2),
     "weight-after-5": (lambda v: WeightVector((5, v)), 5, 7),
     "psi-coordinate": (lambda v: psi_value(WeightVector((2, 3)), (v, 1)), 0, 1),

@@ -1,6 +1,8 @@
 import csv
 import io
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from wblowup import harness, oracle
+from wblowup import harness, oracle, witness
 from wblowup.exact_lattice import DEFAULT_ENUMERATION_CAP
 from wblowup.harness import (
     SweepSpec,
@@ -232,7 +234,8 @@ def replaced(spec, **changes):
 
 
 def test_sweep_draws_tuples_only_as_rows_are_written(monkeypatch):
-    # with one worker, the k-th data row is written after at most k tuples are drawn
+    # with one worker, rows are written a chunk at a time, and at every write
+    # no more tuples are drawn than the data rows written through it
     drawn = []
     real = harness.iter_weight_tuples
 
@@ -241,13 +244,20 @@ def test_sweep_draws_tuples_only_as_rows_are_written(monkeypatch):
             drawn.append(entries)
             yield entries
 
-    drawn_at_write = []
-    stream = types.SimpleNamespace(write=lambda text: drawn_at_write.append(len(drawn)))
+    writes = []  # (tuples drawn, data rows written through this write)
+    written = -1  # the header is no data row
+
+    def write(text):
+        nonlocal written
+        written += text.count("\n")
+        writes.append((len(drawn), written))
+
     monkeypatch.setattr(harness, "iter_weight_tuples", counting)
-    run_sweep(make_spec(a1_min=2, a1_max=6, tail_caps=(6,)), stream)
-    data_rows = drawn_at_write[1:]
-    assert len(data_rows) == len(drawn) > 10
-    assert all(count <= k for k, count in enumerate(data_rows, start=1))
+    run_sweep(make_spec(a1_min=2, a1_max=12, tail_caps=(harness._CHUNK,)), types.SimpleNamespace(write=write))
+    data_writes = writes[1:]
+    assert len(drawn) > 2 * harness._CHUNK and len(data_writes) >= 3
+    assert written == len(drawn)
+    assert all(count <= rows for count, rows in data_writes)
 
 
 def test_iter_weight_tuples_sorted_coprime():
@@ -255,11 +265,24 @@ def test_iter_weight_tuples_sorted_coprime():
     tuples = list(iter_weight_tuples(spec))
     assert tuples == sorted(tuples)
     assert all(t[0] <= t[1] <= t[0] + 3 for t in tuples)
-    import math
-
     assert all(math.gcd(*t) == 1 for t in tuples)
     assert (2, 4) not in tuples
     assert (2, 3) in tuples and (4, 5) in tuples
+
+
+@pytest.mark.parametrize("n,a1_min,a1_max,caps", [
+    (2, 1, 9, (8,)), (2, 5, 7, (0,)), (3, 1, 7, (6, 6)), (3, 2, 6, (0, 4)), (3, 2, 6, (5, 0)), (3, 3, 5, (0, 0)),
+    (4, 1, 5, (4, 3, 5)), (4, 2, 4, (3, 0, 2)), (4, 1, 4, (0, 0, 3)),
+])
+def test_iter_weight_tuples_equals_a_filter_over_the_product(n, a1_min, a1_max, caps):
+    spec = make_spec(n=n, a1_min=a1_min, a1_max=a1_max, tail_caps=caps)
+    top = a1_max + max(caps)
+    expected = [
+        t for t in itertools.product(range(a1_min, top + 1), repeat=n)
+        if a1_min <= t[0] <= a1_max and list(t) == sorted(t) and math.gcd(*t) == 1
+        and all(x <= t[0] + c for x, c in zip(t[1:], caps))
+    ]
+    assert list(iter_weight_tuples(spec)) == expected
 
 
 def test_missing_weights_is_usage_error(capsys):
@@ -335,24 +358,25 @@ def test_pooled_sweeps_share_one_pool(capsys, pools_built):
 
 
 class _ClosedPipe:
-    """A stream that raises once `rows` lines are written, as a closed pipe does."""
+    """A stream that raises once `lines` lines are written, as a closed pipe does."""
 
-    def __init__(self, rows, error):
-        self.rows, self.error = rows, error
+    def __init__(self, lines, error):
+        self.lines, self.error = lines, error
 
     def write(self, text):
-        if self.rows == 0:
+        if self.lines <= 0:
             raise self.error
-        self.rows -= 1
+        self.lines -= text.count("\n")
 
 
 @pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"), KeyboardInterrupt()],
                          ids=["broken-pipe", "interrupt"])
 def test_abandoned_sweep_drops_the_kept_pool(pools_built, error):
-    spec = make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=8, tail_caps=(8, 8), workers=2)
+    spec = make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=16, tail_caps=(16, 16), workers=2)
+    assert len(list(iter_weight_tuples(spec))) > 2 * harness._CHUNK
     expected = io.StringIO()
     run_sweep(replaced(spec, workers=1), expected)
-    # ten rows in, the pool has tasks queued and running
+    # ten lines in, the pool has tasks queued and running
     with pytest.raises(type(error)):
         run_sweep(spec, _ClosedPipe(10, error))
     assert pools_built == [2]
@@ -361,6 +385,73 @@ def test_abandoned_sweep_drops_the_kept_pool(pools_built, error):
     run_sweep(spec, out)
     assert pools_built == [2, 2]
     assert out.getvalue() == expected.getvalue()
+
+
+def _per_a1_from_csv(text):
+    # (a1, certified, total) recounted from the CSV's rows
+    per_a1 = {}
+    for row in csv.DictReader(io.StringIO(text)):
+        a1 = int(row["weights"].split(";")[0])
+        certified, total = per_a1.get(a1, (0, 0))
+        per_a1[a1] = (certified + (row["verdict"] == "certificate"), total + 1)
+    return tuple((a1, certified, total) for a1, (certified, total) in per_a1.items())
+
+
+def _exact_multiple_spec():
+    # a1 = 11 alone, at the least tail cap giving it exactly 2 * _CHUNK tuples
+    for cap in itertools.count(2 * harness._CHUNK):
+        spec = make_spec(a1_min=11, a1_max=11, tail_caps=(cap,), eps=Fraction(1, 5))
+        if len(list(iter_weight_tuples(spec))) == 2 * harness._CHUNK:
+            return spec
+
+
+@pytest.mark.parametrize("case", ["a1-over-three-chunks", "exact-multiple"])
+def test_per_a1_counts_merge_across_chunk_boundaries(pools_built, case):
+    chunk = harness._CHUNK
+    if case == "exact-multiple":
+        spec = _exact_multiple_spec()
+    else:
+        # a1 = 22 fills the first chunk and part of the second, so a1 = 23's
+        # rows run on over at least three chunks
+        spec = make_spec(a1_min=22, a1_max=23, tail_caps=(3 * chunk,), eps=Fraction(1, 5))
+        places = [k for k, t in enumerate(iter_weight_tuples(spec)) if t[0] == 23]
+        assert places[-1] // chunk - places[0] // chunk >= 2 and places[0] % chunk
+    outs, reports = [], []
+    for workers in (1, 2):
+        out = io.StringIO()
+        reports.append(run_sweep(replaced(spec, workers=workers), out))
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1]
+    assert reports[0] == reports[1]
+    assert reports[0].per_a1 == _per_a1_from_csv(outs[0])
+    assert any(certified != total for _, certified, total in reports[0].per_a1)
+    assert sum(total for _, _, total in reports[0].per_a1) == len(list(iter_weight_tuples(spec)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_sweep_row_names_its_tuple(pools_built, monkeypatch, workers):
+    # pools_built has dropped the kept pool, so the workers fork with the patch
+    real = witness.certify_not_eps_lc
+
+    def failing(a, *args):
+        if a.entries == (5, 7):
+            raise ZeroDivisionError("boom")
+        return real(a, *args)
+
+    monkeypatch.setattr(witness, "certify_not_eps_lc", failing)
+    with pytest.raises(RuntimeError, match=re.escape("sweep row (5, 7): ZeroDivisionError('boom')")):
+        run_sweep(make_spec(workers=workers), io.StringIO())
+
+
+def test_sweep_task_runs_in_a_spawned_worker():
+    # a worker started by spawn (macOS) or forkserver inherits no module
+    # state, so the task must bind csv and witness itself
+    spec = make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=5, tail_caps=(5, 5))
+    args = (spec, "1/2", list(iter_weight_tuples(spec)))
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        spawned = pool.apply(harness._sweep_task, args)
+    assert spawned == harness._sweep_task(*args)
+    assert spawned[0].count("\n") == len(args[2])
 
 
 def test_threads_take_the_kept_pool_in_turn(pools_built):

@@ -130,7 +130,7 @@ def test_value_classes_keep_frozen_dataclass_semantics():
     assert repr(first["Certificate"]) == (
         "Certificate(weights=WeightVector(entries=(5, 7)), eps=Fraction(1, 2), point=(1, 1), psi=(3, 7), "
         "method='general-theta', theta=Fraction(1, 9), dirichlet=DirichletWitness(q=1, p=(1,), Z=2, "
-        "alphas=(Fraction(7, 5),)), hypothesis_ok=True)")
+        "numerators=(7,), denominator=5), hypothesis_ok=True)")
 
 
 def test_value_classes_check_their_fields_when_built_and_unpickled():

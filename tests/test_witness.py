@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 import time
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import coprime_sorted_tuples, facets, interior_by_subsimplex, random_weight_vector, vertices
 from wblowup.exact_lattice import integer_nth_root, parse_rational, pow_cmp
+from wblowup import witness
 from wblowup.toric_mld import WeightVector, is_eps_lc, psi_value
 from wblowup.witness import (
     METHOD_ENUMERATION,
@@ -378,6 +381,47 @@ def test_witness_n3_delegates_to_theta_branch():
     assert cert.method == METHOD_GENERAL_THETA
 
 
+def test_branch_i_evaluates_the_theta_hypothesis_once(monkeypatch):
+    # witness_n3 evaluates the hypothesis to choose branch (i) and hands its
+    # value on; a direct general-theta call evaluates it for its certificate
+    calls = []
+    real = witness._theta_hypothesis
+
+    def counting(a, theta):
+        calls.append(a.entries)
+        return real(a, theta)
+
+    monkeypatch.setattr(witness, "_theta_hypothesis", counting)
+    a = WeightVector((100, 101, 102))
+    cert = witness_n3(a, Fraction(1, 2), Fraction(1, 30))
+    assert cert.method == METHOD_GENERAL_THETA and cert.hypothesis_ok is True
+    assert calls == [a.entries]
+    calls.clear()
+    assert witness_general_theta(a, Fraction(1, 2), Fraction(1, 30)) == cert
+    assert calls == [a.entries]
+
+
+def test_recorded_theta_hypothesis_matches_a_fresh_evaluation():
+    # seeded n = 3 and n = 4 weights with a1 from 10**9 to 10**18, a few with
+    # a_n far above a_2 so that the hypothesis fails
+    rng = random.Random(35)
+    seen = set()
+    for n in (3, 4):
+        for _ in range(60):
+            a1 = rng.randrange(10 ** rng.randint(9, 17), 10**18)
+            top = 3 * a1 if rng.random() < 0.8 else 10**6 * a1
+            entries = sorted([a1] + [rng.randrange(a1, top) for _ in range(n - 1)])
+            if math.gcd(*entries) != 1:
+                continue
+            a = WeightVector(tuple(entries))
+            cert = witness_n3(a, Fraction(1, 2)) if n == 3 else witness_general_theta(a, Fraction(1, 2))
+            if cert is None or cert.method != METHOD_GENERAL_THETA:
+                continue
+            assert cert.hypothesis_ok is witness._theta_hypothesis(a, cert.theta)
+            seen.add((n, cert.hypothesis_ok))
+    assert {(3, True), (4, True), (4, False)} <= seen
+
+
 def test_witness_n3_projection_point_between_bounds():
     rng = random.Random(8)
     made = 0
@@ -629,7 +673,9 @@ def test_sweep_row_certificate_and_trace_agree(case):
         n=a.n, eps=eps, a1_min=1, a1_max=1, tail_caps=(0,) * (a.n - 1),
         theta=None, workers=1, enumeration_cap=cap, include_timing=False,
     )
-    row = dict(zip(CSV_COLUMNS, _sweep_task(spec, format_rational(eps), a.entries)))
+    text, counts = _sweep_task(spec, format_rational(eps), [a.entries])
+    row = dict(zip(CSV_COLUMNS, next(csv.reader(io.StringIO(text)))))
+    assert counts == [(a.entries[0], int(row["verdict"] == "certificate"), 1)]
     res = certify_not_eps_lc(a, eps, enumeration_cap=cap)
     if not isinstance(res, Certificate):
         assert row["verdict"] == res and row["point"] == row["psi"] == row["hypothesis_flags"] == ""
