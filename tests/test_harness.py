@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -845,6 +846,25 @@ def test_help_lists_commands_or_flags_and_exits_0(capsys, argv, lines):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert all(line in out for line in lines)
+
+
+# SHA-256 of each --help text, stdout byte for byte; the top level has no command
+HELP_DIGESTS = {
+    "": "fd99de9f316b0f0f9764d5cb6c3721eeaf25e241c8f93c86ddb2a6bdf0e2e352",
+    "mld": "8f8187c1c45d01dd7c529dc453e46604867af050df60fbad255763d64f0842b9",
+    "check": "5aae66ab0daae7cd447e971e6afaa2e09ea758f2c2438439dd771b17348d5629",
+    "witness": "cdd6de90cf1a8e13ad49398e8a746ffba16237f13b73c0af3c14f0d50d0fa88e",
+    "sweep": "8a0783d4dc8c53c0f6cb324a728f44e8f34ae7eb037a2fb1e03efb1a71c3a7d8",
+    "verify-example": "f98066e43ecdc74a2b3f493312916cefb128de2a007223355c42fc4e4a2f1910",
+    "selftest": "439c50b0d94347574dd93718cc245d697178150692569fe2e588a0c45e241a6c",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS), ids=[c or "top-level" for c in HELP_DIGESTS])
+def test_help_texts_are_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command], out
 
 
 def test_setting_tables_name_only_flags():
