@@ -4,15 +4,15 @@ Subcommands: mld, check, witness, sweep, verify-example, selftest. Exit
 codes: 0 computed as asked, 1 negative verdict where the subcommand has a
 polarity (not eps-lc, no witness), 2 usage error, 3 budget exhausted.
 
-Three tables hold every setting, by its flag's destination: _FLAGS, each
-subcommand's flags and their converters; _DEFAULTS, a flag's value when it
-is not given; _REQUIRED, the flags a subcommand cannot run without. A value
-comes from the command line's flag, else the config file's entry (--config
-PATH, lines `key = value`, each read as the flag --key=value), else, unless
-required, the default. The budget --cap defaults to 10^7 visited prefixes
-per scan (lattice slices for n = 3 mld, box steps for a fixed-point pass);
-README gives what a scan stopped there has cost. Pooled sweeps share one
-worker pool per process (see Pool).
+Two tables hold every setting: _SETTINGS, one row per flag destination
+(converter, value when not given, help line), and _COMMANDS, one row per
+subcommand (handler, help line, flags, required flags). A value comes from
+the command line's flag, else the config file's entry (--config PATH, lines
+`key = value`, each read as the flag --key=value), else, unless required,
+the default. The budget --cap defaults to 10^7 visited prefixes per scan
+(lattice slices for n = 3 mld, box steps for a fixed-point pass); README
+gives what a scan stopped there has cost. Pooled sweeps share one worker
+pool per process (see Pool).
 
 A module a subcommand may not need is loaded on its first use, not at
 import: a cold mld or check loads exact_lattice and toric_mld alone, and
@@ -549,70 +549,65 @@ def _choice(*choices):
     return read
 
 
-# the flags before the subcommand, then each subcommand's, by destination in help order, with
-# the converters of their values; each flag's value when it is not given (None where unlisted);
-# and each subcommand's required flags, in the order a missing one is reported
-_TOP = {"config": str}
-_FLAGS = {
-    "mld": {"weights": str, "cap": int, "out": str},
-    "check": {"weights": str, "eps": parse_rational, "cap": int, "out": str},
-    "witness": {"weights": str, "eps": parse_rational, "theta": parse_rational, "cap": int, "out": str},
-    "sweep": {"eps": parse_rational, "theta": parse_rational, "cap": int, "out": str, "n": int, "a1_min": int,
-              "a1_max": int, "tail_cap": lambda text: tuple(map(int, text.split(","))), "workers": int,
-              "method": _choice(*CERTIFY_METHODS), "format": _choice("csv", "json"), "no_timing": _parse_bool},
-    "verify-example": {"cap": int, "limit": int, "mld_limit": int},
-    "selftest": {"cap": int, "max_entry": int},
+# each setting by its flag's destination: converter, value when not given (None for none), help line
+_SETTINGS = {
+    "config": (str, None, "key = value config file; CLI flags win"),
+    "weights": (str, None, "comma-separated positive integers, sorted, coprime"),
+    "eps": (parse_rational, Fraction(1), "rational in (0,1], e.g. 1/2"),
+    "theta": (parse_rational, None, "theta-construction exponent, rational in (0, 1/(2n^2))"),
+    "cap": (int, DEFAULT_ENUMERATION_CAP, "work budget, in visited prefixes, or lattice slices for n = 3 mld"),
+    "out": (str, None, "write output to this path instead of stdout"),
+    "n": (int, 2, "tuple length"),
+    "a1_min": (int, 1, "smallest a1"),
+    "a1_max": (int, None, "largest a1 (default --a1-min)"),
+    "tail_cap": (lambda text: tuple(map(int, text.split(","))), (100,),
+                 "offsets above a1 bounding a2..an, single int or comma list"),
+    "workers": (int, 1, "worker processes"),
+    "method": (_choice(*CERTIFY_METHODS), "auto",
+               "certification route: full dispatcher, construction only, or scans only"),
+    "format": (_choice("csv", "json"), "csv",
+               "output format; json holds the whole sweep in memory, so it is for short sweeps"),
+    "no_timing": (_parse_bool, None, "blank the wall_micros column for byte-stable output (bare flag: yes)"),
+    "limit": (int, 500, "largest k for the 1-lc scan"),
+    "mld_limit": (int, 100, "largest k for fixed-point mlds"),
+    "max_entry": (int, 10, "largest weight entry"),
 }
-_DEFAULTS = {"cap": DEFAULT_ENUMERATION_CAP, "eps": Fraction(1), "n": 2, "a1_min": 1, "tail_cap": (100,), "workers": 1,
-             "method": "auto", "format": "csv", "limit": 500, "mld_limit": 100, "max_entry": 10}
-_REQUIRED = {"mld": ("weights",), "check": ("weights", "eps"), "witness": ("weights", "eps")}
-# each subcommand's namespace before any flag is read, built once
-_UNSET = {command: {dest: _DEFAULTS.get(dest) for dest in flags} for command, flags in _FLAGS.items()}
-_HELP = {
-    "config": "key = value config file; CLI flags win",
-    "weights": "comma-separated positive integers, sorted, coprime",
-    "eps": "rational in (0,1], e.g. 1/2",
-    "theta": "theta-construction exponent, rational in (0, 1/(2n^2))",
-    "cap": "work budget, in visited prefixes, or lattice slices for n = 3 mld",
-    "out": "write output to this path instead of stdout",
-    "n": "tuple length",
-    "a1_min": "smallest a1",
-    "a1_max": "largest a1 (default --a1-min)",
-    "tail_cap": "offsets above a1 bounding a2..an, single int or comma list",
-    "workers": "worker processes",
-    "method": "certification route: full dispatcher, construction only, or scans only",
-    "format": "output format; json holds the whole sweep in memory, so it is for short sweeps",
-    "no_timing": "blank the wall_micros column for byte-stable output (bare flag: yes)",
-    "limit": "largest k for the 1-lc scan",
-    "mld_limit": "largest k for fixed-point mlds",
-    "max_entry": "largest weight entry",
-}
+# each subcommand: handler, help line, flags in help order, required flags in the order a missing one is reported
 _COMMANDS = {
-    "mld": (_handle_mld, "minimal log discrepancy report"),
-    "check": (_handle_check, "decide eps-lc-ness"),
-    "witness": (_handle_witness, "construct a not-eps-lc certificate"),
-    "sweep": (_handle_sweep, "sweep coprime weight tuples, emitting CSV"),
-    "verify-example": (_handle_verify_example, "check the (1,k) family is 1-lc"),
-    "selftest": (_handle_selftest, "cross-check engine against the brute-force oracle"),
+    "mld": (_handle_mld, "minimal log discrepancy report", ("weights", "cap", "out"), ("weights",)),
+    "check": (_handle_check, "decide eps-lc-ness", ("weights", "eps", "cap", "out"), ("weights", "eps")),
+    "witness": (_handle_witness, "construct a not-eps-lc certificate", ("weights", "eps", "theta", "cap", "out"),
+                ("weights", "eps")),
+    "sweep": (_handle_sweep, "sweep coprime weight tuples, emitting CSV",
+              ("eps", "theta", "cap", "out", "n", "a1_min", "a1_max", "tail_cap", "workers", "method", "format",
+               "no_timing"), ()),
+    "verify-example": (_handle_verify_example, "check the (1,k) family is 1-lc", ("cap", "limit", "mld_limit"), ()),
+    "selftest": (_handle_selftest, "cross-check engine against the brute-force oracle", ("cap", "max_entry"), ()),
 }
+# built once: the converters of the top-level flags and of each subcommand's, and its namespace before any flag is read
+_TOP = {"config": _SETTINGS["config"][0]}
+_FLAGS = {command: {dest: _SETTINGS[dest][0] for dest in row[2]} for command, row in _COMMANDS.items()}
+_UNSET = {command: {dest: _SETTINGS[dest][1] for dest in row[2]} for command, row in _COMMANDS.items()}
 
 
 def _help(command) -> str:
     """The -h text of a subcommand, or of the top level when command is None."""
     if command:
-        lines = [f"usage: wblowup {command} [-h] [--flag VALUE]...", "", _COMMANDS[command][1]]
+        _, about, flags, required = _COMMANDS[command]
+        lines = [f"usage: wblowup {command} [-h] [--flag VALUE]...", "", about]
     else:
+        flags, required = _TOP, ()
         lines = ["usage: wblowup [-h] [--config CONFIG] COMMAND [--flag VALUE]...", "",
                  "Exact eps-lc checks and interior-point certificates for weighted blowups.", "", "commands:"]
-        lines += [f"  {name:<23} {about}" for name, (_, about) in _COMMANDS.items()]
+        lines += [f"  {name:<23} {row[1]}" for name, row in _COMMANDS.items()]
     lines += ["", "options:", f"  {'-h, --help':<23} show this help message and exit"]
-    for dest, convert in (_FLAGS[command] if command else _TOP).items():
+    for dest in flags:
+        convert, default, about = _SETTINGS[dest]
         metavar = "[BOOL]" if convert is _parse_bool else getattr(convert, "metavar", dest.upper())
-        about = _HELP[dest]
-        if dest in _REQUIRED.get(command, ()):
+        if dest in required:
             about += " (required)"
-        elif dest in _DEFAULTS:
-            about += f" (default {str(_DEFAULTS[dest]).strip('(,)')})"  # a one-cap tuple (100,) reads 100
+        elif default is not None:
+            about += f" (default {str(default).strip('(,)')})"  # a one-cap tuple (100,) reads 100
         lines.append(f"  {'--' + dest.replace('_', '-') + ' ' + metavar:<23} {about}")
     return "\n".join(lines)
 
@@ -678,7 +673,9 @@ def cli_dispatch(argv) -> int:
     Every setting is resolved here, once: the command line's flag, else the
     config file's entry, read as the flag --key=value by the same loop but
     with exact keys; a required flag given neither way is a usage error, and
-    any other takes its _DEFAULTS value, or None.
+    any other takes its _SETTINGS value when not given. A ValueError of the
+    handler ends with the file's path and the keys it supplied that no flag
+    overrode, if any.
     """
     values = {}
     try:
@@ -693,11 +690,17 @@ def cli_dispatch(argv) -> int:
                 _read(tokens, entries, command, exact=True)
             except ValueError as exc:
                 raise ValueError(f"{path}: not a valid {command} config file: {exc}") from None
-        entries.update(values)
-        for dest in _REQUIRED.get(command, ()):
-            if dest not in entries:
+        handler, _, _, required = _COMMANDS[command]
+        for dest in required:
+            if dest not in values and dest not in entries:
                 raise ValueError(f"{command} requires --{dest}")
-        return _COMMANDS[command][0](types.SimpleNamespace(**{**_UNSET[command], **entries}))
+        try:
+            return handler(types.SimpleNamespace(**{**_UNSET[command], **entries, **values}))
+        except ValueError as exc:
+            # a range or coprimality check runs here, so name the file's settings that the run used
+            if used := [key for key in entries if key not in values]:
+                raise ValueError(f"{exc} (from {path}: {', '.join(used)})") from None
+            raise
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

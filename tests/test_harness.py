@@ -756,6 +756,37 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, text, code, mess
     harness._drop_pool()  # a file's workers = 2 leaves no kept pool behind
 
 
+SWEEP_23 = ("sweep", "--eps", "1", "--a1-min", "2", "--a1-max", "3", "--tail-cap", "2")
+
+
+@pytest.mark.parametrize(
+    "text,argv,message",
+    [
+        ("cap = 0\n", SWEEP_23, "enumeration cap must be an integer >= 1, got 0"),
+        ("workers = 0\n", SWEEP_23, "worker count must be an integer >= 1, got 0"),
+        ("weights = 2,4\n", ("mld",), "weights must be coprime: (2, 4)"),
+    ],
+    ids=["cap-0", "workers-0", "weights-2,4"],
+)
+def test_a_config_value_failing_its_check_names_the_file(tmp_path, capsys, text, argv, message):
+    cfg = tmp_path / "c1.cfg"
+    cfg.write_text(text)
+    key = text.split(" =")[0]
+    assert run_cli(capsys, "--config", str(cfg), *argv) == (2, "", f"error: {message} (from {cfg}: {key})\n")
+
+
+def test_a_config_value_a_flag_overrides_is_not_named(tmp_path, capsys):
+    cfg = tmp_path / "c1.cfg"
+    cfg.write_text("cap = 0\n")
+    assert run_cli(capsys, "--config", str(cfg), "mld", "--weights", "2,3", "--cap", "5") == (0, MLD_23, "")
+    # the file supplied nothing the run used, and a flag's own bad value reads as without a file
+    flag_only = run_cli(capsys, "mld", "--weights", "2,4")
+    assert flag_only == (2, "", "error: weights must be coprime: (2, 4)\n")
+    assert run_cli(capsys, "--config", str(cfg), "mld", "--weights", "2,4", "--cap", "5") == flag_only
+    cfg.write_text("# nothing set\n")
+    assert run_cli(capsys, "--config", str(cfg), "mld", "--weights", "2,4") == flag_only
+
+
 def test_missing_config_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "mld", "--weights", "2,3")
     assert code == 2
@@ -868,21 +899,27 @@ def test_help_texts_are_pinned(capsys, command):
 
 
 def test_setting_tables_name_only_flags():
-    assert set(harness._DEFAULTS) <= {dest for flags in harness._FLAGS.values() for dest in flags}
-    for command, required in harness._REQUIRED.items():
-        assert set(required) <= set(harness._FLAGS[command])
+    used = set()
+    for _, _, flags, required in harness._COMMANDS.values():
+        assert isinstance(flags, tuple) and isinstance(required, tuple)
+        assert set(required) <= set(flags) <= set(harness._SETTINGS)
+        used.update(flags)
+    # every row but the top level's --config is some subcommand's flag
+    assert set(harness._SETTINGS) - used == {"config"}
 
 
-@pytest.mark.parametrize("command", list(harness._FLAGS))
+@pytest.mark.parametrize("command", list(harness._COMMANDS))
 def test_help_states_each_default_from_the_table(capsys, command):
     code, out, _ = run_cli(capsys, command, "--help")
     assert code == 0
-    for dest in harness._FLAGS[command]:
+    _, _, flags, required = harness._COMMANDS[command]
+    for dest in flags:
         [line] = [line for line in out.splitlines() if line.startswith(f"  --{dest.replace('_', '-')} ")]
-        if dest in harness._REQUIRED.get(command, ()):
+        default = harness._SETTINGS[dest][1]
+        if dest in required:
             assert line.endswith(" (required)")
-        elif dest in harness._DEFAULTS:
-            assert line.endswith(" (default %s)" % str(harness._DEFAULTS[dest]).strip("(,)"))
+        elif default is not None:
+            assert line.endswith(" (default %s)" % str(default).strip("(,)"))
         else:  # --a1-max's default, --a1-min, is no table entry
             assert "(default" not in line or dest == "a1_max"
     assert "(default 10000000)" in out and "WBLOWUP_BUDGET" not in out
