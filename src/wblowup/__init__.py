@@ -11,11 +11,11 @@ from importlib import import_module as _import_module
 _SOURCES = {
     "diophantine": ("DirichletWitness", "dirichlet_1d", "dirichlet_simultaneous"),
     "exact_lattice": ("DEFAULT_ENUMERATION_CAP", "BudgetExceeded", "format_rational", "integer_nth_root",
-                      "parse_rational", "pow_cmp"),
+                      "parse_rational"),
     "oracle": ("enumerate_lattice_points", "mld_bruteforce", "psi_bruteforce", "verify_interior_psi_equivalence"),
     "toric_mld": ("MldReport", "WeightVector", "is_eps_lc", "mld_at_fixed_point", "mld_global", "psi_value"),
     "witness": ("Certificate", "CEpsPolytope", "certificate_threshold", "build_polytope", "certify_not_eps_lc",
-                "contains_interior", "default_theta", "witness_general_theta", "witness_n2", "witness_n3"),
+                "default_theta", "witness_general_theta", "witness_n2", "witness_n3"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -134,6 +134,7 @@ def check_eps(eps) -> Fraction:
     return eps
 
 
+# not exported; kept because bench/tracing.py looks this name up when it installs
 def pow_cmp(x, d: int, y) -> int:
     """Compare x**d against y exactly, without extracting any roots.
 

@@ -177,19 +177,19 @@ def iter_weight_tuples(spec: SweepSpec):
                     yield prefix + (v,)
 
 
-def _sweep_task(spec: SweepSpec, eps_text: str, chunk) -> list:
+def _sweep_task(spec: SweepSpec, chunk) -> list:
     """Certify each tuple of chunk in order: [its CSV rows as text, (a1, certified, total) per a1].
 
-    eps_text is spec.eps, formatted once per sweep. The task binds csv and
-    witness itself, so a worker started by spawn or forkserver, which
-    inherits no module state, runs it too. A row whose certify raises is
-    reported as a RuntimeError naming its tuple.
+    The task binds csv and witness itself, so a worker started by spawn or
+    forkserver, which inherits no module state, runs it too. A row whose
+    certify raises is reported as a RuntimeError naming its tuple.
     """
     _load("csv", "witness")
     text = io.StringIO()
     writerow = csv.writer(text, lineterminator="\n").writerow
     certify, certificate = witness.certify_not_eps_lc, witness.Certificate
     eps, theta, cap, method, timing = spec.eps, spec.theta, spec.enumeration_cap, spec.method, spec.include_timing
+    eps_text = format_rational(eps)
     micros = ""
     counts = []
     a1, certified, total = chunk[0][0], 0, 0
@@ -249,7 +249,7 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
     """
     stream.write(",".join(CSV_COLUMNS) + "\n")
     # looked up here, not at import: bench/tracing.py swaps in a wrapper
-    task = functools.partial(_sweep_task, spec, format_rational(spec.eps))
+    task = functools.partial(_sweep_task, spec)
     chunks = _chunks(iter_weight_tuples(spec))
     per_a1 = []
     with Pool(spec.workers) if spec.workers > 1 else contextlib.nullcontext() as pool:
@@ -280,7 +280,7 @@ def Pool(processes: int):
     count hand out the same pool; a call with another count terminates it
     and starts a new one. The workers are forked when the pool starts, so
     they see module state as of that moment: each sweep task carries its
-    spec and eps with it, so sweeps do not depend on later changes to that
+    spec with it, so sweeps do not depend on later changes to that
     state. Leaving the context normally keeps the pool running; an exception
     leaving it (a task error, a failed write, KeyboardInterrupt) terminates
     the pool and forgets it, so the unfinished job of an abandoned sweep
@@ -484,28 +484,25 @@ def _handle_sweep(ns) -> int:
 
 
 def _handle_verify_example(ns) -> int:
+    # no --cap: the 1-lc scan of (1, k) visits one prefix, and n = 2 fixed-point mlds spend no budget
     limit = check_int(ns.limit, "--limit")
-    mld_limit = check_int(ns.mld_limit, "--mld-limit")
     failures = 0
     for k in range(1, limit + 1):
-        ok, refuter = is_eps_lc(WeightVector((1, k)), 1, ns.cap)
+        ok, refuter = is_eps_lc(WeightVector((1, k)), 1)
         if not ok:
             failures += 1
             print(f"FAIL weights (1,{k}): expected 1-lc, refuted by {refuter}")
     print(f"1-lc check for weights (1,k), k <= {limit}: {limit - failures}/{limit} passed")
     mld_failures = 0
-    for k in range(1, mld_limit + 1):
+    for k in range(1, limit + 1):
         a = WeightVector((1, k))
-        smooth = mld_at_fixed_point(a, 1, ns.cap)
-        other = mld_at_fixed_point(a, 2, ns.cap)
+        smooth = mld_at_fixed_point(a, 1)
+        other = mld_at_fixed_point(a, 2)
         expected_other = 2 if k == 1 else 1
         if smooth != 2 or other != expected_other:
             mld_failures += 1
             print(f"FAIL weights (1,{k}): fixed-point mlds {smooth}, {other}")
-    print(
-        f"fixed-point mld check for weights (1,k), k <= {mld_limit}: "
-        f"{mld_limit - mld_failures}/{mld_limit} passed"
-    )
+    print(f"fixed-point mld check for weights (1,k), k <= {limit}: {limit - mld_failures}/{limit} passed")
     return 0 if failures == 0 and mld_failures == 0 else 1
 
 
@@ -568,8 +565,7 @@ _SETTINGS = {
     "format": (_choice("csv", "json"), "csv",
                "output format; json holds the whole sweep in memory, so it is for short sweeps"),
     "no_timing": (_parse_bool, None, "blank the wall_micros column for byte-stable output (bare flag: yes)"),
-    "limit": (int, 500, "largest k for the 1-lc scan"),
-    "mld_limit": (int, 100, "largest k for fixed-point mlds"),
+    "limit": (int, 500, "largest k for the 1-lc scan and the fixed-point mlds"),
     "max_entry": (int, 10, "largest weight entry"),
 }
 # each subcommand: handler, help line, flags in help order, required flags in the order a missing one is reported
@@ -581,7 +577,7 @@ _COMMANDS = {
     "sweep": (_handle_sweep, "sweep coprime weight tuples, emitting CSV",
               ("eps", "theta", "cap", "out", "n", "a1_min", "a1_max", "tail_cap", "workers", "method", "format",
                "no_timing"), ()),
-    "verify-example": (_handle_verify_example, "check the (1,k) family is 1-lc", ("cap", "limit", "mld_limit"), ()),
+    "verify-example": (_handle_verify_example, "check the (1,k) family is 1-lc", ("limit",), ()),
     "selftest": (_handle_selftest, "cross-check engine against the brute-force oracle", ("cap", "max_entry"), ()),
 }
 # built once: the converters of the top-level flags and of each subcommand's, and its namespace before any flag is read

@@ -294,6 +294,7 @@ def _slices(a: WeightVector, scale, strict: bool, budget: int):
                 hi = hi_i
 
 
+# not exported; kept because bench/tracing.py looks this name up when it installs
 def iter_region_points(a: WeightVector, scale, strict: bool = False):
     """Yield the nonzero lattice points of {psi <= scale} in lexicographic order.
 

@@ -188,6 +188,7 @@ def _rows_positive(ent, en: int, ed: int, v) -> bool:
     return True
 
 
+# not exported; kept because bench/tracing.py looks this name up when it installs
 def contains_interior(C: CEpsPolytope, v) -> bool:
     """Strict membership: all n coordinate and all n facet inequalities hold strictly."""
     # on lattice points membership is psi(v) < en/ed, as psi is the maximum

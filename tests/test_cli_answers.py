@@ -185,7 +185,7 @@ ANSWERS = [
      "selftest: 204 weight vectors checked, 0 failures\n"),
     (("verify-example", "--limit", "1000"), 0,
      ("1-lc check for weights (1,k), k <= 1000: 1000/1000 passed\n"
-      "fixed-point mld check for weights (1,k), k <= 100: 100/100 passed\n")),
+      "fixed-point mld check for weights (1,k), k <= 1000: 1000/1000 passed\n")),
 ]
 
 

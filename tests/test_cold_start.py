@@ -19,15 +19,17 @@ from wblowup.harness import cli_dispatch
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
 SWEEP = ("sweep", "--n", "3", "--eps", "1/2", "--a1-min", "2", "--a1-max", "8", "--tail-cap", "8,8", "--no-timing")
+# each command with the exit code it must give, so a stale argv refused alike
+# on both sides (exit 2) is caught
 COMMANDS = {
-    "help": ("--help",),
-    "mld": ("mld", "--weights", "2,3"),
-    "check": ("check", "--weights", "2,3", "--eps", "3/4"),
-    "witness": ("witness", "--weights", "26,301", "--eps", "1/2"),
-    "sweep-1-worker": (*SWEEP, "--workers", "1"),
-    "sweep-2-workers": (*SWEEP, "--workers", "2"),
-    "verify-example": ("verify-example", "--limit", "5", "--mld-limit", "5"),
-    "selftest": ("selftest", "--max-entry", "4"),
+    "help": (0, ("--help",)),
+    "mld": (0, ("mld", "--weights", "2,3")),
+    "check": (1, ("check", "--weights", "2,3", "--eps", "3/4")),
+    "witness": (0, ("witness", "--weights", "26,301", "--eps", "1/2")),
+    "sweep-1-worker": (0, (*SWEEP, "--workers", "1")),
+    "sweep-2-workers": (0, (*SWEEP, "--workers", "2")),
+    "verify-example": (0, ("verify-example", "--limit", "5")),
+    "selftest": (0, ("selftest", "--max-entry", "4")),
 }
 # what a query that only reads toric_mld must not load: the other package
 # modules, csv, dataclasses with the inspect module it imports, and the
@@ -41,8 +43,8 @@ def fresh(*args, cwd=None):
                           check=False)
 
 
-@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
-def test_each_command_answers_alike_in_a_fresh_interpreter(capsys, tmp_path, argv):
+@pytest.mark.parametrize("expected,argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_each_command_answers_alike_in_a_fresh_interpreter(capsys, tmp_path, expected, argv):
     # run from a directory outside the checkout, as an installed command is
     proc = fresh("-m", "wblowup", *argv, cwd=tmp_path)
     try:
@@ -51,9 +53,10 @@ def test_each_command_answers_alike_in_a_fresh_interpreter(capsys, tmp_path, arg
         harness._drop_pool()  # the in-process pooled sweep leaves no kept pool behind
     captured = capsys.readouterr()
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code == expected, captured.err
 
 
-@pytest.mark.parametrize("argv", [COMMANDS["mld"], COMMANDS["check"]], ids=["mld", "check"])
+@pytest.mark.parametrize("argv", [COMMANDS["mld"][1], COMMANDS["check"][1]], ids=["mld", "check"])
 def test_a_cold_query_loads_only_what_it_uses(argv):
     # -S: no site hook can import a module on the package's behalf
     script = (

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -448,11 +449,11 @@ def test_sweep_task_runs_in_a_spawned_worker():
     # a worker started by spawn (macOS) or forkserver inherits no module
     # state, so the task must bind csv and witness itself
     spec = make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=5, tail_caps=(5, 5))
-    args = (spec, "1/2", list(iter_weight_tuples(spec)))
+    args = (spec, list(iter_weight_tuples(spec)))
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         spawned = pool.apply(harness._sweep_task, args)
     assert spawned == harness._sweep_task(*args)
-    assert spawned[0].count("\n") == len(args[2])
+    assert spawned[0].count("\n") == len(args[1])
 
 
 def test_threads_take_the_kept_pool_in_turn(pools_built):
@@ -886,7 +887,7 @@ HELP_DIGESTS = {
     "check": "5aae66ab0daae7cd447e971e6afaa2e09ea758f2c2438439dd771b17348d5629",
     "witness": "cdd6de90cf1a8e13ad49398e8a746ffba16237f13b73c0af3c14f0d50d0fa88e",
     "sweep": "8a0783d4dc8c53c0f6cb324a728f44e8f34ae7eb037a2fb1e03efb1a71c3a7d8",
-    "verify-example": "f98066e43ecdc74a2b3f493312916cefb128de2a007223355c42fc4e4a2f1910",
+    "verify-example": "4160ce6d5c09a10f99576b3b683c59b9e056759d0560f45da6e0f3e5eabe1aa1",
     "selftest": "439c50b0d94347574dd93718cc245d697178150692569fe2e588a0c45e241a6c",
 }
 
@@ -922,7 +923,8 @@ def test_help_states_each_default_from_the_table(capsys, command):
             assert line.endswith(" (default %s)" % str(default).strip("(,)"))
         else:  # --a1-max's default, --a1-min, is no table entry
             assert "(default" not in line or dest == "a1_max"
-    assert "(default 10000000)" in out and "WBLOWUP_BUDGET" not in out
+    # only a command that takes --cap prints the budget's default
+    assert ("(default 10000000)" in out) == ("cap" in flags) and "WBLOWUP_BUDGET" not in out
 
 
 def test_tail_cap_is_converted_as_a_flag(capsys):
@@ -934,6 +936,18 @@ def test_tail_cap_is_converted_as_a_flag(capsys):
     # one cap stands for every coordinate; range checks stay with SweepSpec
     assert run_cli(capsys, *argv, "--tail-cap", "2")[1] == SWEEP_BLANK
     assert "tail cap must be an integer >= 0" in run_cli(capsys, *argv, "--tail-cap", "-1")[2]
+
+
+def test_readme_commands_read_as_flags():
+    # each `wblowup ...` line of README's sh blocks, its backslash continuations joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("wblowup ")]
+    assert [argv[1] for argv in commands] == ["mld", "check", "witness", "sweep", "sweep", "verify-example",
+                                              "selftest"]
+    for argv in commands:
+        assert harness._read(argv[1:], {}) == argv[1], argv
 
 
 def test_harness_imports_no_argparse_and_prints_help():
@@ -953,10 +967,9 @@ def test_harness_imports_no_argparse_and_prints_help():
 
 
 def test_verify_example_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "verify-example", "--limit", "25", "--mld-limit", "10")
+    code, out, _ = run_cli(capsys, "verify-example", "--limit", "25")
     assert code == 0
-    assert "25/25 passed" in out
-    assert "10/10 passed" in out
+    assert out.count("25/25 passed") == 2
 
 
 def test_selftest_subcommand(capsys):
@@ -1001,11 +1014,10 @@ def test_selftest_reports_at_each_cap_are_pinned(capsys, cap, code, stdout, stde
     "argv,flag",
     [
         (("verify-example", "--limit", "0"), "--limit"),
-        (("verify-example", "--limit", "-3", "--mld-limit", "0"), "--limit"),
-        (("verify-example", "--mld-limit", "0"), "--mld-limit"),
+        (("verify-example", "--limit", "-3"), "--limit"),
         (("selftest", "--max-entry", "0"), "--max-entry"),
     ],
-    ids=["limit-0", "limit-negative", "mld-limit-0", "max-entry-0"],
+    ids=["limit-0", "limit-negative", "max-entry-0"],
 )
 def test_bundled_check_limits_below_one_are_usage_errors(capsys, argv, flag):
     # an empty range of k or of entries would report every check passed
@@ -1014,14 +1026,20 @@ def test_bundled_check_limits_below_one_are_usage_errors(capsys, argv, flag):
     assert f"error: {flag} must be an integer >= 1" in err
 
 
+@pytest.mark.parametrize("flag", ["--mld-limit", "--cap"])
+def test_verify_example_refuses_the_removed_flags(capsys, flag):
+    # --limit bounds both (1, k) checks, and neither check can reach a budget
+    assert run_cli(capsys, "verify-example", flag, "5") == (2, "", f"error: unrecognized arguments: {flag} 5\n")
+
+
 @pytest.mark.parametrize(
     "argv,patches,code,line",
     [
         (("check", "--weights", "2,3"), {}, 2, "error: check requires --eps"),
         (("witness", "--weights", "2,3"), {}, 2, "error: witness requires --eps"),
-        (("verify-example", "--limit", "2", "--mld-limit", "1"), {(harness, "is_eps_lc"): (False, (1, 1))}, 1,
+        (("verify-example", "--limit", "2"), {(harness, "is_eps_lc"): (False, (1, 1))}, 1,
          "FAIL weights (1,1): expected 1-lc, refuted by (1, 1)"),
-        (("verify-example", "--limit", "1", "--mld-limit", "2"), {(harness, "mld_at_fixed_point"): 0}, 1,
+        (("verify-example", "--limit", "2"), {(harness, "mld_at_fixed_point"): 0}, 1,
          "FAIL weights (1,2): fixed-point mlds 0, 0"),
         (("selftest", "--max-entry", "2"), {(oracle, "mld_bruteforce"): -1}, 1, "FAIL mld mismatch at (1, 2)"),
         (("selftest", "--max-entry", "2"), {(oracle, "verify_interior_psi_equivalence"): False}, 1,

@@ -164,6 +164,6 @@ def test_verify_example_output_is_unchanged():
     assert run(["verify-example", "--limit", "300"]) == (
         0,
         "1-lc check for weights (1,k), k <= 300: 300/300 passed\n"
-        "fixed-point mld check for weights (1,k), k <= 100: 100/100 passed\n",
+        "fixed-point mld check for weights (1,k), k <= 300: 300/300 passed\n",
         "",
     )

@@ -35,7 +35,6 @@ PUBLIC_NAMES = {
     "build_polytope",
     "certificate_threshold",
     "certify_not_eps_lc",
-    "contains_interior",
     "default_theta",
     "dirichlet_1d",
     "dirichlet_simultaneous",
@@ -47,7 +46,6 @@ PUBLIC_NAMES = {
     "mld_bruteforce",
     "mld_global",
     "parse_rational",
-    "pow_cmp",
     "psi_bruteforce",
     "psi_value",
     "verify_interior_psi_equivalence",

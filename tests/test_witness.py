@@ -664,7 +664,6 @@ def _sorted_coprime_weights_and_eps(draw):
 def test_sweep_row_certificate_and_trace_agree(case):
     # the sweep row reads the certificate's integers, never its trace; the
     # JSON form, psi_value and the n = 2 exit abscissa must tell the same story
-    from wblowup.exact_lattice import format_rational
     from wblowup.harness import CSV_COLUMNS, SweepSpec, _sweep_task
 
     a, eps = case
@@ -673,7 +672,7 @@ def test_sweep_row_certificate_and_trace_agree(case):
         n=a.n, eps=eps, a1_min=1, a1_max=1, tail_caps=(0,) * (a.n - 1),
         theta=None, workers=1, enumeration_cap=cap, include_timing=False,
     )
-    text, counts = _sweep_task(spec, format_rational(eps), [a.entries])
+    text, counts = _sweep_task(spec, [a.entries])
     row = dict(zip(CSV_COLUMNS, next(csv.reader(io.StringIO(text)))))
     assert counts == [(a.entries[0], int(row["verdict"] == "certificate"), 1)]
     res = certify_not_eps_lc(a, eps, enumeration_cap=cap)
