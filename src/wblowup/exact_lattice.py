@@ -119,8 +119,10 @@ def check_int(x, what: str, least: int = 1) -> int:
     """x, checked to be an int >= least: the integer twin of exact and check_eps.
 
     A bool, a float or a string is refused, even one equal to an integer.
+    One condition settles an exact int by a type test and the range test;
+    any other value, an int subclass included, is judged by isinstance.
     """
-    if not isinstance(x, int) or isinstance(x, bool) or x < least:
+    if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)) or x < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
     return x
 

@@ -97,7 +97,8 @@ class SweepSpec(Value):
     success-rate studies); "enumeration" skips the construction entirely.
     Every field is checked here, so a spec unpickled in a pool worker is
     checked again, and loads witness there. eps and theta are kept as the
-    Fractions (theta may be None) that the check returns.
+    Fractions that the check returns; a theta left None stays None, and
+    certify resolves it per row through the cached default_theta.
     """
 
     __slots__ = ("n", "eps", "a1_min", "a1_max", "tail_caps", "theta", "workers", "enumeration_cap",
@@ -108,14 +109,14 @@ class SweepSpec(Value):
                  method: str = "auto"):
         check_int(n, "sweep dimension", 2)
         _load("witness")
-        eps, theta = witness._certify_request(n, eps, theta, method, enumeration_cap)
+        eps, checked_theta = witness._certify_request(n, eps, theta, method, enumeration_cap)
         put = object.__setattr__
         put(self, "n", n)
         put(self, "eps", eps)
         put(self, "a1_min", a1_min)
         put(self, "a1_max", a1_max)
         put(self, "tail_caps", tail_caps)
-        put(self, "theta", theta)
+        put(self, "theta", None if theta is None else checked_theta)
         put(self, "workers", workers)
         put(self, "enumeration_cap", enumeration_cap)
         put(self, "include_timing", include_timing)
@@ -180,13 +181,14 @@ def iter_weight_tuples(spec: SweepSpec):
 def _sweep_task(spec: SweepSpec, chunk) -> list:
     """Certify each tuple of chunk in order: [its CSV rows as text, (a1, certified, total) per a1].
 
-    The task binds csv and witness itself, so a worker started by spawn or
+    The task binds witness itself, so a worker started by spawn or
     forkserver, which inherits no module state, runs it too. A row whose
-    certify raises is reported as a RuntimeError naming its tuple.
+    certify raises is reported as a RuntimeError naming its tuple. Each row
+    is written as a plain line: no cell can hold a comma, a quote or a
+    newline, so csv.writer would quote none of them.
     """
-    _load("csv", "witness")
-    text = io.StringIO()
-    writerow = csv.writer(text, lineterminator="\n").writerow
+    _load("witness")
+    lines = []
     certify, certificate = witness.certify_not_eps_lc, witness.Certificate
     eps, theta, cap, method, timing = spec.eps, spec.theta, spec.enumeration_cap, spec.method, spec.include_timing
     eps_text = format_rational(eps)
@@ -209,13 +211,14 @@ def _sweep_task(spec: SweepSpec, chunk) -> list:
         if isinstance(result, certificate):
             certified += 1
             hyp = result.hypothesis_ok
-            cells = ("certificate", result.method, ";".join(map(str, result.point)), format_ratio(*result.psi),
-                     "" if hyp is None else ("theta-ok" if hyp else "theta-violated"))
+            flags = "" if hyp is None else ("theta-ok" if hyp else "theta-violated")
+            verdict = (f"certificate,{result.method},{';'.join(map(str, result.point))},"
+                       f"{format_ratio(*result.psi)},{flags}")
         else:
-            cells = (result, "", "", "", "")
-        writerow((len(entries), ";".join(map(str, entries)), eps_text, *cells, micros))
+            verdict = f"{result},,,,"
+        lines.append(f"{len(entries)},{';'.join(map(str, entries))},{eps_text},{verdict},{micros}\n")
     counts.append((a1, certified, total))
-    return [text.getvalue(), counts]
+    return ["".join(lines), counts]
 
 
 # Tuples per task. On sweep-n3 (blocks of about 1,050 tuples, 2 workers on

@@ -36,6 +36,11 @@ is_eps_lc, which enumerates the interior lattice points of C(a, eps)
 directly and stops at the first. On lattice points interiority is exactly
 psi < eps, so that lexicographically first point is the certificate, and
 a scan that finds none proves eps-lc.
+
+certify_not_eps_lc checks its request once, in _certify_request, and calls
+each construction with the private keyword _checked=True, so eps, theta
+and the dimension are not checked again below it. A construction called
+directly checks its own arguments.
 """
 
 from __future__ import annotations
@@ -155,11 +160,11 @@ def _check_theta(theta, n: int) -> Fraction:
 
 def _certify_request(n: int, eps, theta, method: str, enumeration_cap: int):
     # the arguments of certify_not_eps_lc for n weights, each checked
-    # whatever route will run; returns eps as a Fraction and theta as one,
-    # or None. SweepSpec checks its certify arguments here too
+    # whatever route will run; returns eps and theta as Fractions, a None
+    # theta resolved to default_theta(n). SweepSpec checks its certify
+    # arguments here too
     eps = check_eps(eps)
-    if theta is not None:
-        theta = _check_theta(theta, n)
+    theta = _check_theta(theta, n)
     if method not in CERTIFY_METHODS:
         raise ValueError(f"method must be one of {CERTIFY_METHODS}, got {method!r}")
     check_int(enumeration_cap, "enumeration cap")
@@ -253,7 +258,7 @@ def _plane_trace(cert: Certificate) -> dict:
             "case": 1 if cert.method == METHOD_N2_CASE1 else 2, "x0": _exit_abscissa(cert), "k": 1}
 
 
-def witness_n2(a: WeightVector, eps) -> Certificate | None:
+def witness_n2(a: WeightVector, eps, *, _checked: bool = False) -> Certificate | None:
     """Dirichlet-point construction in the plane.
 
     With Z = isqrt(a_1) and p/q approximating a_2/a_1, the one candidate is
@@ -263,9 +268,10 @@ def witness_n2(a: WeightVector, eps) -> Certificate | None:
     tilted facet when p/q <= a_2/a_1 (case 1), the upper one otherwise
     (case 2). When a_1 = 1 the candidate is a itself, with psi(a) = 1.
     """
-    eps = check_eps(eps)
-    if a.n != 2:
-        raise ValueError("witness_n2 requires exactly two weights")
+    if not _checked:
+        eps = check_eps(eps)
+        if a.n != 2:
+            raise ValueError("witness_n2 requires exactly two weights")
     a1, a2 = a.entries
     p, q = dirichlet_1d(a2, a1, isqrt(a1))
     return _judged(a, eps, (q, p), METHOD_N2_CASE1 if p * a1 <= a2 * q else METHOD_N2_CASE2)
@@ -290,8 +296,8 @@ def _theta_trace(cert: Certificate) -> dict:
             "exit_facet": _cone(ent, pt) + 1, "x1_0": _exit_abscissa(cert), "k": 1}
 
 
-def witness_general_theta(a: WeightVector, eps, theta=None, *,
-                          _hypothesis_ok: bool | None = None) -> Certificate | None:
+def witness_general_theta(a: WeightVector, eps, theta=None, *, _hypothesis_ok: bool | None = None,
+                          _checked: bool = False) -> Certificate | None:
     """Simultaneous-Dirichlet point construction for any dimension.
 
     The one candidate is w = (q, p_1, ..., p_{n-1}), approximating each
@@ -306,9 +312,10 @@ def witness_general_theta(a: WeightVector, eps, theta=None, *,
     The targets a_j/a_1 go to the search as integers over a_1, which is
     their common denominator in lowest terms since gcd(a) = 1.
     """
-    eps = check_eps(eps)
     n = a.n
-    theta = _check_theta(theta, n)
+    if not _checked:
+        eps = check_eps(eps)
+        theta = _check_theta(theta, n)
     ent = a.entries
     Z = integer_nth_root(ent[0], n)
     w = dirichlet_simultaneous(ent[1:], ent[0], Z)
@@ -329,7 +336,7 @@ def _projection_trace(cert: Certificate) -> dict:
             "x3_lo": format_quotient(((q + p) * ed - en) * a3, (a1 + a2 - 1) * ed), "x3_hi": x3_hi}
 
 
-def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
+def witness_n3(a: WeightVector, eps, theta=None, *, _checked: bool = False) -> Certificate | None:
     """Three-dimensional construction.
 
     Branch (i), when a_3/a_2 <= a_1**theta: delegate to the general
@@ -341,12 +348,13 @@ def witness_n3(a: WeightVector, eps, theta=None) -> Certificate | None:
     integer above x3_lo, judged by psi < eps, which holds exactly when
     m < x3_hi.
     """
-    eps = check_eps(eps)
-    if a.n != 3:
-        raise ValueError("witness_n3 requires exactly three weights")
-    theta = _check_theta(theta, a.n)
+    if not _checked:
+        eps = check_eps(eps)
+        if a.n != 3:
+            raise ValueError("witness_n3 requires exactly three weights")
+        theta = _check_theta(theta, a.n)
     if _theta_hypothesis(a, theta):
-        return witness_general_theta(a, eps, theta, _hypothesis_ok=True)
+        return witness_general_theta(a, eps, theta, _hypothesis_ok=True, _checked=True)
     a1, a2, a3 = a.entries
     p, q = dirichlet_1d(a2, a1, isqrt(a1))
     # m, the least integer above x3_lo = (q + p - eps) * a3 / (a1 + a2 - 1)
@@ -373,7 +381,9 @@ def certify_not_eps_lc(
     "inconclusive"; a cap that is no integer >= 1 is
     rejected, and so is a theta outside (0, 1/(2 n^2)), whatever the route.
     method "construction" stops after the construction, returning
-    "no-witness" if it fails; "enumeration" runs only the scan.
+    "no-witness" if it fails; "enumeration" runs only the scan. The
+    request is checked once, here, and the construction trusts it; a
+    construction called directly checks its own arguments.
 
     A wrong verdict is never returned: every certificate is re-checked
     exactly by _verified, and "eps-lc" only comes from a completed scan.
@@ -381,11 +391,11 @@ def certify_not_eps_lc(
     eps, theta = _certify_request(a.n, eps, theta, method, enumeration_cap)
     if method != "enumeration":
         if a.n == 2:
-            cert = witness_n2(a, eps)
+            cert = witness_n2(a, eps, _checked=True)
         elif a.n == 3:
-            cert = witness_n3(a, eps, theta)
+            cert = witness_n3(a, eps, theta, _checked=True)
         else:
-            cert = witness_general_theta(a, eps, theta)
+            cert = witness_general_theta(a, eps, theta, _checked=True)
         if cert is not None:
             return cert
         if method == "construction":

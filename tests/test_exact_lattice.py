@@ -201,6 +201,18 @@ def test_every_public_integer_argument_takes_only_an_int(name):
         assert repr(bad) in str(err.value)
 
 
+def test_check_int_judges_other_values_by_isinstance():
+    # an exact int is settled by its type test; any other value is judged
+    # by isinstance, as before
+    class Count(int):
+        pass
+
+    assert check_int(Count(3), "x", 2) == 3
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match="x must be an integer >= 2"):
+            check_int(bad, "x", 2)
+
+
 def test_oracle_budget_is_checked_before_its_cache():
     # 2.0 hashes as 2 does, so a cache keyed on it would answer for the int
     a = WeightVector((2, 3))

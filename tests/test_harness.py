@@ -447,13 +447,37 @@ def test_a_failing_sweep_row_names_its_tuple(pools_built, monkeypatch, workers):
 
 def test_sweep_task_runs_in_a_spawned_worker():
     # a worker started by spawn (macOS) or forkserver inherits no module
-    # state, so the task must bind csv and witness itself
+    # state, so the task must bind witness itself
     spec = make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=5, tail_caps=(5, 5))
     args = (spec, list(iter_weight_tuples(spec)))
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         spawned = pool.apply(harness._sweep_task, args)
     assert spawned == harness._sweep_task(*args)
     assert spawned[0].count("\n") == len(args[1])
+
+
+def test_sweep_rows_are_the_lines_csv_writer_would_write():
+    # the task writes each row as a plain line; csv.writer, given the cells
+    # csv.reader reads back, must write the same bytes for rows of every shape
+    specs = [
+        make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=8, tail_caps=(8, 8), theta=Fraction(1, 100)),
+        make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=8, tail_caps=(8, 8), method="construction"),
+        make_spec(n=3, eps=Fraction(1, 2), a1_min=2, a1_max=8, tail_caps=(8, 8), enumeration_cap=3),
+        make_spec(n=4, eps=Fraction(2, 3), a1_min=2, a1_max=6, tail_caps=(5, 5, 5)),
+        make_spec(n=2, eps=Fraction(1, 2), a1_min=1, a1_max=30, tail_caps=(30,), include_timing=True),
+    ]
+    shapes = set()
+    for spec in specs:
+        text, _ = harness._sweep_task(spec, list(iter_weight_tuples(spec)))
+        for line in text.splitlines(keepends=True):
+            cells = next(csv.reader([line]))
+            assert len(cells) == len(harness.CSV_COLUMNS)
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow(cells)
+            assert out.getvalue() == line
+            shapes.add(cells[3] if cells[3] != "certificate" else cells[7])
+            shapes.add("timed" if cells[8] else "untimed")
+    assert shapes >= {"theta-ok", "theta-violated", "", "eps-lc", "no-witness", "inconclusive", "timed"}
 
 
 def test_threads_take_the_kept_pool_in_turn(pools_built):

@@ -472,13 +472,53 @@ def test_certify_examples():
         (lambda: certify_not_eps_lc(WeightVector((5, 6, 61)), 1, 0.01), "float"),
         (lambda: witness_n3(WeightVector((2, 3)), Fraction(1, 2)), "exactly three weights"),
         (lambda: witness_n3(WeightVector((2, 3, 5, 7)), Fraction(1, 2)), "exactly three weights"),
+        (lambda: witness_n2(WeightVector((26, 27)), 0), r"eps must lie in \(0, 1\], got 0"),
+        (lambda: witness_n3(WeightVector((5, 6, 61)), 0), r"eps must lie in \(0, 1\], got 0"),
+        (lambda: witness_n3(WeightVector((5, 6, 61)), 1, Fraction(1, 18)),
+         r"theta must lie in \(0, 1/18\), got 1/18"),
+        (lambda: witness_general_theta(WeightVector((2, 3, 5, 7)), Fraction(3, 2)),
+         r"eps must lie in \(0, 1\], got 3/2"),
     ],
-    ids=["certify-eps-float", "polytope-eps-float", "n2-eps-float", "theta-float", "n3-on-n2", "n3-on-n4"],
+    ids=["certify-eps-float", "polytope-eps-float", "n2-eps-float", "theta-float", "n3-on-n2", "n3-on-n4",
+         "n2-eps-0", "n3-eps-0", "n3-theta-1/18", "general-theta-eps-3/2"],
 )
 def test_input_checks_raise(call, message):
-    # a float would be read as its binary expansion: 0.1 is not 1/10
+    # a float would be read as its binary expansion: 0.1 is not 1/10; a
+    # construction called directly checks its own arguments
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "entries,theta,method",
+    [
+        ((26, 27), Fraction(1, 9), METHOD_N2_CASE1),
+        ((26, 27, 28), Fraction(1, 19), METHOD_GENERAL_THETA),
+        ((200, 201, 402), Fraction(1, 100), METHOD_N3_PROJECTION),
+        ((100, 101, 102, 103), Fraction(1, 33), METHOD_GENERAL_THETA),
+        ((26, 27, 28), None, METHOD_GENERAL_THETA),
+    ],
+    ids=["n2", "n3-branch-i", "n3-branch-ii", "n4", "n3-default-theta"],
+)
+def test_certify_checks_its_request_once(monkeypatch, entries, theta, method):
+    # certify checks eps and theta in _certify_request and the construction
+    # it calls does not check them again
+    calls = {"check_eps": 0, "_check_theta": 0}
+
+    def counted(name):
+        real = getattr(witness, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(witness, name, wrapper)
+
+    counted("check_eps")
+    counted("_check_theta")
+    cert = certify_not_eps_lc(WeightVector(entries), Fraction(1, 2), theta)
+    assert isinstance(cert, Certificate) and cert.method == method
+    assert calls == {"check_eps": 1, "_check_theta": 1}
 
 
 def test_certify_enumeration_path_when_construction_fails():
