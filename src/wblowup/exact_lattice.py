@@ -192,25 +192,22 @@ def _dedekind12(h: int, c: int) -> int:
     1972) gives, for c > 1, 12*c*s(h, c) = h + h' + c*(q_1 - q_2 + ... +-
     q_n - 1 - 2*[n odd]), where h' = h^-1 mod c and q_1..q_n are the
     quotients of Euclid's algorithm on (c, h mod c): O(log c) integer steps.
-    The same pass reads h': it keeps x = t0*h and y = t1*h (mod c), and
-    the remainder left at 1 gives h' = t0 or t1. It takes two quotients a
-    turn, so their signs alternate without a sign variable.
+    The loop takes two quotients a turn, so their signs alternate without a
+    sign variable; h' is pow(h, -1, c), as in _dedekind_pair12.
     """
     if c == 1:
         return 0
     h %= c
-    alt, x, y, t0, t1 = -1, c, h, 0, 1
+    alt, x, y = -1, c, h
     while True:
         q, x = divmod(x, y)
         alt += q
-        t0 -= q * t1
         if not x:
-            return h + t1 % c + c * (alt - 2)
+            return h + pow(h, -1, c) + c * (alt - 2)
         q, y = divmod(y, x)
         alt -= q
-        t1 -= q * t0
         if not y:
-            return h + t0 % c + c * alt
+            return h + pow(h, -1, c) + c * alt
 
 
 def _dedekind_pair12(u: int, v: int, c: int) -> int:

@@ -16,8 +16,9 @@ pool per process (see Pool).
 
 A module a subcommand may not need is loaded on its first use, not at
 import: a cold mld or check loads exact_lattice and toric_mld alone, and
-witness, oracle and csv come in through _load, multiprocessing through
-Pool. No import statement runs per query or per sweep row.
+witness and oracle come in through _load, multiprocessing through Pool.
+No import statement runs per query or per sweep row, and no command
+loads csv.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ from .toric_mld import WeightVector, is_eps_lc, mld_at_fixed_point, mld_global, 
 
 # modules bound by _load on first use; their functions are read as
 # attributes at call time, so a wrapper set on the module is seen
-csv = oracle = witness = None
+oracle = witness = None
 
 
 def _load(*names: str) -> None:
-    """Bind each named module (csv, oracle or witness) here, if not yet bound.
+    """Bind each named package module (oracle or witness) here, if not yet bound.
 
     A cold mld or check never needs them: witness and oracle, with
     diophantine, are some 800 source lines to compile when no bytecode cache
@@ -63,7 +64,7 @@ def _load(*names: str) -> None:
     """
     for name in names:
         if globals()[name] is None:
-            globals()[name] = import_module(name if name == "csv" else "." + name, __package__)
+            globals()[name] = import_module("." + name, __package__)
 
 
 CSV_COLUMNS = [
@@ -469,12 +470,12 @@ def _handle_sweep(ns) -> int:
         method=ns.method,
     )
     if ns.format == "json":
-        # the JSON rows are the CSV rows, read back cell for cell
-        _load("csv")
+        # the JSON rows are the CSV rows cell for cell: no cell holds a comma,
+        # a quote or a newline, so each line splits as csv would read it
         text = io.StringIO()
         report = run_sweep(spec, text)
-        text.seek(0)
-        _emit({"rows": list(csv.DictReader(text)), "frontier": report.to_json_dict()}, ns.out)
+        rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in text.getvalue().splitlines()[1:]]
+        _emit({"rows": rows, "frontier": report.to_json_dict()}, ns.out)
         return 0
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:

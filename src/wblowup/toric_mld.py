@@ -394,10 +394,14 @@ def _cone_frame(p, q1, q2):
     # x_2 = -x_0*q2 (mod p)}, p > 1, in a simplex {x >= l, x_0 + x_1 + x_2 <= T}
     # whose l and T each walk supplies. The dual of L, times p, has the rows
     # (p, 0, 0), (q1, 1, 0), (q2, 0, 1). Lagrange-Gauss first reduces the
-    # plane of the first two to a shortest pair u, v, then the third row
-    # loses the rounded coordinates of (q2, 0) in u, v, and only then does
-    # LLL reduce all three: its output bound holds for any input basis, and
-    # from this one it takes fewer swaps. The slicing row w = b_i is the
+    # plane of the first two to a shortest pair u, v, and LLL then reduces
+    # u, v and (q2 mod p, 0, 1), its size reduction of the third row against
+    # u, v doing what rounding (q2, 0) in u, v would. LLL's output bound
+    # holds for any input basis, but from u, v it takes fewer swaps: with
+    # LLL alone (rows small-first) n = 3 mld answers alike, and is 11%
+    # slower a query on balanced weights near 10^60 (808 -> 910 us), 5% near
+    # 10^30 and within 2% near 10^18 and on the bench's mld-n3 pool (Intel
+    # Xeon, Python 3.11). The slicing row w = b_i is the
     # first reduced row with the least range max(0, w) - min(0, w) on the
     # simplex, and B = (b_i, b_{i+1}, b_{i+2}), indices mod 3. With c_m the
     # columns of its adjugate, signed so that B c_m = p e_m, L is every
@@ -411,11 +415,7 @@ def _cone_frame(p, q1, q2):
         if nv >= nu:
             break
         u0, u1, v0, v1, nu = v0, v1, u0, u1, nv
-    # (q2, 0) = (q2*v1*u - q2*u1*v) / det; x // y floors for either sign of y,
-    # so (2x + y) // 2y rounds x / y
-    det, q2 = u0 * v1 - u1 * v0, q2 % p
-    ru, rv = (2 * q2 * v1 + det) // (2 * det), (det - 2 * q2 * u1) // (2 * det)
-    b = [[u0, u1, 0], [v0, v1, 0], [q2 - ru * u0 - rv * v0, -ru * u1 - rv * v1, 1]]
+    b = [[u0, u1, 0], [v0, v1, 0], [q2 % p, 0, 1]]
     _lll(b)
     i = min(range(3), key=lambda j: max(0, *b[j]) - min(0, *b[j]))
     w, (y0, y1, y2), (z0, z1, z2) = b[i], b[i - 2], b[i - 1]
@@ -466,7 +466,10 @@ def _chain_sum(chain, s, x0, x1) -> int:
     # parallel (K = 0), for every u or for none. So the first least line at u
     # is line i on one run of u, the runs follow in chain order, a line that
     # never reaches the envelope has none, and each run takes one floor sum,
-    # or one floor when it is one u long
+    # or one floor when it is one u long. That floor pays: 548 of the 1,126
+    # calls of the bench's mld-n3 pool span one u, and replayed with a floor
+    # sum for every run the calls take 2.04 ms against 1.11 ms (4.77 against
+    # 1.09 ms near 10^60), and n = 3 mld is 5-9% slower
     total = 0
     for B, A, h, q, cuts in chain:
         end = x1

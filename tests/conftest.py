@@ -42,6 +42,28 @@ def random_weight_vector(rng: random.Random, n: int, max_entry: int) -> WeightVe
             return WeightVector(entries)
 
 
+def mld_levels(entries) -> tuple[Fraction, tuple[int, ...]]:
+    """The mld of the blowup with weights entries and its lex-first minimiser, one level at a time.
+
+    {psi <= 1} is the unit simplex together with T = conv(e_1, ..., e_n, a).
+    With N = sum(a) - 1 and r_j = -a_j*k mod N, level k = sum(x) - 1 of T,
+    0 < k < N, holds one lattice point when k + sum_j r_j = N and none
+    otherwise: x_j = (r_j + a_j*k) / N, with psi = 1 - min_j r_j / a_j
+    (z_j = N*x_j - a_j*k is at least 0, congruent to r_j mod N, and the z_j
+    sum to N - k). Every other nonzero point of {psi <= 1} has psi = 1, and
+    e_n is the lex-first of those. A reference in O(n*N) integer steps, not
+    an engine.
+    """
+    n, N = len(entries), sum(entries) - 1
+    best = (Fraction(1), (0,) * (n - 1) + (1,))
+    for k in range(1, N):
+        r = [-aj * k % N for aj in entries]
+        if k + sum(r) == N:
+            point = tuple((rj + aj * k) // N for rj, aj in zip(r, entries))
+            best = min(best, (1 - min(Fraction(rj, aj) for rj, aj in zip(r, entries)), point))
+    return best
+
+
 def random_fraction(rng: random.Random, max_num: int, max_den: int, nonneg: bool = True) -> Fraction:
     num = rng.randint(0 if nonneg else -max_num, max_num)
     den = rng.randint(1, max_den)

@@ -56,8 +56,8 @@ def test_each_command_answers_alike_in_a_fresh_interpreter(capsys, tmp_path, exp
     assert code == expected, captured.err
 
 
-@pytest.mark.parametrize("argv", [COMMANDS["mld"][1], COMMANDS["check"][1]], ids=["mld", "check"])
-def test_a_cold_query_loads_only_what_it_uses(argv):
+def loaded_after(argv):
+    """The exit code of cli_dispatch(argv) in a fresh interpreter, and the modules loaded by then."""
     # -S: no site hook can import a module on the package's behalf
     script = (
         "import sys\n"
@@ -66,10 +66,26 @@ def test_a_cold_query_loads_only_what_it_uses(argv):
         "print(code, *sorted(sys.modules), file=sys.stderr)\n"
     )
     proc = fresh("-S", "-c", script)
-    code, *loaded = proc.stderr.split()
+    code, *loaded = proc.stderr.splitlines()[-1].split()  # a CSV sweep's frontier comes first
     assert code in ("0", "1"), proc.stderr
+    return loaded
+
+
+@pytest.mark.parametrize("argv", [COMMANDS["mld"][1], COMMANDS["check"][1]], ids=["mld", "check"])
+def test_a_cold_query_loads_only_what_it_uses(argv):
+    loaded = loaded_after(argv)
     assert "wblowup.toric_mld" in loaded
     assert [name for name in UNUSED_BY_QUERIES if name in loaded] == []
+
+
+@pytest.mark.parametrize("argv", [*(argv for _, argv in COMMANDS.values()), (*SWEEP, "--format", "json")],
+                         ids=[*COMMANDS.keys(), "sweep-json"])
+def test_no_command_loads_csv(argv):
+    # sweep rows are written, and for --format json split again, as plain lines
+    loaded = loaded_after(argv)
+    assert "csv" not in loaded and "_csv" not in loaded
+    if argv[0] == "sweep":
+        assert "wblowup.witness" in loaded
 
 
 def test_no_module_of_the_package_imports_dataclasses_or_typing():

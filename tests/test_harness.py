@@ -637,8 +637,21 @@ def test_sweep_cli_json_format(capsys):
     assert all(row["verdict"] == "certificate" for row in payload["rows"])
 
 
-def test_sweep_json_rows_are_the_csv_rows(capsys):
-    argv = ("sweep", "--n", "3", "--eps", "1/2", "--a1-min", "2", "--a1-max", "5", "--tail-cap", "4,5", "--no-timing")
+# sweeps whose rows take every shape the CSV can hold, each with the
+# (verdict, hypothesis_flags) of one row it must hold
+JSON_SWEEPS = {
+    "eps-lc": (("eps-lc", ""), ("sweep", "--n", "3", "--eps", "1/2", "--a1-min", "2", "--a1-max", "5",
+                                "--tail-cap", "4,5", "--no-timing")),
+    "theta-ok": (("certificate", "theta-ok"), (*SWEEP_N3, "--theta", "1/100")),
+    "no-witness": (("no-witness", ""), (*SWEEP_N3, "--method", "construction")),
+    "inconclusive": (("inconclusive", ""), (*SWEEP_N3, "--cap", "3")),
+    "n-4-theta-violated": (("certificate", "theta-violated"), ("sweep", "--n", "4", "--eps", "2/3", "--a1-min", "2",
+                                                               "--a1-max", "6", "--tail-cap", "5", "--no-timing")),
+}
+
+
+@pytest.mark.parametrize("shape,argv", JSON_SWEEPS.values(), ids=JSON_SWEEPS.keys())
+def test_sweep_json_rows_are_the_csv_rows(capsys, shape, argv):
     code, csv_out, csv_err = run_cli(capsys, *argv)
     assert code == 0
     code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -646,6 +659,18 @@ def test_sweep_json_rows_are_the_csv_rows(capsys):
     payload = json.loads(json_out)
     assert payload["rows"] == list(csv.DictReader(io.StringIO(csv_out)))
     assert payload["frontier"] == json.loads(csv_err)
+    assert shape in {(row["verdict"], row["hypothesis_flags"]) for row in payload["rows"]}
+
+
+def test_timed_sweep_json_rows_hold_the_csv_columns(capsys):
+    argv = ("sweep", "--n", "2", "--eps", "1/2", "--a1-min", "1", "--a1-max", "30", "--tail-cap", "30", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows and all(list(row) == harness.CSV_COLUMNS and row["wall_micros"].isdigit() for row in rows)
+    code, out, _ = run_cli(capsys, *argv, "--no-timing")
+    assert code == 0
+    assert [{**row, "wall_micros": ""} for row in rows] == json.loads(out)["rows"]
 
 
 # ---------------------------------------------------------------------------

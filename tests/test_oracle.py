@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import coprime_sorted_tuples, facets, random_weight_vector
+from conftest import coprime_sorted_tuples, facets, mld_levels, random_weight_vector
 from wblowup.exact_lattice import BudgetExceeded
 from wblowup.oracle import (
     enumerate_lattice_points,
@@ -81,6 +82,31 @@ def test_engine_matches_oracle_small_family():
             report = mld_global(a)
             assert report.value == mld_bruteforce(a), entries
             assert psi_value(a, report.achieved_at) == report.value, entries
+
+
+def test_mld_levels_matches_oracle():
+    # 52 seeded tuples per n: the box scans take about 0.5 s in all
+    rng = random.Random(39)
+    for n, max_entry in ((2, 30), (3, 12), (4, 8), (5, 6)):
+        for _ in range(52):
+            a = random_weight_vector(rng, n, max_entry)
+            value, point = mld_levels(a.entries)
+            assert value == mld_bruteforce(a), a.entries
+            assert psi_bruteforce(a, point) == value, a.entries
+
+
+def test_mld_levels_matches_engine_at_n_4_to_6():
+    # beyond the box scan's reach; sizes fixed from a budget of about 2 s:
+    # a level pass costs some 10 ms at entries near 2,000 and 100 ms near
+    # 15,000, the engine 3 and 40 ms
+    rng = random.Random(40)
+    draws = [(4 + i % 3, 500, 3000) for i in range(60)] + [(4 + i % 3, 10**4, 2 * 10**4) for i in range(8)]
+    for n, lo, hi in draws:
+        entries = ()
+        while math.gcd(*entries) != 1:
+            entries = tuple(sorted(rng.randint(lo, hi) for _ in range(n)))
+        report = mld_global(WeightVector(entries))
+        assert mld_levels(entries) == (report.value, report.achieved_at), entries
 
 
 def test_verify_interior_psi_equivalence_examples():
