@@ -15,7 +15,7 @@ _SOURCES = {
     "oracle": ("enumerate_lattice_points", "mld_bruteforce", "psi_bruteforce", "verify_interior_psi_equivalence"),
     "toric_mld": ("MldReport", "WeightVector", "is_eps_lc", "mld_at_fixed_point", "mld_global", "psi_value"),
     "witness": ("Certificate", "CEpsPolytope", "certificate_threshold", "build_polytope", "certify_not_eps_lc",
-                "default_theta", "witness_general_theta", "witness_n2", "witness_n3"),
+                "default_theta"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -37,10 +37,12 @@ directly and stops at the first. On lattice points interiority is exactly
 psi < eps, so that lexicographically first point is the certificate, and
 a scan that finds none proves eps-lc.
 
-certify_not_eps_lc checks its request once, in _certify_request, and calls
-each construction with the private keyword _checked=True, so eps, theta
-and the dimension are not checked again below it. A construction called
-directly checks its own arguments.
+certify_not_eps_lc is the one checked entry to the constructions. It
+checks its request once, in _certify_request, and calls the construction
+for the dimension with eps a Fraction in (0, 1] and theta resolved and in
+range; the constructions check nothing themselves. They are not exported:
+a library caller reaches one through certify_not_eps_lc(a, eps, theta,
+method="construction").
 """
 
 from __future__ import annotations
@@ -258,8 +260,11 @@ def _plane_trace(cert: Certificate) -> dict:
             "case": 1 if cert.method == METHOD_N2_CASE1 else 2, "x0": _exit_abscissa(cert), "k": 1}
 
 
-def witness_n2(a: WeightVector, eps, *, _checked: bool = False) -> Certificate | None:
+def witness_n2(a: WeightVector, eps: Fraction) -> Certificate | None:
     """Dirichlet-point construction in the plane.
+
+    Takes a request certify_not_eps_lc has checked: two weights and eps a
+    Fraction in (0, 1].
 
     With Z = isqrt(a_1) and p/q approximating a_2/a_1, the one candidate is
     w = (q, p), judged by psi(w) < eps. By the ray lemma no other multiple
@@ -268,10 +273,6 @@ def witness_n2(a: WeightVector, eps, *, _checked: bool = False) -> Certificate |
     tilted facet when p/q <= a_2/a_1 (case 1), the upper one otherwise
     (case 2). When a_1 = 1 the candidate is a itself, with psi(a) = 1.
     """
-    if not _checked:
-        eps = check_eps(eps)
-        if a.n != 2:
-            raise ValueError("witness_n2 requires exactly two weights")
     a1, a2 = a.entries
     p, q = dirichlet_1d(a2, a1, isqrt(a1))
     return _judged(a, eps, (q, p), METHOD_N2_CASE1 if p * a1 <= a2 * q else METHOD_N2_CASE2)
@@ -296,9 +297,12 @@ def _theta_trace(cert: Certificate) -> dict:
             "exit_facet": _cone(ent, pt) + 1, "x1_0": _exit_abscissa(cert), "k": 1}
 
 
-def witness_general_theta(a: WeightVector, eps, theta=None, *, _hypothesis_ok: bool | None = None,
-                          _checked: bool = False) -> Certificate | None:
+def witness_general_theta(a: WeightVector, eps: Fraction, theta: Fraction,
+                          hypothesis_ok: bool | None = None) -> Certificate | None:
     """Simultaneous-Dirichlet point construction for any dimension.
+
+    Takes a request certify_not_eps_lc has checked: eps a Fraction in
+    (0, 1] and theta a Fraction in (0, 1/(2 n^2)).
 
     The one candidate is w = (q, p_1, ..., p_{n-1}), approximating each
     a_j/a_1 with denominator q <= Z = floor(a_1 ** (1/n)), judged by
@@ -308,18 +312,13 @@ def witness_general_theta(a: WeightVector, eps, theta=None, *, _hypothesis_ok: b
     cone holding w, is the exit facet of the line through w, which leaves
     C(a, eps) at x1_0 = eps*q/psi(w). The hypothesis a_j/a_2 <= a_1**theta
     is recorded in the trace but not required; witness_n3, which has
-    already evaluated it to choose its branch, passes it as _hypothesis_ok.
+    already evaluated it to choose its branch, passes it as hypothesis_ok.
     The targets a_j/a_1 go to the search as integers over a_1, which is
     their common denominator in lowest terms since gcd(a) = 1.
     """
-    n = a.n
-    if not _checked:
-        eps = check_eps(eps)
-        theta = _check_theta(theta, n)
     ent = a.entries
-    Z = integer_nth_root(ent[0], n)
-    w = dirichlet_simultaneous(ent[1:], ent[0], Z)
-    return _judged(a, eps, (w.q,) + w.p, METHOD_GENERAL_THETA, theta, w, _hypothesis_ok)
+    w = dirichlet_simultaneous(ent[1:], ent[0], integer_nth_root(ent[0], a.n))
+    return _judged(a, eps, (w.q,) + w.p, METHOD_GENERAL_THETA, theta, w, hypothesis_ok)
 
 
 def _projection_trace(cert: Certificate) -> dict:
@@ -336,8 +335,11 @@ def _projection_trace(cert: Certificate) -> dict:
             "x3_lo": format_quotient(((q + p) * ed - en) * a3, (a1 + a2 - 1) * ed), "x3_hi": x3_hi}
 
 
-def witness_n3(a: WeightVector, eps, theta=None, *, _checked: bool = False) -> Certificate | None:
+def witness_n3(a: WeightVector, eps: Fraction, theta: Fraction) -> Certificate | None:
     """Three-dimensional construction.
+
+    Takes a request certify_not_eps_lc has checked: three weights, eps a
+    Fraction in (0, 1] and theta a Fraction in (0, 1/18).
 
     Branch (i), when a_3/a_2 <= a_1**theta: delegate to the general
     Dirichlet-point construction. Branch (ii): project onto the first two
@@ -348,13 +350,8 @@ def witness_n3(a: WeightVector, eps, theta=None, *, _checked: bool = False) -> C
     integer above x3_lo, judged by psi < eps, which holds exactly when
     m < x3_hi.
     """
-    if not _checked:
-        eps = check_eps(eps)
-        if a.n != 3:
-            raise ValueError("witness_n3 requires exactly three weights")
-        theta = _check_theta(theta, a.n)
     if _theta_hypothesis(a, theta):
-        return witness_general_theta(a, eps, theta, _hypothesis_ok=True, _checked=True)
+        return witness_general_theta(a, eps, theta, True)
     a1, a2, a3 = a.entries
     p, q = dirichlet_1d(a2, a1, isqrt(a1))
     # m, the least integer above x3_lo = (q + p - eps) * a3 / (a1 + a2 - 1)
@@ -381,21 +378,24 @@ def certify_not_eps_lc(
     "inconclusive"; a cap that is no integer >= 1 is
     rejected, and so is a theta outside (0, 1/(2 n^2)), whatever the route.
     method "construction" stops after the construction, returning
-    "no-witness" if it fails; "enumeration" runs only the scan. The
-    request is checked once, here, and the construction trusts it; a
-    construction called directly checks its own arguments.
+    "no-witness" if it fails; "enumeration" runs only the scan. This is
+    the one checked entry to the constructions: the request is checked
+    once, here, and the construction trusts it, so method "construction"
+    is the library's path to one construction's answer.
 
     A wrong verdict is never returned: every certificate is re-checked
     exactly by _verified, and "eps-lc" only comes from a completed scan.
     """
     eps, theta = _certify_request(a.n, eps, theta, method, enumeration_cap)
     if method != "enumeration":
+        # each construction is looked up by its module name, which
+        # bench/tracing.py wraps to count attempts and hits per method
         if a.n == 2:
-            cert = witness_n2(a, eps, _checked=True)
+            cert = witness_n2(a, eps)
         elif a.n == 3:
-            cert = witness_n3(a, eps, theta, _checked=True)
+            cert = witness_n3(a, eps, theta)
         else:
-            cert = witness_general_theta(a, eps, theta, _checked=True)
+            cert = witness_general_theta(a, eps, theta)
         if cert is not None:
             return cert
         if method == "construction":

@@ -120,7 +120,7 @@ def test_criterion_5_n3_projection_construction():
     started = time.perf_counter()
     theta = Fraction(1, 100)
 
-    cert = witness_n3(WeightVector((5, 6, 61)), 1, theta)
+    cert = witness_n3(WeightVector((5, 6, 61)), Fraction(1), theta)
     assert cert.point == (1, 1, 7)
     assert Fraction(*cert.psi) == Fraction(52, 61)
     assert cert.method == METHOD_N3_PROJECTION
@@ -136,7 +136,7 @@ def test_criterion_5_n3_projection_construction():
         # tall-box hypothesis holds exactly: (a3/a2)**100 >= 2**100 > a1
         assert pow_cmp(Fraction(a3, a2), 100, Fraction(a1)) > 0
         a = WeightVector((a1, a2, a3))
-        cert = witness_n3(a, 1, theta)
+        cert = witness_n3(a, Fraction(1), theta)
         assert cert is not None, a.entries
         assert cert.method == METHOD_N3_PROJECTION
         assert contains_interior(build_polytope(a, 1), cert.point)

@@ -4,8 +4,10 @@ The ledger holds weight tuples, each with its exact mld and lex-first
 minimiser, and families of them, whose weights, mld and minimiser are
 polynomials in k. Each mld is checked by two routes: `mld_global` gives
 the value and its minimiser, and `psi_value` at that minimiser gives the
-value again. The oracle `mld_bruteforce` is a further route for every
-tuple with n <= 3 and for the families up to k = 11, and the strict scan
+value again. The level reference `conftest.mld_levels`, which shares no
+code with the engine, gives each tuple's value and minimiser once more,
+at n = 4 as at n <= 3. The oracle `mld_bruteforce` is a further route for
+every tuple with n <= 3 and for the families up to k = 11, and the strict scan
 `is_eps_lc(a, value)` finds no lattice point with psi below the value on
 every tuple and on the families up to their k_to.
 
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import mld_levels
 from wblowup.oracle import mld_bruteforce, psi_bruteforce
 from wblowup.toric_mld import WeightVector, is_eps_lc, mld_global, psi_value
 
@@ -67,6 +70,7 @@ def test_frontier_entry_has_its_mld_at_its_point(entry):
     entries, value, point = tuple(entry["weights"]), Fraction(entry["mld"]), tuple(entry["minimiser"])
     assert len(entries) == entry["n"]
     assert mld_by_two_routes(entries) == (value, point)
+    assert mld_levels(entries) == (value, point)
     assert is_eps_lc(WeightVector(entries), value) == (True, None)
     assert_bounds_hold(value, [(b["kind"], Fraction(b["eps"])) for b in entry["bounds"]])
     if entry["n"] <= 3:

@@ -2,6 +2,7 @@ import ast
 import importlib
 import io
 import pickle
+import re
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import wblowup
 from wblowup.harness import SweepSpec, run_sweep
-from wblowup.witness import _verified
+from wblowup.witness import _verified, witness_general_theta
 
 
 def test_library_has_no_assert_statements():
@@ -49,9 +50,6 @@ PUBLIC_NAMES = {
     "psi_bruteforce",
     "psi_value",
     "verify_interior_psi_equivalence",
-    "witness_general_theta",
-    "witness_n2",
-    "witness_n3",
 }
 
 
@@ -80,6 +78,19 @@ def test_public_api_is_pinned():
         wblowup.mld
 
 
+def test_readme_lists_the_public_api():
+    # README's "Library layout" table names every export in backticks, and
+    # the names a row calls exported, those in backticks from "exported:" to
+    # the next ";" or the end of the cell, are all in __all__
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Library layout\n\n", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`(\w+)`", table))
+    exported = {name for clause in re.findall(r"[Ee]xported: ([^;|]*)", table)
+                for name in re.findall(r"`(\w+)`", clause)}
+    assert set(wblowup.__all__) - named == set()
+    assert exported - set(wblowup.__all__) == set()
+
+
 def test_polytope_has_only_the_integer_facet_form():
     C = wblowup.build_polytope(wblowup.WeightVector((2, 3, 5)), 1)
     assert not hasattr(C, "facets") and not hasattr(C, "vertices")
@@ -89,11 +100,11 @@ def test_polytope_has_only_the_integer_facet_form():
 
 def _one_of_each():
     # one instance of each value class, built twice by the same calls so that
-    # the two are equal and distinct; the general-theta certificate holds a
-    # DirichletWitness
+    # the two are equal and distinct; the general-theta certificate, built
+    # by the construction on a checked request, holds a DirichletWitness
     a = wblowup.WeightVector((5, 7))
     spec = SweepSpec(2, Fraction(1), 1, 3, (2,), None, 1, 10, False)
-    cert = wblowup.witness_general_theta(a, Fraction(1, 2))
+    cert = witness_general_theta(a, Fraction(1, 2), wblowup.default_theta(2))
     return {
         "WeightVector": a,
         "MldReport": wblowup.mld_global(a),

@@ -249,13 +249,8 @@ def test_witness_n2_case2_instance():
 
 
 def test_witness_n2_degenerate_and_lc_cases():
-    assert witness_n2(WeightVector((1, 12)), 1) is None
+    assert witness_n2(WeightVector((1, 12)), Fraction(1)) is None
     assert witness_n2(WeightVector((1, 1)), Fraction(1, 2)) is None
-
-
-def test_witness_n2_rejects_wrong_dimension():
-    with pytest.raises(ValueError):
-        witness_n2(WeightVector((2, 3, 5)), Fraction(1, 2))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
@@ -276,7 +271,7 @@ def test_witness_n2_complete_above_threshold(eps):
 
 
 def test_general_theta_reduces_to_n2_point():
-    cert = witness_general_theta(WeightVector((26, 27)), Fraction(1, 2))
+    cert = witness_general_theta(WeightVector((26, 27)), Fraction(1, 2), default_theta(2))
     assert cert.point == (1, 1)
     assert cert.method == METHOD_GENERAL_THETA
     assert parse_rational(cert.trace["x1_0"]) == Fraction(27, 4)
@@ -284,7 +279,7 @@ def test_general_theta_reduces_to_n2_point():
 
 
 def test_general_theta_candidates_lie_on_the_line():
-    cert = witness_general_theta(WeightVector((10000, 10007, 10013, 10019)), Fraction(1, 2))
+    cert = witness_general_theta(WeightVector((10000, 10007, 10013, 10019)), Fraction(1, 2), default_theta(4))
     assert cert is not None
     w = cert.trace["dirichlet"]
     x = cert.point
@@ -331,18 +326,19 @@ def test_huge_n3_weights_cost_the_lattice_not_the_denominators(entries):
 def test_general_theta_flags_violated_hypothesis():
     # a_3 / a_2 far above a_1 ** theta, but the construction may still run
     a = WeightVector((10000, 10001, 10**8 + 1))
-    cert = witness_general_theta(a, Fraction(1, 2))
+    cert = witness_general_theta(a, Fraction(1, 2), default_theta(3))
     if cert is not None:
         assert cert.trace["hypothesis_ok"] is False
         assert Fraction(*cert.psi) < Fraction(1, 2)
 
 
 def test_general_theta_rejects_bad_theta():
-    a = WeightVector((26, 27))
-    with pytest.raises(ValueError):
-        witness_general_theta(a, Fraction(1, 2), Fraction(1, 8))  # 1/8 == 1/(2 n^2)
-    with pytest.raises(ValueError):
-        witness_general_theta(a, Fraction(1, 2), Fraction(0))
+    # the n = 4 construction takes theta from certify, which refuses one
+    # outside (0, 1/32) before the construction runs
+    a = WeightVector((2, 3, 5, 7))
+    for theta in (Fraction(1, 8), Fraction(0)):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            certify_not_eps_lc(a, Fraction(1, 2), theta, method="construction")
 
 
 @pytest.mark.parametrize("method", ["auto", "construction", "enumeration"])
@@ -361,7 +357,7 @@ def test_certify_rejects_bad_theta_on_every_route(entries, method):
 
 
 def test_witness_n3_hand_trace():
-    cert = witness_n3(WeightVector((5, 6, 61)), 1, Fraction(1, 100))
+    cert = witness_n3(WeightVector((5, 6, 61)), Fraction(1), Fraction(1, 100))
     assert cert.point == (1, 1, 7)
     assert cert.method == METHOD_N3_PROJECTION
     assert Fraction(*cert.psi) == Fraction(52, 61)
@@ -371,7 +367,7 @@ def test_witness_n3_hand_trace():
 
 
 def test_witness_n3_standard_blowup_has_no_witness():
-    assert witness_n3(WeightVector((1, 1, 1)), 1) is None
+    assert witness_n3(WeightVector((1, 1, 1)), Fraction(1), default_theta(3)) is None
 
 
 def test_witness_n3_delegates_to_theta_branch():
@@ -414,7 +410,8 @@ def test_recorded_theta_hypothesis_matches_a_fresh_evaluation():
             if math.gcd(*entries) != 1:
                 continue
             a = WeightVector(tuple(entries))
-            cert = witness_n3(a, Fraction(1, 2)) if n == 3 else witness_general_theta(a, Fraction(1, 2))
+            construction = witness_n3 if n == 3 else witness_general_theta
+            cert = construction(a, Fraction(1, 2), default_theta(n))
             if cert is None or cert.method != METHOD_GENERAL_THETA:
                 continue
             assert cert.hypothesis_ok is witness._theta_hypothesis(a, cert.theta)
@@ -432,7 +429,7 @@ def test_witness_n3_projection_point_between_bounds():
             continue
         a3 = 2 * a2  # ratio 2 exceeds a1 ** (1/100) for these sizes
         a = WeightVector((a1, a2, a3))
-        cert = witness_n3(a, 1, Fraction(1, 100))
+        cert = witness_n3(a, Fraction(1), Fraction(1, 100))
         assert cert is not None, a.entries
         assert cert.method == METHOD_N3_PROJECTION
         q, p, m = cert.point
@@ -468,23 +465,21 @@ def test_certify_examples():
     [
         (lambda: certify_not_eps_lc(WeightVector((26, 27)), 0.1), "float"),
         (lambda: build_polytope(WeightVector((26, 27)), 0.5), "float"),
-        (lambda: witness_n2(WeightVector((26, 27)), 0.5), "float"),
         (lambda: certify_not_eps_lc(WeightVector((5, 6, 61)), 1, 0.01), "float"),
-        (lambda: witness_n3(WeightVector((2, 3)), Fraction(1, 2)), "exactly three weights"),
-        (lambda: witness_n3(WeightVector((2, 3, 5, 7)), Fraction(1, 2)), "exactly three weights"),
-        (lambda: witness_n2(WeightVector((26, 27)), 0), r"eps must lie in \(0, 1\], got 0"),
-        (lambda: witness_n3(WeightVector((5, 6, 61)), 0), r"eps must lie in \(0, 1\], got 0"),
-        (lambda: witness_n3(WeightVector((5, 6, 61)), 1, Fraction(1, 18)),
+        (lambda: certify_not_eps_lc(WeightVector((26, 27)), 0), r"eps must lie in \(0, 1\], got 0"),
+        (lambda: certify_not_eps_lc(WeightVector((5, 6, 61)), 0), r"eps must lie in \(0, 1\], got 0"),
+        (lambda: certify_not_eps_lc(WeightVector((5, 6, 61)), 1, Fraction(1, 18)),
          r"theta must lie in \(0, 1/18\), got 1/18"),
-        (lambda: witness_general_theta(WeightVector((2, 3, 5, 7)), Fraction(3, 2)),
+        (lambda: certify_not_eps_lc(WeightVector((2, 3, 5, 7)), Fraction(3, 2)),
          r"eps must lie in \(0, 1\], got 3/2"),
     ],
-    ids=["certify-eps-float", "polytope-eps-float", "n2-eps-float", "theta-float", "n3-on-n2", "n3-on-n4",
-         "n2-eps-0", "n3-eps-0", "n3-theta-1/18", "general-theta-eps-3/2"],
+    ids=["certify-eps-float", "polytope-eps-float", "theta-float", "n2-eps-0", "n3-eps-0", "n3-theta-1/18",
+         "general-theta-eps-3/2"],
 )
 def test_input_checks_raise(call, message):
-    # a float would be read as its binary expansion: 0.1 is not 1/10; a
-    # construction called directly checks its own arguments
+    # a float would be read as its binary expansion: 0.1 is not 1/10; the
+    # constructions check nothing, so each rejection is certify's, at the
+    # dimension of the construction it would call
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -614,6 +609,54 @@ def test_certify_method_selects_the_route():
         certify_not_eps_lc(a, 1, method="telepathy")
 
 
+def _construction_requests(rng):
+    # seeded (weights, eps, theta) at four kinds of input, eps and theta as
+    # a caller may give them: n = 2; n = 3 branch (i), a3/a2 <= a1**(1/30)
+    # near (100, 101, 102); n = 3 branch (ii), a3 >= 2*a2 against theta
+    # 1/100; n = 4 at the default theta
+    def coprime(draw):
+        entries = ()
+        while math.gcd(*entries) != 1:
+            entries = tuple(sorted(draw()))
+        return WeightVector(entries)
+
+    for _ in range(30):
+        eps = rng.choice(["1/10", "1/3", "1/2", 1])
+        a1 = rng.randint(2, 100)
+        yield "n2", coprime(lambda: (a1, rng.randint(a1, 3 * a1))), eps, None
+        a1 = rng.randint(100, 130)
+        yield "n3-i", coprime(lambda: (a1, rng.randint(a1, a1 + 3), rng.randint(a1 + 3, a1 + 12))), eps, "1/30"
+        a1 = rng.randint(20, 1200)
+        a2 = rng.randint(a1, 3 * a1)
+        yield "n3-ii", coprime(lambda: (a1, a2, rng.randint(2 * a2, 4 * a2))), eps, Fraction(1, 100)
+        a1 = rng.randint(10, 10**6)
+        yield "n4", coprime(lambda: [a1] + [rng.randint(a1, 2 * a1) for _ in range(3)]), eps, None
+
+
+def test_construction_method_is_the_constructions_public_path():
+    # certify_not_eps_lc(..., method="construction") checks the request and
+    # answers with the construction's certificate on the checked arguments,
+    # or "no-witness" where the construction finds none
+    methods = {"n2": {METHOD_N2_CASE1, METHOD_N2_CASE2}, "n3-i": {METHOD_GENERAL_THETA},
+               "n3-ii": {METHOD_N3_PROJECTION}, "n4": {METHOD_GENERAL_THETA}}
+    seen = set()
+    for kind, a, eps, theta in _construction_requests(random.Random(40)):
+        checked_eps = Fraction(eps)
+        checked_theta = default_theta(a.n) if theta is None else Fraction(theta)
+        if a.n == 2:
+            built = witness_n2(a, checked_eps)
+        else:
+            built = (witness_n3 if a.n == 3 else witness_general_theta)(a, checked_eps, checked_theta)
+        if a.n == 3:
+            assert witness._theta_hypothesis(a, checked_theta) is (kind == "n3-i"), a.entries
+        res = certify_not_eps_lc(a, eps, theta, method="construction")
+        assert res == (VERDICT_NO_WITNESS if built is None else built), (a.entries, eps, theta)
+        if built is not None:
+            assert built.method in methods[kind], (kind, a.entries)
+        seen.add((kind, built is not None))
+    assert seen == {(kind, hit) for kind in methods for hit in (True, False)}
+
+
 @pytest.mark.parametrize("n,max_entry", [(2, 12), (3, 8)])
 def test_enumeration_route_returns_the_first_refuter(n, max_entry):
     # the interior scan and the refutation scan of is_eps_lc agree point for point
@@ -672,7 +715,7 @@ def test_certificate_json_shape():
     assert payload["method"] == "n2-case1"
     assert payload["trace"]["x0"] == "27/4"
 
-    cert4 = witness_general_theta(WeightVector((10000, 10007, 10013, 10019)), Fraction(1, 2))
+    cert4 = witness_general_theta(WeightVector((10000, 10007, 10013, 10019)), Fraction(1, 2), default_theta(4))
     payload = cert4.to_json_dict()
     assert payload["trace"]["dirichlet"]["satisfied"] is True
     assert isinstance(payload["trace"]["dirichlet"]["p"], list)
