@@ -79,9 +79,12 @@ def dirichlet_1d(num: int, den: int, Z: int) -> tuple[int, int]:
     or the next convergent has q_{k+1} > Z and the classical bound
     |q_k*alpha - p_k| <= 1/q_{k+1} <= 1/(Z + 1) holds.
     """
-    check_int(num, "alpha's numerator", 0)
-    check_int(den, "alpha's denominator")
-    check_int(Z, "Z")
+    # exact ints in range pass on one fast test; check_int judges (and
+    # names) anything else, the numerator first
+    if not (type(num) is int and type(den) is int and type(Z) is int and num >= 0 and den >= 1 and Z >= 1):
+        check_int(num, "alpha's numerator", 0)
+        check_int(den, "alpha's denominator")
+        check_int(Z, "Z")
     # (p, q) is the current convergent and (p0, q0) the one before it; the
     # first, floor(alpha)/1, always fits
     p0, q0, p, q = 1, 0, num // den, 1

@@ -96,10 +96,12 @@ class SweepSpec(Value):
     the full dispatcher; "construction" tries only the dimension-specific
     construction (rows read certificate or no-witness, useful for
     success-rate studies); "enumeration" skips the construction entirely.
-    Every field is checked here, so a spec unpickled in a pool worker is
-    checked again, and loads witness there. eps and theta are kept as the
+    Every field is checked here: once per sweep, and again in each pool
+    worker that unpickles the spec, which loads witness there. The certify
+    arguments go through certify's own check, _certify_request, so each
+    row calls certify's checked body. eps and theta are kept as the
     Fractions that the check returns; a theta left None stays None, and
-    certify resolves it per row through the cached default_theta.
+    each task resolves it once to default_theta(n).
     """
 
     __slots__ = ("n", "eps", "a1_min", "a1_max", "tail_caps", "theta", "workers", "enumeration_cap",
@@ -182,7 +184,9 @@ def iter_weight_tuples(spec: SweepSpec):
 def _sweep_task(spec: SweepSpec, chunk) -> list:
     """Certify each tuple of chunk in order: [its CSV rows as text, (a1, certified, total) per a1].
 
-    The task binds witness itself, so a worker started by spawn or
+    The spec has checked the certify request, so each row calls certify's
+    checked body, witness._certify, looked up when the task starts. The
+    task binds witness itself, so a worker started by spawn or
     forkserver, which inherits no module state, runs it too. A row whose
     certify raises is reported as a RuntimeError naming its tuple. Each row
     is written as a plain line: no cell can hold a comma, a quote or a
@@ -190,8 +194,9 @@ def _sweep_task(spec: SweepSpec, chunk) -> list:
     """
     _load("witness")
     lines = []
-    certify, certificate = witness.certify_not_eps_lc, witness.Certificate
-    eps, theta, cap, method, timing = spec.eps, spec.theta, spec.enumeration_cap, spec.method, spec.include_timing
+    certify, certificate = witness._certify, witness.Certificate
+    eps, cap, method, timing = spec.eps, spec.enumeration_cap, spec.method, spec.include_timing
+    theta = witness.default_theta(spec.n) if spec.theta is None else spec.theta
     eps_text = format_rational(eps)
     micros = ""
     counts = []
@@ -584,10 +589,12 @@ _COMMANDS = {
     "verify-example": (_handle_verify_example, "check the (1,k) family is 1-lc", ("limit",), ()),
     "selftest": (_handle_selftest, "cross-check engine against the brute-force oracle", ("cap", "max_entry"), ()),
 }
-# built once: the converters of the top-level flags and of each subcommand's, and its namespace before any flag is read
+# built once: the converters of the top-level flags and of each subcommand's, its namespace before any flag is
+# read, and the reader of the command name
 _TOP = {"config": _SETTINGS["config"][0]}
 _FLAGS = {command: {dest: _SETTINGS[dest][0] for dest in row[2]} for command, row in _COMMANDS.items()}
 _UNSET = {command: {dest: _SETTINGS[dest][1] for dest in row[2]} for command, row in _COMMANDS.items()}
+_COMMAND = _choice(*_FLAGS)
 
 
 def _help(command) -> str:
@@ -628,7 +635,7 @@ def _read(tokens, values: dict, command=None, exact=False):
         i += 1
         if token[:2] != "--":
             if command is None:
-                command = _choice(*_FLAGS)(token)
+                command = _COMMAND(token)
                 flags = _FLAGS[command]
             else:
                 extras.append(token)

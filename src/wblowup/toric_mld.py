@@ -111,10 +111,12 @@ class WeightVector(Value):
         object.__setattr__(self, "entries", e)
         if len(e) < 2:
             raise ValueError("need at least two weights")
-        # each weight is at least the one before it: positive and ascending
+        # each weight is at least the one before it: positive and ascending.
+        # An exact int in range passes on the fast test; check_int judges
+        # (and names) anything else
         least = 1
         for x in e:
-            least = check_int(x, "weight (weights ascend)", least)
+            least = x if type(x) is int and x >= least else check_int(x, "weight (weights ascend)", least)
         if gcd(*e) != 1:
             raise ValueError(f"weights must be coprime: {e}")
 

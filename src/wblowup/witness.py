@@ -38,11 +38,14 @@ psi < eps, so that lexicographically first point is the certificate, and
 a scan that finds none proves eps-lc.
 
 certify_not_eps_lc is the one checked entry to the constructions. It
-checks its request once, in _certify_request, and calls the construction
-for the dimension with eps a Fraction in (0, 1] and theta resolved and in
-range; the constructions check nothing themselves. They are not exported:
-a library caller reaches one through certify_not_eps_lc(a, eps, theta,
-method="construction").
+checks its request once, in _certify_request, and hands it to its body,
+_certify, which calls the construction for the dimension with eps a
+Fraction in (0, 1] and theta resolved and in range; neither the body nor
+the constructions check anything themselves. A sweep checks its request
+once per sweep, in SweepSpec (and once more in each pool worker that
+unpickles the spec), and each of its rows calls the checked body. The
+constructions are not exported: a library caller reaches one through
+certify_not_eps_lc(a, eps, theta, method="construction").
 """
 
 from __future__ import annotations
@@ -381,12 +384,21 @@ def certify_not_eps_lc(
     "no-witness" if it fails; "enumeration" runs only the scan. This is
     the one checked entry to the constructions: the request is checked
     once, here, and the construction trusts it, so method "construction"
-    is the library's path to one construction's answer.
+    is the library's path to one construction's answer. A sweep checks
+    its request once per sweep and calls the checked body for each row.
 
     A wrong verdict is never returned: every certificate is re-checked
     exactly by _verified, and "eps-lc" only comes from a completed scan.
     """
     eps, theta = _certify_request(a.n, eps, theta, method, enumeration_cap)
+    return _certify(a, eps, theta, enumeration_cap, method)
+
+
+def _certify(a: WeightVector, eps: Fraction, theta: Fraction, enumeration_cap: int,
+             method: str) -> Certificate | str:
+    # certify_not_eps_lc's body, on a request _certify_request has checked:
+    # eps a Fraction in (0, 1], theta resolved and in range. A sweep row
+    # calls it directly, its spec having checked the request
     if method != "enumeration":
         # each construction is looked up by its module name, which
         # bench/tracing.py wraps to count attempts and hits per method

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import count
@@ -64,11 +65,31 @@ def test_dirichlet_1d_examples():
     assert dirichlet_1d(6, 14, 2) == (1, 2)
 
 
+class _Int(int):
+    """An int subclass: the integer checks accept it as they accept an int."""
+
+
 def test_dirichlet_1d_rejects_bad_input():
-    # a float numerator or denominator would walk its binary expansion
-    for num, den, Z in ((-1, 2, 3), (1, 0, 3), (1, -2, 3), (1, 2, 0), (1, 2, 1.5), (2.5, 1, 3), (5, 2.0, 3)):
-        with pytest.raises(ValueError):
+    # a float numerator or denominator would walk its binary expansion; the
+    # numerator is judged first, then the denominator, then Z
+    numerator, denominator = "alpha's numerator must be an integer >= 0", "alpha's denominator must be an integer >= 1"
+    for num, den, Z, message in (
+        (-1, 2, 3, f"{numerator}, got -1"),
+        (1, 0, 3, f"{denominator}, got 0"),
+        (1, -2, 3, f"{denominator}, got -2"),
+        (1, 2, 0, "Z must be an integer >= 1, got 0"),
+        (1, 2, 1.5, "Z must be an integer >= 1, got 1.5"),
+        (2.5, 1, 3, f"{numerator}, got 2.5"),
+        (5, 2.0, 3, f"{denominator}, got 2.0"),
+        (True, 2, 3, f"{numerator}, got True"),
+        (1, 2, True, "Z must be an integer >= 1, got True"),
+        ("1", 2, 3, f"{numerator}, got '1'"),
+        (-1, 0, 0, f"{numerator}, got -1"),
+        (1, 0, 0, f"{denominator}, got 0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
             dirichlet_1d(num, den, Z)
+    assert dirichlet_1d(_Int(3), _Int(7), _Int(2)) == (1, 2)
 
 
 @pytest.mark.parametrize(

@@ -433,16 +433,40 @@ def test_per_a1_counts_merge_across_chunk_boundaries(pools_built, case):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_sweep_row_names_its_tuple(pools_built, monkeypatch, workers):
     # pools_built has dropped the kept pool, so the workers fork with the patch
-    real = witness.certify_not_eps_lc
+    real = witness._certify
 
     def failing(a, *args):
         if a.entries == (5, 7):
             raise ZeroDivisionError("boom")
         return real(a, *args)
 
-    monkeypatch.setattr(witness, "certify_not_eps_lc", failing)
+    monkeypatch.setattr(witness, "_certify", failing)
     with pytest.raises(RuntimeError, match=re.escape("sweep row (5, 7): ZeroDivisionError('boom')")):
         run_sweep(make_spec(workers=workers), io.StringIO())
+
+
+@pytest.mark.parametrize("n,theta", [(2, None), (3, Fraction(1, 100))], ids=["n2-default-theta", "n3"])
+def test_a_sweep_checks_its_request_once(monkeypatch, n, theta):
+    # SweepSpec checks eps and theta through certify's own check, and the
+    # rows of an in-process sweep call the checked body, which checks
+    # neither again
+    calls = {"check_eps": 0, "_check_theta": 0}
+
+    def counted(name):
+        real = getattr(witness, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(witness, name, wrapper)
+
+    counted("check_eps")
+    counted("_check_theta")
+    spec = make_spec(n=n, eps=Fraction(1, 2), a1_max=5, tail_caps=(4,) * (n - 1), theta=theta)
+    report = run_sweep(spec, io.StringIO())
+    assert sum(total for _, _, total in report.per_a1) > 10
+    assert calls == {"check_eps": 1, "_check_theta": 1}
 
 
 def test_sweep_task_runs_in_a_spawned_worker():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -43,19 +44,27 @@ def small_weights(rng, max_n=4, max_entry=40):
 # construction and validation
 
 
+class _Int(int):
+    """An int subclass: the integer checks accept it as they accept an int."""
+
+
 def test_weight_vector_validation():
     WeightVector((1, 1))
     WeightVector((2, 3, 5))
-    with pytest.raises(ValueError):
-        WeightVector((3, 2))  # unsorted
-    with pytest.raises(ValueError):
-        WeightVector((2, 4))  # not coprime
-    with pytest.raises(ValueError):
-        WeightVector((5,))  # too short
-    with pytest.raises(ValueError):
-        WeightVector((0, 1))
-    with pytest.raises(ValueError):
-        WeightVector((1, -2))
+    assert WeightVector((_Int(2), 3, _Int(5))).entries == (2, 3, 5)
+    weight = "weight (weights ascend) must be an integer"
+    for entries, message in [
+        ((3, 2), f"{weight} >= 3, got 2"),  # descending
+        ((2, 4), "weights must be coprime: (2, 4)"),
+        ((5,), "need at least two weights"),
+        ((0, 1), f"{weight} >= 1, got 0"),
+        ((1, -2), f"{weight} >= 1, got -2"),
+        ((True, 2), f"{weight} >= 1, got True"),
+        ((1, 2.0), f"{weight} >= 1, got 2.0"),
+        ((1, "2"), f"{weight} >= 1, got '2'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightVector(entries)
 
 
 def test_vector_preconditions():

@@ -671,6 +671,24 @@ def test_enumeration_route_returns_the_first_refuter(n, max_entry):
                 assert res.point == refuter, (entries, eps)
 
 
+def test_certify_body_answers_as_certify():
+    # a sweep row calls _certify on the request its spec checked; on checked
+    # arguments it answers as certify_not_eps_lc does, under every method,
+    # a cap of 2 prefixes leaving some scans inconclusive
+    rng = random.Random(41)
+    seen = set()
+    for kind, a, eps, theta in _construction_requests(rng):
+        checked_eps = Fraction(eps)
+        checked_theta = default_theta(a.n) if theta is None else Fraction(theta)
+        for method in ("auto", "construction", "enumeration"):
+            cap = rng.choice([2, 10**4])
+            res = certify_not_eps_lc(a, eps, theta, cap, method)
+            assert witness._certify(a, checked_eps, checked_theta, cap, method) == res, (a.entries, eps, method)
+            seen.add(res.method if isinstance(res, Certificate) else res)
+    assert seen == {VERDICT_EPS_LC, VERDICT_INCONCLUSIVE, VERDICT_NO_WITNESS, METHOD_N2_CASE1, METHOD_N2_CASE2,
+                    METHOD_N3_PROJECTION, METHOD_GENERAL_THETA, METHOD_ENUMERATION}, seen
+
+
 @pytest.mark.parametrize("n,max_entry", [(2, 12), (3, 10)])
 def test_certify_agrees_with_oracle_on_small_family(n, max_entry):
     from wblowup.oracle import enumerate_lattice_points
