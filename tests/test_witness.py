@@ -220,6 +220,15 @@ def test_certificate_threshold_examples():
         certificate_threshold(1, Fraction(1, 2))
 
 
+def test_certificate_threshold_gives_the_proofs_z():
+    # the docstring's last step: at the threshold Z = isqrt(a1) exceeds
+    # 2/eps, so the bound psi < 2/Z falls below eps
+    for q in range(1, 61):
+        for p in range(1, q + 1):
+            Z = math.isqrt(certificate_threshold(2, Fraction(p, q)))
+            assert Z * p > 2 * q, (p, q)
+
+
 def test_default_theta_inside_range():
     for n in (2, 3, 4, 7):
         t = default_theta(n)
