@@ -44,20 +44,16 @@ class DirichletWitness(Value):
     parse_rational gives a residual back as a Fraction.
     """
 
-    __slots__ = ("q", "p", "Z", "numerators", "denominator")
+    __slots__ = ()
+    _fields = ("q", "p", "Z", "numerators", "denominator")
     # Always true: the box {|x_0| <= Z, |x_0*c_j/D - x_j| <= Z**(-1/d)} has
     # volume 2**(d+1), so by Minkowski's convex body theorem it holds a
     # nonzero lattice point, and for Z >= 2 its x_0 is nonzero (q = 1 meets
     # the bound at Z = 1). Kept so the JSON form keeps its "satisfied" key.
     satisfied = True
 
-    def __init__(self, q: int, p: tuple[int, ...], Z: int, numerators: tuple[int, ...], denominator: int):
-        put = object.__setattr__
-        put(self, "q", q)
-        put(self, "p", p)
-        put(self, "Z", Z)
-        put(self, "numerators", numerators)
-        put(self, "denominator", denominator)
+    def __new__(cls, q: int, p: tuple[int, ...], Z: int, numerators: tuple[int, ...], denominator: int):
+        return tuple.__new__(cls, (q, p, Z, numerators, denominator))
 
     def to_json_dict(self) -> dict:
         q, D = self.q, self.denominator
@@ -136,12 +132,15 @@ def _first_hit(A: int, M: int, lo: int, hi: int) -> int | None:
 
 # Returns walked before the lattice search. On the bench witness pool (a1
 # from 10^9 to 10^18; Intel Xeon, Python 3.11) a walked return takes about
-# 0.15 us and a lattice search at d = 2 a median of 130 to 270 us, so K
-# returns cost about one search: their ratio read 870 to 1,650 between
-# runs, 1,200 in the median. A query the walk leaves unanswered then costs
-# at most about twice the search alone. The pool's queries are answered
-# within 907 returns at n = 3 and 430 at n = 4 (medians 46.5 and 24), all
-# by the walk.
+# 0.15 us and a lattice search at d = 2 (n = 3) a median of 130 to 270 us,
+# so K returns cost about one d = 2 search: their ratio read 870 to 1,650
+# between runs, 1,200 in the median. A d = 3 (n = 4) search costs 2 to 3
+# times as much, a median of 393 to 753 us over the pool's n = 4 entries
+# against 0.16 to 0.22 us a return, so there the break-even is about 2,400
+# to 4,500 returns and K gives up on the walk early. A d = 2 query the walk
+# leaves unanswered costs at most about twice the search alone. The pool's
+# queries are answered within 907 returns at n = 3 and 430 at n = 4
+# (medians 46.5 and 24), all by the walk.
 _RETURNS = 1200
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -19,43 +20,52 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 CERTIFY_METHODS = ("auto", "construction", "enumeration")
 
 
-class Value:
-    """Base of the package's immutable value classes, in place of frozen dataclasses.
+class Value(tuple):
+    """Base of the package's immutable value classes: a tuple of the fields.
 
-    A subclass names its fields in __slots__, in the order its constructor
-    takes them, and its __init__ stores each once with object.__setattr__,
-    as a frozen dataclass's generated __init__ does. As with a frozen
-    dataclass, assigning or deleting a field raises AttributeError, two
-    instances of one class are equal, and hash alike, when their fields
-    are, and repr reads Name(field=value, ...). An instance pickles as a
-    call of its constructor, so an unpickled one is checked again.
+    A subclass lists its field names in _fields, in the order its
+    constructor takes them, and sets __slots__ = () so that an instance has
+    no other attribute. Its __new__ checks what it must and builds the value
+    with one tuple.__new__(cls, fields); each field is read by the C getter
+    that collections.namedtuple makes for it, bound here, and no helper
+    builds a value unchecked. As with a frozen dataclass, assigning or
+    deleting an attribute raises AttributeError, two instances of one class
+    are equal, and hash alike, when their fields are, values are not
+    ordered, and repr reads Name(field=value, ...). A value never equals a
+    plain tuple, nor a value of another class. An instance pickles as a call
+    of its constructor, so an unpickled one is checked again.
     """
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        getters = vars(namedtuple(cls.__name__, cls._fields))
+        for name in cls._fields:
+            setattr(cls, name, getters[name])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+            return tuple.__eq__(self, other)
+        # False, not NotImplemented, for any other tuple: tuple's own == would
+        # then compare it item by item with the fields
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._values())
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's item-by-item !=
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        # raised, not NotImplemented, so that tuple's reflected order is not tried
+        raise TypeError(f"{type(self).__name__} values are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(self)
 
 
 class BudgetExceeded(Exception):

@@ -107,32 +107,24 @@ class SweepSpec(Value):
     default_theta(n).
     """
 
-    __slots__ = ("n", "eps", "a1_min", "a1_max", "tail_caps", "theta", "workers", "enumeration_cap",
-                 "include_timing", "method")
+    __slots__ = ()
+    _fields = ("n", "eps", "a1_min", "a1_max", "tail_caps", "theta", "workers", "enumeration_cap",
+               "include_timing", "method")
 
-    def __init__(self, n: int, eps: Fraction, a1_min: int, a1_max: int, tail_caps: tuple[int, ...],
-                 theta: Fraction | None, workers: int, enumeration_cap: int, include_timing: bool,
-                 method: str = "auto"):
+    def __new__(cls, n: int, eps: Fraction, a1_min: int, a1_max: int, tail_caps: tuple[int, ...],
+                theta: Fraction | None, workers: int, enumeration_cap: int, include_timing: bool,
+                method: str = "auto"):
         check_int(n, "sweep dimension", 2)
         _load("witness")
         eps, theta = witness._certify_request(n, eps, theta, method, enumeration_cap)
-        put = object.__setattr__
-        put(self, "n", n)
-        put(self, "eps", eps)
-        put(self, "a1_min", a1_min)
-        put(self, "a1_max", a1_max)
-        put(self, "tail_caps", tail_caps)
-        put(self, "theta", theta)
-        put(self, "workers", workers)
-        put(self, "enumeration_cap", enumeration_cap)
-        put(self, "include_timing", include_timing)
-        put(self, "method", method)
         check_int(a1_max, "a1_max", check_int(a1_min, "a1_min"))
         if len(tail_caps) != n - 1:
             raise ValueError(f"need {n - 1} tail caps, got {len(tail_caps)}")
         for c in tail_caps:
             check_int(c, "tail cap", 0)
         check_int(workers, "worker count")
+        return tuple.__new__(cls, (n, eps, a1_min, a1_max, tail_caps, theta, workers, enumeration_cap,
+                                   include_timing, method))
 
 
 def iter_weight_tuples(spec: SweepSpec):
@@ -163,13 +155,16 @@ def _sweep_task(spec: SweepSpec, chunk) -> list:
     so each row calls certify's checked body, witness._certify, looked up
     when the task starts. The task binds witness itself, so a worker
     started by spawn or forkserver, which inherits no module state, runs
-    it too. A row whose certify raises is reported as a RuntimeError
-    naming its tuple. Each row is written as a plain line: no cell can hold
-    a comma, a quote or a newline, so csv.writer would quote none of them.
+    it too. Each tuple is wrapped as a WeightVector by tuple.__new__,
+    without the constructor's check: iter_weight_tuples yields only
+    ascending coprime tuples of ints. A row whose certify raises is
+    reported as a RuntimeError naming its tuple. Each row is written as a
+    plain line: no cell can hold a comma, a quote or a newline, so
+    csv.writer would quote none of them.
     """
     _load("witness")
     lines = []
-    certify, certificate = witness._certify, witness.Certificate
+    certify, certificate, new = witness._certify, witness.Certificate, tuple.__new__
     eps, theta, cap, method, timing = spec.eps, spec.theta, spec.enumeration_cap, spec.method, spec.include_timing
     eps_text = format_rational(eps)
     micros = ""
@@ -182,7 +177,7 @@ def _sweep_task(spec: SweepSpec, chunk) -> list:
         if timing:
             started = time.perf_counter_ns()
         try:
-            result = certify(WeightVector(entries), eps, theta, cap, method)
+            result = certify(new(WeightVector, (entries,)), eps, theta, cap, method)
         except Exception as exc:
             raise RuntimeError(f"sweep row {entries}: {exc!r}") from exc
         if timing:
@@ -351,8 +346,9 @@ def _json_text(obj) -> str:
     """obj as JSON, byte for byte what json.dumps(obj, indent=2) writes.
 
     It takes dicts with str keys, lists, tuples, str, int, bool and None,
-    and raises TypeError on anything else, a Fraction or a float included,
-    so no float can reach the CLI's output. It is the CLI's one JSON
+    and raises TypeError on anything else, a Fraction, a float or a value
+    object (a tuple that json.dumps would write as a list) included, so no
+    float can reach the CLI's output. It is the CLI's one JSON
     writer: json.dumps drops to its pure-Python encoder whenever indent is
     set, and this one takes about 0.5 to 0.6 of its time on a witness or mld
     payload (Python 3.11).
@@ -388,7 +384,7 @@ def _json_parts(obj, newline: str, parts: list) -> None:
             _json_parts(value, inner, parts)
             sep = "," + inner
         parts.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple)) and not isinstance(obj, Value):
         if not obj:
             parts.append("[]")
             return

@@ -104,11 +104,11 @@ CLASS_KLT = "klt-with-mld"
 class WeightVector(Value):
     """Coprime ascending weights defining the blowup."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
+    _fields = ("entries",)
 
-    def __init__(self, entries: tuple[int, ...]):
+    def __new__(cls, entries: tuple[int, ...]):
         e = tuple(entries)
-        object.__setattr__(self, "entries", e)
         if len(e) < 2:
             raise ValueError("need at least two weights")
         # each weight is at least the one before it: positive and ascending.
@@ -119,6 +119,7 @@ class WeightVector(Value):
             least = x if type(x) is int and x >= least else check_int(x, "weight (weights ascend)", least)
         if gcd(*e) != 1:
             raise ValueError(f"weights must be coprime: {e}")
+        return tuple.__new__(cls, (e,))
 
     @property
     def n(self) -> int:
@@ -136,17 +137,12 @@ class MldReport(Value):
     box-point argument in the module docstring shows these are exhaustive.
     """
 
-    __slots__ = ("weights", "value", "achieved_at", "cone", "classification", "points_scanned")
+    __slots__ = ()
+    _fields = ("weights", "value", "achieved_at", "cone", "classification", "points_scanned")
 
-    def __init__(self, weights: WeightVector, value: Fraction, achieved_at: tuple[int, ...], cone: int,
-                 classification: str, points_scanned: int):
-        put = object.__setattr__
-        put(self, "weights", weights)
-        put(self, "value", value)
-        put(self, "achieved_at", achieved_at)
-        put(self, "cone", cone)
-        put(self, "classification", classification)
-        put(self, "points_scanned", points_scanned)
+    def __new__(cls, weights: WeightVector, value: Fraction, achieved_at: tuple[int, ...], cone: int,
+                classification: str, points_scanned: int):
+        return tuple.__new__(cls, (weights, value, achieved_at, cone, classification, points_scanned))
 
     def to_json_dict(self) -> dict:
         return {

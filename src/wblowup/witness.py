@@ -87,12 +87,11 @@ class CEpsPolytope(Value):
     Its integer facet rows are formed in one place, _rows_positive.
     """
 
-    __slots__ = ("a", "eps")
+    __slots__ = ()
+    _fields = ("a", "eps")
 
-    def __init__(self, a: WeightVector, eps: Fraction):
-        put = object.__setattr__
-        put(self, "a", a)
-        put(self, "eps", eps)
+    def __new__(cls, a: WeightVector, eps: Fraction):
+        return tuple.__new__(cls, (a, eps))
 
     @property
     def n(self) -> int:
@@ -112,20 +111,13 @@ class Certificate(Value):
     it is.
     """
 
-    __slots__ = ("weights", "eps", "point", "psi", "method", "theta", "dirichlet", "hypothesis_ok")
+    __slots__ = ()
+    _fields = ("weights", "eps", "point", "psi", "method", "theta", "dirichlet", "hypothesis_ok")
 
-    def __init__(self, weights: WeightVector, eps: Fraction, point: tuple[int, ...], psi: tuple[int, int],
-                 method: str, theta: Fraction | None = None, dirichlet: DirichletWitness | None = None,
-                 hypothesis_ok: bool | None = None):
-        put = object.__setattr__
-        put(self, "weights", weights)
-        put(self, "eps", eps)
-        put(self, "point", point)
-        put(self, "psi", psi)
-        put(self, "method", method)
-        put(self, "theta", theta)
-        put(self, "dirichlet", dirichlet)
-        put(self, "hypothesis_ok", hypothesis_ok)
+    def __new__(cls, weights: WeightVector, eps: Fraction, point: tuple[int, ...], psi: tuple[int, int],
+                method: str, theta: Fraction | None = None, dirichlet: DirichletWitness | None = None,
+                hypothesis_ok: bool | None = None):
+        return tuple.__new__(cls, (weights, eps, point, psi, method, theta, dirichlet, hypothesis_ok))
 
     @property
     def trace(self) -> dict:

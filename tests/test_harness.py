@@ -30,6 +30,7 @@ from wblowup.harness import (
     parse_weights,
     run_sweep,
 )
+from wblowup.toric_mld import WeightVector
 
 
 def run_cli(capsys, *argv):
@@ -232,7 +233,7 @@ def make_spec(**overrides):
 
 def replaced(spec, **changes):
     # what dataclasses.replace did: a new spec through the constructor, which checks it
-    return SweepSpec(**{name: getattr(spec, name) for name in SweepSpec.__slots__} | changes)
+    return SweepSpec(**{name: getattr(spec, name) for name in SweepSpec._fields} | changes)
 
 
 def test_sweep_draws_tuples_only_as_rows_are_written(monkeypatch):
@@ -284,7 +285,12 @@ def test_iter_weight_tuples_equals_a_filter_over_the_product(n, a1_min, a1_max, 
         if a1_min <= t[0] <= a1_max and list(t) == sorted(t) and math.gcd(*t) == 1
         and all(x <= t[0] + c for x, c in zip(t[1:], caps))
     ]
-    assert list(iter_weight_tuples(spec)) == expected
+    tuples = list(iter_weight_tuples(spec))
+    assert tuples == expected and tuples == sorted(set(tuples))
+    # _sweep_task wraps each tuple as a WeightVector without its check, so
+    # each must pass that check and give the value the wrap builds
+    for t in tuples:
+        assert WeightVector(t) == tuple.__new__(WeightVector, (t,))
 
 
 def test_missing_weights_is_usage_error(capsys):
@@ -1187,10 +1193,12 @@ def test_json_writer_matches_json_dumps(obj):
 
 @pytest.mark.parametrize(
     "bad",
-    [Fraction(1, 2), 0.5, {1: "a"}, {"a": [1, {"b": Fraction(3)}]}, [1.0], {None: 1}, {("a",): 1}, {1, 2}],
+    [Fraction(1, 2), 0.5, {1: "a"}, {"a": [1, {"b": Fraction(3)}]}, [1.0], {None: 1}, {("a",): 1}, {1, 2},
+     WeightVector((2, 3)), {"a": [WeightVector((2, 3))]}],
 )
 def test_json_writer_refuses_what_json_dumps_would_bend(bad):
-    # a Fraction or float anywhere, or a key that is no str, is refused
+    # a Fraction or float anywhere, or a key that is no str, is refused; so
+    # is a value object, a tuple that json.dumps would write as a list
     with pytest.raises(TypeError):
         _json_text(bad)
 

@@ -1,6 +1,8 @@
 import ast
+import copy
 import importlib
 import io
+import operator
 import pickle
 import re
 import types
@@ -95,7 +97,7 @@ def test_polytope_has_only_the_integer_facet_form():
     C = wblowup.build_polytope(wblowup.WeightVector((2, 3, 5)), 1)
     assert not hasattr(C, "facets") and not hasattr(C, "vertices")
     # held as the data that defines it; _rows_positive forms the rows
-    assert wblowup.CEpsPolytope.__slots__ == ("a", "eps")
+    assert wblowup.CEpsPolytope._fields == ("a", "eps")
 
 
 def _one_of_each():
@@ -122,13 +124,24 @@ def test_value_classes_keep_frozen_dataclass_semantics():
         other = second[name]
         assert value is not other and value == other and hash(value) == hash(other), name
         assert pickle.loads(pickle.dumps(value)) == value, name
-        for field in type(value).__slots__:
+        for field in type(value)._fields:
             with pytest.raises(AttributeError):
                 setattr(value, field, getattr(other, field))
             with pytest.raises(AttributeError):
                 delattr(value, field)
         with pytest.raises(AttributeError):
             value.extra = 1
+        # a value is a tuple of its fields, which leaks none of tuple's
+        # semantics: it never equals the plain tuple, in either operand
+        # order, it is not ordered, and no namedtuple helper builds one
+        fields = tuple(value)
+        assert value != fields and fields != value and not value == fields and not fields == value, name
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            for left, right in ((value, other), (value, fields), (fields, value)):
+                with pytest.raises(TypeError):
+                    compare(left, right)
+        for helper in ("_make", "_replace", "_asdict"):
+            assert not hasattr(value, helper), (name, helper)
     # one field apart, or another class with the same fields, is unequal
     assert first["WeightVector"] != wblowup.WeightVector((5, 8))
     assert first["DirichletWitness"] != first["Certificate"]
@@ -159,6 +172,11 @@ def test_value_classes_check_their_fields_when_built_and_unpickled():
     bad = pickle.dumps(spec).replace(b"auto", b"nope")
     with pytest.raises(ValueError, match="method"):
         pickle.loads(bad)
+    # so is a value built unchecked, as a sweep builds its WeightVectors, and a copy of one
+    unchecked = tuple.__new__(wblowup.WeightVector, ((2, 4),))
+    for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        with pytest.raises(ValueError, match="coprime"):
+            clone(unchecked)
 
 
 def test_an_unsound_certificate_is_refused_with_its_fields():
