@@ -52,9 +52,6 @@ class DirichletWitness(Value):
     # the bound at Z = 1). Kept so the JSON form keeps its "satisfied" key.
     satisfied = True
 
-    def __new__(cls, q: int, p: tuple[int, ...], Z: int, numerators: tuple[int, ...], denominator: int):
-        return tuple.__new__(cls, (q, p, Z, numerators, denominator))
-
     def to_json_dict(self) -> dict:
         q, D = self.q, self.denominator
         return {

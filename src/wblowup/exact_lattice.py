@@ -24,25 +24,33 @@ class Value(tuple):
     """Base of the package's immutable value classes: a tuple of the fields.
 
     A subclass lists its field names in _fields, in the order its
-    constructor takes them, and sets __slots__ = () so that an instance has
-    no other attribute. Its __new__ checks what it must and builds the value
-    with one tuple.__new__(cls, fields); each field is read by the C getter
-    that collections.namedtuple makes for it, bound here, and no helper
-    builds a value unchecked. As with a frozen dataclass, assigning or
-    deleting an attribute raises AttributeError, two instances of one class
-    are equal, and hash alike, when their fields are, values are not
-    ordered, and repr reads Name(field=value, ...). A value never equals a
-    plain tuple, nor a value of another class. An instance pickles as a call
-    of its constructor, so an unpickled one is checked again.
+    constructor takes them, any trailing defaults in _defaults, and sets
+    __slots__ = () so that an instance has no other attribute. The
+    collections.namedtuple built here from those two gives it a C getter
+    for each field, its repr, Name(field=value, ...), and, unless the class
+    defines its own __new__, its constructor, which only packs the
+    arguments: MldReport, CEpsPolytope, Certificate and DirichletWitness
+    take that one. WeightVector and SweepSpec check their fields in their
+    own __new__ and build the value with one tuple.__new__(cls, fields).
+    The one deliberate unchecked build is _sweep_task's, which wraps the
+    ascending coprime tuples of its sweep as WeightVectors by tuple.__new__.
+    As with a frozen dataclass, assigning or deleting an attribute raises
+    AttributeError, two instances of one class are equal, and hash alike,
+    when their fields are, and values are not ordered. A value never equals
+    a plain tuple, nor a value of another class. An instance pickles as a
+    call of its constructor, so an unpickled one is checked again.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        getters = vars(namedtuple(cls.__name__, cls._fields))
+        template = vars(namedtuple(cls.__name__, cls._fields, defaults=getattr(cls, "_defaults", None)))
         for name in cls._fields:
-            setattr(cls, name, getters[name])
+            setattr(cls, name, template[name])
+        if "__new__" not in vars(cls):
+            cls.__new__ = template["__new__"]
+        cls.__repr__ = template["__repr__"]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -59,10 +67,6 @@ class Value(tuple):
         raise TypeError(f"{type(self).__name__} values are not ordered")
 
     __le__ = __gt__ = __ge__ = __lt__
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), tuple(self)

@@ -95,16 +95,16 @@ class SweepSpec(Value):
     """Parameters of one sweep over coprime sorted weight tuples.
 
     tail_caps[k] bounds coordinate k+2 by a1 + tail_caps[k]; the tuple must
-    have n-1 entries. method is passed to certify_not_eps_lc: "auto" runs
-    the full dispatcher; "construction" tries only the dimension-specific
+    have n-1 entries. method is certify's route: "auto" runs the full
+    dispatcher; "construction" tries only the dimension-specific
     construction (rows read certificate or no-witness, useful for
     success-rate studies); "enumeration" skips the construction entirely.
     Every field is checked here: once per sweep, and again in each pool
     worker that unpickles the spec, which loads witness there. The certify
     arguments go through certify's own check, _certify_request, so each
-    row calls certify's checked body. eps and theta are kept as the
-    Fractions that the check returns, a theta given as None resolved to
-    default_theta(n).
+    row calls certify's body, witness._certify, not certify_not_eps_lc.
+    eps and theta are kept as the Fractions that the check returns, a
+    theta given as None resolved to default_theta(n).
     """
 
     __slots__ = ()

@@ -140,10 +140,6 @@ class MldReport(Value):
     __slots__ = ()
     _fields = ("weights", "value", "achieved_at", "cone", "classification", "points_scanned")
 
-    def __new__(cls, weights: WeightVector, value: Fraction, achieved_at: tuple[int, ...], cone: int,
-                classification: str, points_scanned: int):
-        return tuple.__new__(cls, (weights, value, achieved_at, cone, classification, points_scanned))
-
     def to_json_dict(self) -> dict:
         return {
             "weights": list(self.weights.entries),

@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 
-from .diophantine import DirichletWitness, dirichlet_1d, dirichlet_simultaneous
+from .diophantine import dirichlet_1d, dirichlet_simultaneous
 from .exact_lattice import (
     CERTIFY_METHODS,
     DEFAULT_ENUMERATION_CAP,
@@ -90,9 +90,6 @@ class CEpsPolytope(Value):
     __slots__ = ()
     _fields = ("a", "eps")
 
-    def __new__(cls, a: WeightVector, eps: Fraction):
-        return tuple.__new__(cls, (a, eps))
-
     @property
     def n(self) -> int:
         return self.a.n
@@ -113,11 +110,7 @@ class Certificate(Value):
 
     __slots__ = ()
     _fields = ("weights", "eps", "point", "psi", "method", "theta", "dirichlet", "hypothesis_ok")
-
-    def __new__(cls, weights: WeightVector, eps: Fraction, point: tuple[int, ...], psi: tuple[int, int],
-                method: str, theta: Fraction | None = None, dirichlet: DirichletWitness | None = None,
-                hypothesis_ok: bool | None = None):
-        return tuple.__new__(cls, (weights, eps, point, psi, method, theta, dirichlet, hypothesis_ok))
+    _defaults = (None, None, None)
 
     @property
     def trace(self) -> dict:
@@ -203,24 +196,31 @@ def contains_interior(C: CEpsPolytope, v) -> bool:
 def certificate_threshold(n: int, eps):
     """Weight bound above which a certificate always exists, when known.
 
-    For n = 2 this is floor((2/eps + 1)**2) + 1; no closed form is
-    implemented for n >= 3.
+    For n = 2 this is Z0**2, where Z0 is the least Z with 1/Z + 1/(Z + 1)
+    < eps: 4 at eps = 1, 16 at eps = 1/2 and 4*k**2 at eps = 1/k. No bound
+    is implemented for n >= 3.
 
     Proof for n = 2, that witness_n2 certifies every (a1, a2) with a1 at
     or above the bound. Let Z = isqrt(a1), (p, q) = dirichlet_1d(a2, a1, Z)
     and delta = q*a2/a1 - p. Then q <= Z, and |delta| <= 1/(Z + 1): a1 > 1
     keeps a2/a1 (in lowest terms) off every fraction with denominator at
-    most Z, so dirichlet_1d's convergent is not a2/a1 itself. psi(q, p) is
-    q/a1 + delta*(a1 - 1)/a2 in case 1 (delta >= 0) and q/a1 - delta in
-    case 2; as a2 >= a1, both are at most Z/a1 + |delta| <= 1/Z + 1/(Z + 1)
-    < 2/Z. a1 >= floor((2/eps + 1)**2) + 1 gives Z >= floor(2/eps + 1)
-    > 2/eps, so psi < eps.
+    most Z, so dirichlet_1d's convergent is not a2/a1 itself. q/a1 <= 1/Z,
+    since a1 >= Z**2. psi(q, p) is q/a1 + delta*(a1 - 1)/a2 in case 1
+    (delta >= 0) and q/a1 - delta in case 2; as a2 >= a1, both are at most
+    q/a1 + |delta| <= 1/Z + 1/(Z + 1). a1 >= Z0**2 gives Z >= Z0 (so a1 >=
+    4 > 1), and 1/Z + 1/(Z + 1) falls as Z grows, so psi < eps.
     """
     check_int(n, "dimension", 2)
     eps = check_eps(eps)
     if n != 2:
         return None
-    return int((2 / eps + 1) ** 2) + 1
+    # with eps = en/ed, Z0 is the least Z with en*Z*(Z + 1) > ed*(2Z + 1):
+    # the quadratic in Z is negative at 0, so Z0 = floor(root) + 1 for its
+    # positive root ((2ed - en) + sqrt(4ed**2 + en**2)) / (2en), and isqrt
+    # gives that floor exactly, as the numerator's other term is an integer
+    en, ed = eps.numerator, eps.denominator
+    z0 = (2 * ed - en + isqrt(4 * ed * ed + en * en)) // (2 * en) + 1
+    return z0 * z0
 
 
 def _verified(cert: Certificate) -> Certificate:

@@ -42,26 +42,44 @@ def random_weight_vector(rng: random.Random, n: int, max_entry: int) -> WeightVe
             return WeightVector(entries)
 
 
-def mld_levels(entries) -> tuple[Fraction, tuple[int, ...]]:
-    """The mld of the blowup with weights entries and its lex-first minimiser, one level at a time.
+def _level_points(entries):
+    """Each lattice point of T = conv(e_1, ..., e_n, a) off its vertices, with its psi, one level at a time.
 
-    {psi <= 1} is the unit simplex together with T = conv(e_1, ..., e_n, a).
-    With N = sum(a) - 1 and r_j = -a_j*k mod N, level k = sum(x) - 1 of T,
-    0 < k < N, holds one lattice point when k + sum_j r_j = N and none
-    otherwise: x_j = (r_j + a_j*k) / N, with psi = 1 - min_j r_j / a_j
-    (z_j = N*x_j - a_j*k is at least 0, congruent to r_j mod N, and the z_j
-    sum to N - k). Every other nonzero point of {psi <= 1} has psi = 1, and
-    e_n is the lex-first of those. A reference in O(n*N) integer steps, not
-    an engine.
+    {psi <= 1} is the unit simplex together with T. With N = sum(a) - 1 and
+    r_j = -a_j*k mod N, level k = sum(x) - 1 of T, 0 < k < N, holds one
+    lattice point when k + sum_j r_j = N and none otherwise: x_j = (r_j +
+    a_j*k) / N, with psi = 1 - min_j r_j / a_j (z_j = N*x_j - a_j*k is at
+    least 0, congruent to r_j mod N, and the z_j sum to N - k). Every other
+    nonzero point of {psi <= 1} has psi = 1. A reference in O(n*N) integer
+    steps, not an engine.
     """
-    n, N = len(entries), sum(entries) - 1
-    best = (Fraction(1), (0,) * (n - 1) + (1,))
+    N = sum(entries) - 1
     for k in range(1, N):
         r = [-aj * k % N for aj in entries]
         if k + sum(r) == N:
-            point = tuple((rj + aj * k) // N for rj, aj in zip(r, entries))
-            best = min(best, (1 - min(Fraction(rj, aj) for rj, aj in zip(r, entries)), point))
-    return best
+            yield 1 - min(Fraction(rj, aj) for rj, aj in zip(r, entries)), tuple(
+                (rj + aj * k) // N for rj, aj in zip(r, entries))
+
+
+def mld_levels(entries) -> tuple[Fraction, tuple[int, ...]]:
+    """The mld of the blowup with weights entries and its lex-first minimiser, by _level_points.
+
+    When no level point has psi < 1 the mld is 1, and e_n is the lex-first
+    point with psi = 1.
+    """
+    n = len(entries)
+    return min([(Fraction(1), (0,) * (n - 1) + (1,)), *_level_points(entries)])
+
+
+def refuters_levels(entries, eps_values) -> list[tuple[int, ...] | None]:
+    """For each eps in (0, 1], the lex-first lattice point with psi < eps, or None when it is eps-lc.
+
+    One pass of _level_points serves every eps: a nonzero point with psi < 1
+    is a level point. This is is_eps_lc's refuter, by a route that shares
+    none of its code.
+    """
+    levels = sorted((point, psi) for psi, point in _level_points(entries))
+    return [next((point for point, psi in levels if psi < eps), None) for eps in eps_values]
 
 
 def random_fraction(rng: random.Random, max_num: int, max_den: int, nonneg: bool = True) -> Fraction:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coprime_sorted_tuples, facets, mld_levels, random_weight_vector
+from conftest import coprime_sorted_tuples, facets, mld_levels, random_weight_vector, refuters_levels
 from wblowup.exact_lattice import BudgetExceeded
 from wblowup.oracle import (
     enumerate_lattice_points,
@@ -12,7 +12,7 @@ from wblowup.oracle import (
     psi_bruteforce,
     verify_interior_psi_equivalence,
 )
-from wblowup.toric_mld import WeightVector, mld_global, psi_value
+from wblowup.toric_mld import WeightVector, is_eps_lc, mld_global, psi_value
 from wblowup.witness import build_polytope
 
 
@@ -107,6 +107,21 @@ def test_mld_levels_matches_engine_at_n_4_to_6():
             entries = tuple(sorted(rng.randint(lo, hi) for _ in range(n)))
         report = mld_global(WeightVector(entries))
         assert mld_levels(entries) == (report.value, report.achieved_at), entries
+
+
+def test_is_eps_lc_matches_level_refuter_at_n_4_to_6():
+    # verdict and lex-first refuter at four eps; 36 tuples, fixed from a
+    # budget of about 2 s: a level pass costs some 4.5 us a level, 25 ms on
+    # average at these entries, and serves all four eps
+    rng = random.Random(46)
+    eps_values = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    for i in range(36):
+        entries = ()
+        while math.gcd(*entries) != 1:
+            entries = tuple(sorted(rng.randint(200, 10**4) for _ in range(4 + i % 3)))
+        a = WeightVector(entries)
+        for eps, refuter in zip(eps_values, refuters_levels(entries, eps_values)):
+            assert is_eps_lc(a, eps) == (refuter is None, refuter), (entries, eps)
 
 
 def test_verify_interior_psi_equivalence_examples():

@@ -24,6 +24,18 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name}: assert on lines {lines}"
 
 
+def test_library_reads_every_top_level_import():
+    # a name bound by a top-level import is read somewhere in its module;
+    # one read only in an annotation counts
+    for path in sorted(Path(wblowup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        bound = {(alias.asname or alias.name).split(".")[0] for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        assert bound <= read, f"{path.name}: {sorted(bound - read)} imported but never read"
+
+
 # The names the CLI and the paper's objects need; adding or removing one is
 # a deliberate change to this list. Submodules are reached as attributes too,
 # but are not names the package exports.

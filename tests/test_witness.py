@@ -212,21 +212,25 @@ def test_subsimplex_handles_wall_points():
 
 
 def test_certificate_threshold_examples():
-    assert certificate_threshold(2, Fraction(1, 2)) == 26
-    assert certificate_threshold(2, 1) == 10
-    assert certificate_threshold(2, Fraction(1, 4)) == 82
+    assert certificate_threshold(2, Fraction(1, 2)) == 16
+    assert certificate_threshold(2, 1) == 4
+    assert certificate_threshold(2, Fraction(1, 4)) == 64
     assert certificate_threshold(3, Fraction(1, 2)) is None
     with pytest.raises(ValueError):
         certificate_threshold(1, Fraction(1, 2))
 
 
 def test_certificate_threshold_gives_the_proofs_z():
-    # the docstring's last step: at the threshold Z = isqrt(a1) exceeds
-    # 2/eps, so the bound psi < 2/Z falls below eps
+    # the bound is Z0**2 for the least Z0 with 1/Z0 + 1/(Z0 + 1) < eps,
+    # 4*k**2 at eps = 1/k
     for q in range(1, 61):
         for p in range(1, q + 1):
-            Z = math.isqrt(certificate_threshold(2, Fraction(p, q)))
-            assert Z * p > 2 * q, (p, q)
+            bound = certificate_threshold(2, Fraction(p, q))
+            Z = math.isqrt(bound)
+            assert Z * Z == bound, (p, q)
+            assert p * Z * (Z + 1) > q * (2 * Z + 1), (p, q)
+            assert p * (Z - 1) * Z <= q * (2 * Z - 1), (p, q)
+        assert certificate_threshold(2, Fraction(1, q)) == 4 * q * q
 
 
 def test_default_theta_inside_range():
@@ -262,17 +266,52 @@ def test_witness_n2_degenerate_and_lc_cases():
     assert witness_n2(WeightVector((1, 1)), Fraction(1, 2)) is None
 
 
+def _n2_missed_residues(a1: int, eps: Fraction) -> list[int]:
+    # the residues r, prime to a1 > 1, at which witness_n2 misses a2 = a1 + r.
+    # dirichlet_1d reads a2 only as a2 // a1 and a2 % a1, so its q is the
+    # same for every a2 = f*a1 + r, p moves by f*q and delta = q*a2/a1 - p
+    # stays; psi(q, p) is q/a1 - delta in case 2 and q/a1 + delta*(a1 - 1)/a2
+    # in case 1, which falls as f grows. A hit at a1 + r is therefore a hit at
+    # every a2 = r (mod a1), and an empty list means every a2 is certified
+    return [r for r in range(1, a1)
+            if math.gcd(r, a1) == 1 and witness_n2(WeightVector((a1, a1 + r)), eps) is None]
+
+
+def test_witness_n2_residue_reduction():
+    # the reduction _n2_missed_residues rests on, checked directly on every
+    # coprime a2 < 40*a1
+    for eps in (Fraction(1, 2), Fraction(1, 3)):
+        for a1 in range(2, 60):
+            missed = _n2_missed_residues(a1, eps)
+            for r in range(1, a1):
+                if math.gcd(r, a1) != 1 or r in missed:
+                    continue
+                for a2 in range(a1 + r, 40 * a1, a1):
+                    assert witness_n2(WeightVector((a1, a2)), eps) is not None, (a1, a2, eps)
+
+
 @pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
 def test_witness_n2_complete_above_threshold(eps):
-    # completeness at the threshold: every coprime pair with a1 >= certificate_threshold succeeds
+    # completeness at the threshold: every coprime pair with a1 >=
+    # certificate_threshold succeeds, every a2 checked by its residue
     M = certificate_threshold(2, eps)
     for a1 in range(M, M + 12):
-        for a2 in range(a1, a1 + 40):
-            if math.gcd(a1, a2) != 1:
-                continue
-            cert = witness_n2(WeightVector((a1, a2)), eps)
-            assert cert is not None, (a1, a2)
-            assert Fraction(*cert.psi) < eps
+        assert _n2_missed_residues(a1, eps) == [], a1
+        for r in range(1, a1):
+            if math.gcd(r, a1) == 1:
+                assert Fraction(*witness_n2(WeightVector((a1, a1 + r)), eps).psi) < eps
+
+
+def test_witness_n2_measured_threshold_at_one_over_k():
+    # measured, not proven: at eps = 1/k the last a1 at which witness_n2
+    # misses some a2 is (2k - 1)**2 - 1; certificate_threshold proves only
+    # 4*k**2. k <= 12 is fixed from a budget of about 0.5 s, some 10*k**3
+    # construction calls of 6 us each per k
+    for k in range(2, 13):
+        eps = Fraction(1, k)
+        assert _n2_missed_residues((2 * k - 1) ** 2 - 1, eps), k
+        for a1 in range((2 * k - 1) ** 2, 4 * k * k + 1):
+            assert _n2_missed_residues(a1, eps) == [], (k, a1)
 
 
 # ---------------------------------------------------------------------------
